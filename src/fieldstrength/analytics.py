@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,18 +35,28 @@ def fractional_ranks(values: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorRanking:
-    """One indicator's fields sorted best-first with fractional ranks."""
+    """One indicator's fields sorted best-first with fractional ranks.
+
+    The lookups below are built on first use and then kept, so that
+    pairwise correlations and average ranks do not rebuild them.
+    """
 
     indicator_id: str
     ranked: tuple[tuple[str, float, float], ...]  # (sds, value, rank)
 
-    @property
+    @cached_property
     def rank_by_sds(self) -> dict[str, float]:
         return {sds: rank for sds, _, rank in self.ranked}
 
-    @property
+    @cached_property
     def value_by_sds(self) -> dict[str, float]:
         return {sds: value for sds, value, _ in self.ranked}
+
+    @cached_property
+    def ranks_by_code(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """(SDS codes in ascending order, their ranks in that order)."""
+        codes = tuple(sorted(self.rank_by_sds))
+        return codes, np.array([self.rank_by_sds[sds] for sds in codes])
 
 
 def indicator_values(boards: Sequence[FieldScoreboard], indicator: str) -> list[tuple[str, float]]:
@@ -83,15 +94,12 @@ def spearman(x: IndicatorRanking, y: IndicatorRanking) -> Optional[float]:
     Pearson on the fractional ranks, aligned by SDS. Undefined (None)
     when fewer than two fields or either rank vector has no variance.
     """
-    rx = x.rank_by_sds
-    ry = y.rank_by_sds
-    if set(rx) != set(ry):
+    keys, a = x.ranks_by_code
+    y_keys, b = y.ranks_by_code
+    if keys != y_keys:
         raise ValueError("rankings cover different field sets")
-    keys = sorted(rx)
     if len(keys) < 2:
         return None
-    a = np.array([rx[k] for k in keys])
-    b = np.array([ry[k] for k in keys])
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         return None
     return float(np.corrcoef(a, b)[0, 1])

@@ -108,12 +108,16 @@ def load_run_config(path: Path) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
+    top_bottom_k = raw.get("top_bottom_k", 10)
+    if isinstance(top_bottom_k, bool) or not isinstance(top_bottom_k, int) or top_bottom_k < 0:
+        raise ConfigurationError(
+            f"top_bottom_k must be a non-negative integer, got {top_bottom_k!r}")
 
     return RunConfig(
         paths=CorpusPaths(**resolved),
         analysis=analysis,
         cost_model=cost_model,
-        top_bottom_k=int(raw.get("top_bottom_k", 10)),
+        top_bottom_k=top_bottom_k,
         export_hca_flags=bool(raw.get("export_hca_flags", True)),
         export_researcher_scores=bool(raw.get("export_researcher_scores", True)),
         raw=raw,

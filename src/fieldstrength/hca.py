@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .ingest import PublicationRecord
+from .model import p_label
 
 
 @dataclass(frozen=True)
@@ -76,57 +78,73 @@ def build_cells(publications: Iterable[PublicationRecord]) -> list[CitationCell]
     return cells
 
 
-def is_top_p(pub_id: str, cell: CitationCell, p: float) -> bool:
-    """True iff pub_id places in the top p% of its cell.
+def _strictly_above(cell_of: np.ndarray, citations: np.ndarray,
+                    sizes: np.ndarray) -> np.ndarray:
+    """For each membership, how many members of its cell have strictly
+    more citations: the cell's end minus the end of the member's tie
+    group, both read off one sort by (cell, citations)."""
+    order = np.lexsort((citations, cell_of))
+    sorted_cell, sorted_cit = cell_of[order], citations[order]
+    group_last = np.ones(len(order), dtype=bool)
+    group_last[:-1] = (sorted_cell[1:] != sorted_cell[:-1]) | (sorted_cit[1:] != sorted_cit[:-1])
+    group_ends = np.flatnonzero(group_last) + 1
+    tie_end = np.repeat(group_ends, np.diff(group_ends, prepend=0))
+    above = np.empty(len(order), dtype=np.int64)
+    above[order] = np.cumsum(sizes)[sorted_cell] - tie_end
+    return above
 
-    The criterion is rank-based: with b = number of cell members with
-    strictly more citations, the publication qualifies iff
-    100*b < p*size. Every member of a tie group gets the same b, so the
-    whole group is either in or out together; a singleton cell always
-    qualifies (b = 0). p = 100 is the all-flagged limit.
+
+def _best_category(pub_of: np.ndarray, share_above: np.ndarray,
+                   member_category: np.ndarray) -> np.ndarray:
+    """Per publication row, the category code of its smallest
+    (share strictly above, category code) membership."""
+    best = np.lexsort((member_category, share_above, pub_of))
+    first = np.flatnonzero(np.diff(pub_of[best], prepend=-1))
+    return member_category[best[first]]
+
+
+def flag_hcas(cells: Sequence[CitationCell],
+              percentiles: Iterable[float]) -> dict[float, HcaFlagSet]:
+    """Flag publications highly cited at every percentile in one pass.
+
+    The strictly-above count b of each cell membership, the cell sizes and
+    each publication's best standing do not depend on p, so they are
+    computed once for all memberships. Each p then costs one vectorized
+    comparison, 100*b < p*size, scattered to publications: a
+    multi-category publication is flagged if it qualifies in at least one
+    of its cells (the most favourable category counts).
     """
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {p}")
-    try:
-        idx = cell.pub_ids.index(pub_id)
-    except ValueError:
-        raise ValueError(f"publication {pub_id!r} is not in cell ({cell.year}, {cell.category})")
-    own = cell.citations[idx]
-    b = sum(1 for c in cell.citations if c > own)
-    return 100.0 * b < p * cell.size
+    percentiles = list(percentiles)
+    for p in percentiles:
+        if not 0 < p <= 100:
+            raise ValueError(f"percentile must be in (0, 100], got {p}")
+    sizes = np.array([cell.size for cell in cells], dtype=np.int64)
+    n = int(sizes.sum())
+    # one entry per membership; int32 codes keep the peak memory down
+    cell_of = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
+    citations = np.fromiter(chain.from_iterable(cell.citations for cell in cells),
+                            dtype=np.int64, count=n)
+    row_of: dict[str, int] = {}
+    pub_of = np.fromiter((row_of.setdefault(pub_id, len(row_of))
+                          for cell in cells for pub_id in cell.pub_ids), dtype=np.int32, count=n)
+    pub_ids = list(row_of)
+    del row_of
+    categories = sorted({cell.category for cell in cells})
+    code = {category: i for i, category in enumerate(categories)}
+    member_category = np.array([code[cell.category] for cell in cells], dtype=np.int32)[cell_of]
 
+    above = _strictly_above(cell_of, citations, sizes)
+    member_size = sizes[cell_of]
+    best_category = _best_category(pub_of, above / member_size, member_category).tolist()
 
-def _strictly_above_counts(citations: np.ndarray) -> np.ndarray:
-    """For each entry, how many entries of the same cell are strictly larger."""
-    ordered = np.sort(citations)
-    return citations.size - np.searchsorted(ordered, citations, side="right")
-
-
-def flag_hcas(cells: Iterable[CitationCell], p: float) -> HcaFlagSet:
-    """Flag publications highly cited at percentile p across all cells.
-
-    A multi-category publication is flagged if it qualifies in at least
-    one of its cells (the most favourable category counts).
-    """
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {p}")
-    flagged: set[str] = set()
-    # (share strictly above, category) per pub; smaller share = better standing
-    best: dict[str, tuple[float, str]] = {}
-    for cell in cells:
-        counts = _strictly_above_counts(np.asarray(cell.citations, dtype=np.int64))
-        for pub_id, b in zip(cell.pub_ids, counts):
-            standing = (b / cell.size, cell.category)
-            prev = best.get(pub_id)
-            if prev is None or standing < prev:
-                best[pub_id] = standing
-            if 100.0 * b < p * cell.size:
-                flagged.add(pub_id)
-    return HcaFlagSet(
-        p=p,
-        flagged=frozenset(flagged),
-        best_category={pub_id: best[pub_id][1] for pub_id in flagged},
-    )
+    flag_sets = {}
+    for p in percentiles:
+        hit = np.zeros(len(pub_ids), dtype=bool)
+        hit[pub_of[100.0 * above < p * member_size]] = True
+        best = {pub_ids[row]: categories[best_category[row]] for row in np.flatnonzero(hit).tolist()}
+        # a frozenset built from a dict is sized once, half the table of one grown from a generator
+        flag_sets[p] = HcaFlagSet(p=p, flagged=frozenset(best), best_category=best)
+    return flag_sets
 
 
 def fractional_value(pub: PublicationRecord) -> float:
@@ -141,9 +159,8 @@ def write_flags_csv(flag_sets: Mapping[float, HcaFlagSet], path: Path) -> int:
     rows = []
     for p in sorted(flag_sets):
         flags = flag_sets[p]
-        label = str(int(p)) if float(p).is_integer() else str(p)
         for pub_id in sorted(flags.flagged):
-            rows.append((pub_id, label, flags.best_category[pub_id]))
+            rows.append((pub_id, p_label(p), flags.best_category[pub_id]))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["pub_id", "p", "category_of_best_rank"])

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .hca import HcaFlagSet
 from .ingest import Corpus
-from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel
+from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
@@ -28,11 +28,6 @@ from .scoring import (
     build_rescale_context,
     detect_top_scientists,
 )
-
-
-def p_label(p: float) -> str:
-    """Column-name suffix for a percentile: 5.0 -> "5", 2.5 -> "2.5"."""
-    return str(int(p)) if float(p).is_integer() else str(p)
 
 
 def indicator_id(family: str, p: float) -> str:
@@ -108,7 +103,7 @@ def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
         scores_by_sds.setdefault(score.sds, []).append(score)
 
     ts_by_sds = {
-        sds: {p: detect_top_scientists(field_scores, p, multiplier) for p in percentiles}
+        sds: detect_top_scientists(field_scores, percentiles, multiplier)
         for sds, field_scores in scores_by_sds.items()
     }
     context = build_rescale_context(

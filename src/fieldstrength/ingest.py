@@ -434,18 +434,19 @@ class SummaryTable:
     overall: SummaryRow
 
 
-def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, "HcaFlagSet"]) -> SummaryTable:
+def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, "HcaFlagSet"],
+                   authors_by_pub: Mapping[str, tuple[str, ...]]) -> SummaryTable:
     """Per-discipline dataset summary.
 
     A publication counts once per discipline it reaches through its
     roster authors, so a cross-discipline co-authored publication counts
     in several rows; the overall row de-duplicates (it counts distinct
     publications), which is why per-discipline columns can sum to more
-    than the overall value.
+    than the overall value. authors_by_pub is corpus.authors_by_pub,
+    built once by the caller.
     """
     percentiles = corpus.config.sorted_percentiles
     flagged = {p: flag_sets[p].flagged for p in percentiles}
-    authors_by_pub = corpus.authors_by_pub
 
     pubs_by_uda: dict[str, set[str]] = {}
     profs_by_uda: dict[str, set[str]] = {}

@@ -36,6 +36,11 @@ FALLBACK_NATIONAL_ONLY = "national_only"
 RESCALE_FALLBACKS = (FALLBACK_UDA_THEN_NATIONAL, FALLBACK_NATIONAL_ONLY)
 
 
+def p_label(p: float) -> str:
+    """Column-name suffix for a percentile: 5.0 -> "5", 2.5 -> "2.5"."""
+    return str(int(p)) if float(p).is_integer() else str(p)
+
+
 @dataclass(frozen=True)
 class Taxonomy:
     """The two-level field classification: fine-grained fields (SDS)

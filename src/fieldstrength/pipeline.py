@@ -27,10 +27,9 @@ from .indicators import (
     build_discipline_scoreboards,
     build_field_scoreboards,
     indicator_id,
-    p_label,
 )
 from .ingest import Corpus, SummaryTable, corpus_summary
-from .model import CostModel
+from .model import CostModel, p_label
 from .reporting import ReportBundle
 from .scoring import RESCALE_FROM_FIELD, ResearcherScore, score_researchers
 
@@ -62,8 +61,9 @@ def indicator_ids(percentiles) -> list[str]:
 def run_pipeline(corpus: Corpus, cost_model: CostModel, top_bottom_k: int = 10) -> PipelineResult:
     percentiles = list(corpus.config.sorted_percentiles)
     cells = build_cells(corpus.publications.values())
-    flag_sets = {p: flag_hcas(cells, p) for p in percentiles}
-    summary = corpus_summary(corpus, flag_sets)
+    flag_sets = flag_hcas(cells, percentiles)
+    authors_by_pub = corpus.authors_by_pub
+    summary = corpus_summary(corpus, flag_sets, authors_by_pub)
     scores = score_researchers(corpus, flag_sets, cost_model)
     boards = build_field_scoreboards(corpus, scores, flag_sets, cost_model)
     if boards:
@@ -77,11 +77,11 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel, top_bottom_k: int = 10) 
     quadrant = quadrant_classify(boards, percentiles)
     avg_rank = average_rank_extremes(rankings, top_bottom_k)
 
-    roster_pubs = set(corpus.authors_by_pub)
+    roster_pubs = set(authors_by_pub)
     counts = {
         "researchers": len(corpus.researchers),
         "publications": len(corpus.publications),
-        "baseline_only_publications": len(corpus.baseline_only_pubs),
+        "baseline_only_publications": len(corpus.publications.keys() - roster_pubs),
         "authorships": len(corpus.authorships),
         "citation_cells": len(cells),
         "fields": len(boards),

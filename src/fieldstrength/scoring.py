@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .hca import HcaFlagSet, fractional_value
 from .ingest import Corpus
-from .model import CostModel, researcher_cost
+from .model import CostModel, p_label, researcher_cost
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -47,31 +48,51 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
     """Fractional HCA score per percentile plus total fractional output
     and cost, for every roster researcher (zero scorers included).
 
+    Every sum is one np.bincount over the authorship links, which come
+    sorted by pub_id: bincount adds in input order, so each researcher's
+    shares are added in ascending pub_id order at every percentile.
     Output is sorted by (sds, researcher_id).
     """
     percentiles = sorted(flag_sets)
-    pubs_by_researcher = corpus.pubs_by_researcher
-    scores = []
-    for researcher in corpus.researchers.values():
-        fhca = dict.fromkeys(percentiles, 0.0)
-        output = 0.0
-        for pub_id in pubs_by_researcher.get(researcher.researcher_id, ()):
-            share = fractional_value(corpus.publications[pub_id])
-            output += share
-            for p in percentiles:
-                if pub_id in flag_sets[p].flagged:
-                    fhca[p] += share
-        scores.append(
-            ResearcherScore(
-                researcher_id=researcher.researcher_id,
-                sds=researcher.sds,
-                fhca_score=fhca,
-                frac_pub_output=output,
-                cost=researcher_cost(researcher, cost_model),
-            )
+    researcher_row = {researcher_id: i for i, researcher_id in enumerate(corpus.researchers)}
+    links = corpus.authorships
+    pub_ids = list(map(attrgetter("pub_id"), links))
+    link_researcher = np.fromiter(
+        map(researcher_row.__getitem__, map(attrgetter("researcher_id"), links)),
+        dtype=np.intp, count=len(links))
+    share = np.fromiter(map(fractional_value, map(corpus.publications.__getitem__, pub_ids)),
+                        dtype=float, count=len(links))
+
+    def per_researcher(weights: np.ndarray) -> list[float]:
+        return np.bincount(link_researcher, weights=weights,
+                           minlength=len(researcher_row)).tolist()
+
+    output = per_researcher(share)
+    fhca = {}
+    for p in percentiles:
+        flagged = np.fromiter(map(flag_sets[p].flagged.__contains__, pub_ids),
+                              dtype=bool, count=len(links))
+        fhca[p] = per_researcher(share * flagged)
+
+    scores = [
+        ResearcherScore(
+            researcher_id=researcher.researcher_id,
+            sds=researcher.sds,
+            fhca_score={p: fhca[p][i] for p in percentiles},
+            frac_pub_output=output[i],
+            cost=researcher_cost(researcher, cost_model),
         )
+        for i, researcher in enumerate(corpus.researchers.values())
+    ]
     scores.sort(key=lambda s: (s.sds, s.researcher_id))
     return scores
+
+
+def _fences(scores: np.ndarray, multiplier: float) -> tuple[np.ndarray, ...]:
+    """(q1, q3, iqr, threshold) of every column of a 2-D score matrix."""
+    q1, q3 = np.quantile(scores, [0.25, 0.75], axis=0, method="linear")
+    iqr = q3 - q1
+    return q1, q3, iqr, q3 + multiplier * iqr
 
 
 def tukey_fence(values: Sequence[float], multiplier: float = 1.5) -> TukeyFence:
@@ -83,25 +104,31 @@ def tukey_fence(values: Sequence[float], multiplier: float = 1.5) -> TukeyFence:
     """
     if len(values) == 0:
         raise ValueError("tukey_fence of empty sequence")
-    q1, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.75], method="linear")
-    iqr = q3 - q1
-    return TukeyFence(q1=float(q1), q3=float(q3), iqr=float(iqr),
-                      threshold=float(q3 + multiplier * iqr))
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    q1, q3, iqr, threshold = (float(v[0]) for v in _fences(column, multiplier))
+    return TukeyFence(q1=q1, q3=q3, iqr=iqr, threshold=threshold)
 
 
-def detect_top_scientists(field_scores: Sequence[ResearcherScore], p: float,
-                          multiplier: float = 1.5) -> set[str]:
-    """Researchers of one field whose score at p strictly exceeds the fence.
+def detect_top_scientists(field_scores: Sequence[ResearcherScore], percentiles: Sequence[float],
+                          multiplier: float = 1.5) -> dict[float, set[str]]:
+    """Researchers of one field whose score strictly exceeds the fence,
+    per percentile.
 
-    field_scores must cover every professor of the field: the fence is a
-    property of the whole distribution, non-producers included. With a
-    degenerate all-equal distribution the fence equals the common value
-    and nobody is an outlier.
+    The fences of all percentiles come from one quantile call over the
+    (researcher x percentile) score matrix. field_scores must cover every
+    professor of the field: the fence is a property of the whole
+    distribution, non-producers included. With a degenerate all-equal
+    distribution the fence equals the common value and nobody is an
+    outlier.
     """
     if not field_scores:
-        return set()
-    fence = tukey_fence([s.fhca_score[p] for s in field_scores], multiplier)
-    return {s.researcher_id for s in field_scores if s.fhca_score[p] > fence.threshold}
+        return {p: set() for p in percentiles}
+    scores = np.array([[s.fhca_score[p] for p in percentiles] for s in field_scores],
+                      dtype=float)
+    threshold = _fences(scores, multiplier)[3]
+    ids = [s.researcher_id for s in field_scores]
+    return {p: {ids[i] for i in np.flatnonzero(scores[:, j] > threshold[j])}
+            for j, p in enumerate(percentiles)}
 
 
 @dataclass(frozen=True)
@@ -173,7 +200,7 @@ def write_researcher_scores_csv(scores: Sequence[ResearcherScore],
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"])
         n = 0
-        labels = {p: str(int(p)) if float(p).is_integer() else str(p) for p in percentiles}
+        labels = {p: p_label(p) for p in percentiles}
         for score in scores:
             for p in percentiles:
                 is_ts = score.researcher_id in ts_ids_by_sds[score.sds][p]

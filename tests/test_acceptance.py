@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
             cell = CitationCell(2012, "A", tuple(f"p{i}" for i in range(size)),
                                 tuple(citations))
             p = rng.choice([5.0, 10.0, round(rng.uniform(0.5, 99.5), 2)])
-            assert flag_hcas([cell], p).flagged == oracle_top_p(cell.members, p)
+            assert flag_hcas([cell], [p])[p].flagged == oracle_top_p(cell.members, p)
 
         # Tukey quartiles: 1e-12
         for _ in range(1000):
@@ -132,7 +132,7 @@ def test_criterion_3_invariance_suite(default_corpus, default_result, tmp_path):
                               hca_fraction=0.5)]
         for corpus in corpora:
             cells = build_cells(corpus.publications.values())
-            assert flag_hcas(cells, 5.0).flagged <= flag_hcas(cells, 10.0).flagged
+            assert flag_hcas(cells, [5.0])[5.0].flagged <= flag_hcas(cells, [10.0])[10.0].flagged
 
         # (b) positive scaling of a field's scores leaves its TS set unchanged
         by_sds = {}
@@ -145,8 +145,8 @@ def test_criterion_3_invariance_suite(default_corpus, default_result, tmp_path):
                     replace(s, fhca_score={q: c * v for q, v in s.fhca_score.items()})
                     for s in largest
                 ]
-                assert detect_top_scientists(scaled, p, 1.5) == \
-                    detect_top_scientists(largest, p, 1.5)
+                assert detect_top_scientists(scaled, [p], 1.5)[p] == \
+                    detect_top_scientists(largest, [p], 1.5)[p]
 
         # (c) uniform cost inflation by c = 2 (exact in floats): FSS x 1/2,
         # ranks, quadrant memberships and Spearman entries unchanged
@@ -238,7 +238,7 @@ def test_criterion_5_rescaling_purpose():
                     pubs.append((pid, 2013, i % 4, 2, [cat]))
                     links.append((pid, f"{tag}{i}"))
         corpus = mk_corpus(researchers, pubs, links, {"S1": "U1", "S2": "U2"})
-        flags = {p: flag_hcas(build_cells(corpus.publications.values()), p)
+        flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
                  for p in (5.0, 10.0)}
         scores = score_researchers(corpus, flags, CostModel())
         boards = {b.sds: b for b in

@@ -162,6 +162,17 @@ def test_bad_percentile_is_config_error(tmp_path, mini_config):
     assert main(["validate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("value", [-3, 2.5, "5", True])
+def test_bad_top_bottom_k_is_config_error(tmp_path, mini_config, capsys, value):
+    raw = json.loads(mini_config.read_text(encoding="utf-8"))
+    raw["top_bottom_k"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "top_bottom_k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_file_is_io_error(tmp_path, mini_config):
     raw = json.loads(mini_config.read_text(encoding="utf-8"))
     raw["inputs"]["publications"] = str(tmp_path / "nope.csv")

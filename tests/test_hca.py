@@ -9,7 +9,6 @@ from fieldstrength.hca import (
     build_cells,
     flag_hcas,
     fractional_value,
-    is_top_p,
 )
 from fieldstrength.ingest import PublicationRecord
 from fieldstrength.oracles import oracle_top_p
@@ -56,25 +55,22 @@ def test_build_cells_order_insensitive():
 
 def test_is_top_p_distinct_counts():
     cell = cell_of(list(range(100)))
-    top5 = {pid for pid in cell.pub_ids if is_top_p(pid, cell, 5)}
+    top5 = flag_hcas([cell], [5])[5].flagged
     assert top5 == {"p95", "p96", "p97", "p98", "p99"}
+    assert oracle_top_p(cell.members, 5) == top5
 
 
 def test_is_top_p_all_tied_cell_flags_everyone():
     # b = 0 for every member, so the whole tie group shares the best outcome
     cell = cell_of([4] * 20)
-    assert all(is_top_p(pid, cell, 5) for pid in cell.pub_ids)
+    assert flag_hcas([cell], [5])[5].flagged == set(cell.pub_ids)
     assert oracle_top_p(cell.members, 5) == set(cell.pub_ids)
 
 
 def test_is_top_p_singleton():
     cell = cell_of([0])
-    assert is_top_p("p0", cell, 5)
-
-
-def test_is_top_p_requires_membership():
-    with pytest.raises(ValueError):
-        is_top_p("nope", cell_of([1, 2]), 5)
+    assert flag_hcas([cell], [5])[5].flagged == {"p0"}
+    assert oracle_top_p(cell.members, 5) == {"p0"}
 
 
 def test_flag_hcas_most_favourable_category():
@@ -84,7 +80,7 @@ def test_flag_hcas_most_favourable_category():
         pub("a1", 2012, 1, ["A"]),
         *[pub(f"b{i}", 2012, 100 + i, ["B"]) for i in range(30)],
     ]
-    flags = flag_hcas(build_cells(pubs), 5)
+    flags = flag_hcas(build_cells(pubs), [5])[5]
     assert "star" in flags.flagged
     assert flags.best_category["star"] == "A"
 
@@ -94,21 +90,21 @@ def test_flag_hcas_not_flagged_when_outside_everywhere():
     for i in range(40):
         pubs.append(pub(f"a{i}", 2012, 10 + i, ["A"]))
         pubs.append(pub(f"b{i}", 2012, 10 + i, ["B"]))
-    flags = flag_hcas(build_cells(pubs), 10)
+    flags = flag_hcas(build_cells(pubs), [10])[10]
     assert "low" not in flags.flagged
 
 
 def test_flag_hcas_p100_flags_everything():
     pubs = [pub(f"p{i}", 2012, i, ["A"]) for i in range(10)]
-    flags = flag_hcas(build_cells(pubs), 100)
+    flags = flag_hcas(build_cells(pubs), [100])[100]
     assert flags.flagged == {p.pub_id for p in pubs}
 
 
 def test_flag_hcas_rejects_bad_percentile():
     with pytest.raises(ValueError):
-        flag_hcas([], 0)
+        flag_hcas([], [0])
     with pytest.raises(ValueError):
-        flag_hcas([], 101)
+        flag_hcas([], [101])
 
 
 def test_flags_match_oracle_and_nest_on_random_cells():
@@ -117,14 +113,14 @@ def test_flags_match_oracle_and_nest_on_random_cells():
         size = rng.randint(1, 200)
         citations = [rng.randint(0, 50) for _ in range(size)]
         cell = cell_of(citations)
-        flags5 = flag_hcas([cell], 5).flagged
-        flags10 = flag_hcas([cell], 10).flagged
+        flags5 = flag_hcas([cell], [5])[5].flagged
+        flags10 = flag_hcas([cell], [10])[10].flagged
         assert flags5 == oracle_top_p(cell.members, 5)
         assert flags10 == oracle_top_p(cell.members, 10)
         assert flags5 <= flags10
-        # scalar contract agrees with the vectorized path
-        probe = rng.choice(cell.pub_ids)
-        assert is_top_p(probe, cell, 5) == (probe in flags5)
+        # one call at both thresholds agrees with a call per threshold
+        both = flag_hcas([cell], [5, 10])
+        assert (both[5].flagged, both[10].flagged) == (flags5, flags10)
 
 
 def test_flags_invariant_under_member_permutation():
@@ -136,20 +132,60 @@ def test_flags_invariant_under_member_permutation():
     rng.shuffle(shuffled)
     cell_b = CitationCell(2012, "A", tuple(i for i, _ in shuffled),
                           tuple(c for _, c in shuffled))
-    assert flag_hcas([cell_a], 10).flagged == flag_hcas([cell_b], 10).flagged
+    assert flag_hcas([cell_a], [10])[10].flagged == flag_hcas([cell_b], [10])[10].flagged
 
 
 def test_more_citations_never_unflags():
     rng = random.Random(13)
     citations = [rng.randint(0, 30) for _ in range(80)]
     base = cell_of(citations)
-    flagged = flag_hcas([base], 10).flagged
+    flagged = flag_hcas([base], [10])[10].flagged
     for idx in range(0, 80, 7):
         bumped = list(citations)
         bumped[idx] += rng.randint(1, 20)
-        new_flags = flag_hcas([cell_of(bumped)], 10).flagged
+        new_flags = flag_hcas([cell_of(bumped)], [10])[10].flagged
         if f"p{idx}" in flagged:
             assert f"p{idx}" in new_flags
+
+
+SWEEP = [0.5 * i for i in range(1, 21)] + [100.0]
+
+
+def random_pubs(rng: random.Random) -> list[PublicationRecord]:
+    """Multi-year, multi-category publications with frequent citation ties."""
+    return [
+        pub(f"p{i:03d}", rng.choice((2012, 2013, 2014)), rng.randint(0, 6),
+            rng.sample("ABCDE", rng.randint(1, 3)))
+        for i in range(rng.randint(1, 300))
+    ]
+
+
+def test_single_pass_equals_oracle_union_over_cells():
+    rng = random.Random(17)
+    for _ in range(40):
+        cells = build_cells(random_pubs(rng))
+        flag_sets = flag_hcas(cells, SWEEP)
+        assert sorted(flag_sets) == SWEEP
+        for p in SWEEP:
+            expected = set().union(*(oracle_top_p(cell.members, p) for cell in cells))
+            assert flag_sets[p].p == p
+            assert flag_sets[p].flagged == expected
+
+
+def test_best_category_is_brute_force_argmin():
+    rng = random.Random(19)
+    for _ in range(40):
+        cells = build_cells(random_pubs(rng))
+        standings: dict[str, list[tuple[float, str]]] = {}
+        for cell in cells:
+            for pub_id, own in cell.members:
+                b = sum(1 for other in cell.citations if other > own)
+                standings.setdefault(pub_id, []).append((b / cell.size, cell.category))
+        best = {pub_id: min(options)[1] for pub_id, options in standings.items()}
+        flag_sets = flag_hcas(cells, SWEEP)
+        assert flag_sets[100.0].best_category == best  # p = 100 flags everyone
+        for flags in flag_sets.values():
+            assert flags.best_category == {pub_id: best[pub_id] for pub_id in flags.flagged}
 
 
 def test_fractional_value():

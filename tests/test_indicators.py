@@ -10,9 +10,8 @@ from fieldstrength.indicators import (
     fss_fhca,
     fss_ts,
     indicator_id,
-    p_label,
 )
-from fieldstrength.model import CostModel
+from fieldstrength.model import CostModel, p_label
 from fieldstrength.scoring import score_researchers
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -66,7 +65,7 @@ def two_field_corpus():
 def build_boards(corpus, cost_model=None):
     cost_model = cost_model or CostModel()
     flags = {
-        p: flag_hcas(build_cells(corpus.publications.values()), p)
+        p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
         for p in corpus.config.sorted_percentiles
     }
     scores = score_researchers(corpus, flags, cost_model)

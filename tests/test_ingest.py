@@ -250,10 +250,10 @@ def test_roster_only_baseline_drops_unlinked(tmp_path):
 
 def _summary(corpus):
     flags = {
-        p: flag_hcas(build_cells(corpus.publications.values()), p)
+        p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
         for p in corpus.config.sorted_percentiles
     }
-    return corpus_summary(corpus, flags)
+    return corpus_summary(corpus, flags, corpus.authors_by_pub)
 
 
 def test_summary_single_uda_overall_equals_row(tmp_path):

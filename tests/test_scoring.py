@@ -49,7 +49,7 @@ def scored_corpus():
 
 def test_score_researchers_fractional_sums():
     corpus = scored_corpus()
-    flags = {p: flag_hcas(build_cells(corpus.publications.values()), p) for p in (5.0, 10.0)}
+    flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p] for p in (5.0, 10.0)}
     assert flags[5.0].flagged >= {"hc1", "hc2"}
     scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
 
@@ -62,7 +62,7 @@ def test_score_researchers_fractional_sums():
 
 def test_zero_hca_researcher_scores_zero():
     corpus = scored_corpus()
-    flags = {p: flag_hcas(build_cells(corpus.publications.values()), p) for p in (5.0, 10.0)}
+    flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p] for p in (5.0, 10.0)}
     scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
     assert scores["r2"].fhca_score[5.0] <= scores["r2"].fhca_score[10.0]
     assert all(s.fhca_score[5.0] <= s.frac_pub_output for s in scores.values())
@@ -119,29 +119,29 @@ def test_tukey_fence_empty_rejected():
 
 def test_detect_top_scientists_strictness():
     all_zero = [mk_score(f"r{i}", "S1", 0.0) for i in range(10)]
-    assert detect_top_scientists(all_zero, 5.0, 1.5) == set()
+    assert detect_top_scientists(all_zero, [5.0], 1.5)[5.0] == set()
 
     uniform = [mk_score(f"r{i}", "S1", 2.5) for i in range(10)]
-    assert detect_top_scientists(uniform, 5.0, 1.5) == set()
+    assert detect_top_scientists(uniform, [5.0], 1.5)[5.0] == set()
 
 
 def test_detect_top_scientists_sparse_field():
     scores = [mk_score(f"r{i}", "S1", 0.0) for i in range(96)]
     scores.append(mk_score("hero", "S1", 0.2))
-    assert detect_top_scientists(scores, 5.0, 1.5) == {"hero"}
+    assert detect_top_scientists(scores, [5.0], 1.5)[5.0] == {"hero"}
 
 
 def test_positive_scaling_leaves_ts_set_unchanged():
     rng = random.Random(23)
     scores = [mk_score(f"r{i}", "S1", rng.expovariate(2.0) if rng.random() < 0.4 else 0.0)
               for i in range(120)]
-    base = detect_top_scientists(scores, 5.0, 1.5)
+    base = detect_top_scientists(scores, [5.0], 1.5)[5.0]
     for c in (0.1, 3.0, 1e6):
         scaled = [
             mk_score(s.researcher_id, s.sds, {p: c * v for p, v in s.fhca_score.items()})
             for s in scores
         ]
-        assert detect_top_scientists(scaled, 5.0, 1.5) == base
+        assert detect_top_scientists(scaled, [5.0], 1.5)[5.0] == base
         fence = tukey_fence([s.fhca_score[5.0] for s in scores], 1.5)
         scaled_fence = tukey_fence([c * s.fhca_score[5.0] for s in scores], 1.5)
         assert scaled_fence.threshold == pytest.approx(c * fence.threshold, rel=1e-9)
@@ -193,6 +193,58 @@ def test_fractional_conservation(default_corpus):
 def test_min_years_config_respected():
     cfg = AnalysisConfig(min_years=2)
     corpus = mk_corpus([("r1", "S1", {2012: "full", 2013: "full"})], [], [], {"S1": "U1"}, cfg)
-    flags = {5.0: flag_hcas([], 5.0), 10.0: flag_hcas([], 10.0)}
+    flags = {5.0: flag_hcas([], [5.0])[5.0], 10.0: flag_hcas([], [10.0])[10.0]}
     scores = score_researchers(corpus, flags, CostModel())
     assert len(scores) == 1 and scores[0].frac_pub_output == 0.0
+
+
+SWEEP = [0.5 * i for i in range(1, 21)]
+
+
+def test_batched_fences_equal_one_tukey_fence_per_percentile():
+    rng = random.Random(23)
+    for _ in range(60):
+        field = [
+            ResearcherScore(
+                researcher_id=f"r{i}", sds="S1",
+                fhca_score={p: rng.choice([0.0, 0.0, 0.25, 1 / 3, 0.5, rng.uniform(0, 5)])
+                            for p in SWEEP},
+                frac_pub_output=1.0, cost=1.0,
+            )
+            for i in range(rng.randint(1, 40))
+        ]
+        multiplier = rng.choice([0.0, 1.5, 3.0])
+        batched = detect_top_scientists(field, SWEEP, multiplier)
+        for p in SWEEP:
+            fence = tukey_fence([s.fhca_score[p] for s in field], multiplier)
+            assert batched[p] == {s.researcher_id for s in field
+                                  if s.fhca_score[p] > fence.threshold}
+
+
+def test_fhca_scores_equal_a_naive_per_link_loop():
+    rng = random.Random(29)
+    for _ in range(10):
+        researchers = [(f"r{i:02d}", f"S{i % 3}", YEARS) for i in range(15)]
+        pubs, links = [], []
+        for j in range(120):
+            n_authors = rng.randint(1, 9)
+            pubs.append((f"p{j:03d}", rng.choice((2012, 2013, 2014)), rng.randint(0, 5),
+                         n_authors, rng.sample("ABC", rng.randint(1, 2))))
+            for researcher_id, _, _ in rng.sample(researchers, rng.randint(0, min(n_authors, 4))):
+                links.append((f"p{j:03d}", researcher_id))
+        corpus = mk_corpus(researchers, pubs, links, {"S0": "U1", "S1": "U1", "S2": "U2"})
+        flag_sets = flag_hcas(build_cells(corpus.publications.values()), SWEEP)
+
+        fhca = {r: dict.fromkeys(SWEEP, 0.0) for r in corpus.researchers}
+        output = dict.fromkeys(corpus.researchers, 0.0)
+        for link in corpus.authorships:  # ascending pub_id
+            share = 1.0 / corpus.publications[link.pub_id].author_count
+            output[link.researcher_id] += share
+            for p in SWEEP:
+                if link.pub_id in flag_sets[p].flagged:
+                    fhca[link.researcher_id][p] += share
+
+        for score in score_researchers(corpus, flag_sets, CostModel()):
+            assert score.fhca_score == fhca[score.researcher_id]
+            assert score.frac_pub_output == output[score.researcher_id]
+            assert all(type(v) is float for v in score.fhca_score.values())

@@ -66,7 +66,7 @@ def test_sole_authorship_degenerates_to_full_counting(tmp_path):
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
     assert all(p.author_count == 1 for p in corpus.publications.values())
-    flags = flag_hcas(build_cells(corpus.publications.values()), 10.0)
+    flags = flag_hcas(build_cells(corpus.publications.values()), [10.0])[10.0]
     by_researcher = corpus.pubs_by_researcher
     for rid, pubs in by_researcher.items():
         hca_count = sum(1 for p in pubs if p in flags.flagged)
@@ -84,7 +84,7 @@ def test_hca_fraction_zero_buries_every_roster_pub(tmp_path):
     roster_pubs = set(corpus.authors_by_pub)
     cells = build_cells(corpus.publications.values())
     for p in (5.0, 10.0):
-        flagged = flag_hcas(cells, p).flagged
+        flagged = flag_hcas(cells, [p])[p].flagged
         assert not (flagged & roster_pubs)
         assert flagged  # the injected baseline itself is cited
 
@@ -98,7 +98,7 @@ def test_all_equal_citations_flag_everything(tmp_path):
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
     assert {p.citations for p in corpus.publications.values()} == {7}
     cells = build_cells(corpus.publications.values())
-    flagged = flag_hcas(cells, 5.0).flagged
+    flagged = flag_hcas(cells, [5.0])[5.0].flagged
     assert flagged == set(corpus.publications)
 
 
@@ -106,10 +106,12 @@ def test_large_cell_share_lands_near_p(default_corpus):
     cells = build_cells(default_corpus.publications.values())
     big = [c for c in cells if c.size >= 100]
     assert big
+    # one call per cell, so a member counts only when flagged in that cell
+    flag_sets = [flag_hcas([cell], (5.0, 10.0)) for cell in big]
     for p in (5.0, 10.0):
         shares = []
-        for cell in big:
-            flagged = sum(1 for pid in cell.pub_ids if pid in flag_hcas([cell], p).flagged)
+        for cell, flags in zip(big, flag_sets):
+            flagged = sum(1 for pid in cell.pub_ids if pid in flags[p].flagged)
             shares.append(100.0 * flagged / cell.size)
         mean_share = sum(shares) / len(shares)
         assert p <= mean_share <= p + 4.0  # ties only ever widen the top group
