@@ -1,10 +1,11 @@
 """Command-line entry point: validate, run, synth, report.
 
 The run configuration is one JSON document holding the input paths, the
-cost model, and the analysis settings; every numeric parameter has a
-default so a minimal config only names the four input files. Exit
-codes: 0 success, 1 validation failure, 2 configuration failure,
-3 I/O failure.
+cost model, the analysis settings and the output options. Its keys are
+the fields of AnalysisConfig, CostModel and OutputOptions, read with
+strict JSON types; each has a default, so a minimal config only names the
+four input files. Exit codes: 0 success, 1 validation failure,
+2 configuration failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -23,19 +24,8 @@ from .errors import ConfigurationError, CorpusValidationError, InputIOError
 from .hca import write_flags_csv
 from .indicators import write_scoreboard_csv
 from .ingest import CorpusPaths, load_corpus
-from .model import (
-    DEFAULT_CAPITAL,
-    DEFAULT_FENCE_MULTIPLIER,
-    DEFAULT_MIN_YEARS,
-    DEFAULT_PERCENTILES,
-    DEFAULT_REPORTING_SCALE,
-    DEFAULT_RESEARCH_TIME_SHARE,
-    DEFAULT_SALARY,
-    FALLBACK_UDA_THEN_NATIONAL,
-    AnalysisConfig,
-    CostModel,
-)
-from .pipeline import analytics_payload, run_pipeline
+from .model import AnalysisConfig, CostModel, OutputOptions, read_json_fields
+from .pipeline import run_pipeline
 from .reporting import FORMATS, ReportBundle, render
 from .scoring import write_researcher_scores_csv
 from .synth import SynthParams, generate
@@ -47,13 +37,9 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_CONFIG_KEYS = {
-    "inputs", "window", "hca_percentiles", "min_years", "census_date",
-    "ts_fence_multiplier", "rescale_fallback", "roster_only_baseline",
-    "salary", "capital", "research_time_share", "reporting_scale",
-    "top_bottom_k", "export_hca_flags", "export_researcher_scores",
-}
-_INPUT_KEYS = ("taxonomy", "researchers", "publications", "authorships")
+# the config file's sections besides "inputs"; each key is a field of one of them
+_SECTIONS = (AnalysisConfig, CostModel, OutputOptions)
+_INPUT_KEYS = tuple(f.name for f in dataclass_fields(CorpusPaths))
 
 
 @dataclass(frozen=True)
@@ -61,9 +47,7 @@ class RunConfig:
     paths: CorpusPaths
     analysis: AnalysisConfig
     cost_model: CostModel
-    top_bottom_k: int
-    export_hca_flags: bool
-    export_researcher_scores: bool
+    output: OutputOptions
     raw: dict[str, Any]
     input_paths_as_written: dict[str, str]
 
@@ -79,49 +63,25 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    known = {"inputs"} | {f.name for section in _SECTIONS for f in dataclass_fields(section)}
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
 
     inputs = raw.get("inputs")
-    if not isinstance(inputs, dict) or sorted(inputs) != sorted(_INPUT_KEYS):
-        raise ConfigurationError(f"config needs 'inputs' with exactly the keys {_INPUT_KEYS}")
-    base = Path(path).parent
-    resolved = {key: base / inputs[key] for key in _INPUT_KEYS}
-
-    try:
-        analysis = AnalysisConfig(
-            window=tuple(raw.get("window", (2012, 2016))),
-            hca_percentiles=tuple(raw.get("hca_percentiles", DEFAULT_PERCENTILES)),
-            min_years=int(raw.get("min_years", DEFAULT_MIN_YEARS)),
-            census_date=raw.get("census_date"),
-            ts_fence_multiplier=float(raw.get("ts_fence_multiplier", DEFAULT_FENCE_MULTIPLIER)),
-            rescale_fallback=raw.get("rescale_fallback", FALLBACK_UDA_THEN_NATIONAL),
-            roster_only_baseline=bool(raw.get("roster_only_baseline", False)),
-        )
-        salary = {str(k): float(v) for k, v in raw.get("salary", DEFAULT_SALARY).items()}
-        cost_model = CostModel(
-            salary=salary,
-            capital=float(raw.get("capital", DEFAULT_CAPITAL)),
-            research_time_share=float(raw.get("research_time_share", DEFAULT_RESEARCH_TIME_SHARE)),
-            reporting_scale=float(raw.get("reporting_scale", DEFAULT_REPORTING_SCALE)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
-    top_bottom_k = raw.get("top_bottom_k", 10)
-    if isinstance(top_bottom_k, bool) or not isinstance(top_bottom_k, int) or top_bottom_k < 0:
+    if (not isinstance(inputs, dict) or sorted(inputs) != sorted(_INPUT_KEYS)
+            or not all(isinstance(v, str) for v in inputs.values())):
         raise ConfigurationError(
-            f"top_bottom_k must be a non-negative integer, got {top_bottom_k!r}")
-
+            f"config needs 'inputs' with exactly the keys {_INPUT_KEYS}, each a path string")
+    base = Path(path).parent
+    analysis, cost_model, output = (read_json_fields(section, raw) for section in _SECTIONS)
     return RunConfig(
-        paths=CorpusPaths(**resolved),
+        paths=CorpusPaths(**{key: base / inputs[key] for key in _INPUT_KEYS}),
         analysis=analysis,
         cost_model=cost_model,
-        top_bottom_k=top_bottom_k,
-        export_hca_flags=bool(raw.get("export_hca_flags", True)),
-        export_researcher_scores=bool(raw.get("export_researcher_scores", True)),
+        output=output,
         raw=raw,
-        input_paths_as_written={key: str(inputs[key]) for key in _INPUT_KEYS},
+        input_paths_as_written=dict(inputs),
     )
 
 
@@ -162,7 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     corpus = load_corpus(config.paths, config.analysis)
-    result = run_pipeline(corpus, config.cost_model, config.top_bottom_k)
+    result = run_pipeline(corpus, config.cost_model, config.output.top_bottom_k)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -172,19 +132,17 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     percentiles = list(corpus.config.sorted_percentiles)
     n = write_scoreboard_csv(result.boards, percentiles, out_dir / "scoreboard.csv")
     files.append({"path": "scoreboard.csv", "rows": n})
-    if config.export_hca_flags:
+    if config.output.export_hca_flags:
         n = write_flags_csv(result.flag_sets, out_dir / "hca_flags.csv")
         files.append({"path": "hca_flags.csv", "rows": n})
-    if config.export_researcher_scores:
+    if config.output.export_researcher_scores:
         ts_by_sds = {b.sds: b.ts_ids for b in result.boards}
         n = write_researcher_scores_csv(result.scores, ts_by_sds,
                                         out_dir / "researcher_scores.csv")
         files.append({"path": "researcher_scores.csv", "rows": n})
 
-    _write_json(out_dir / "analytics.json", analytics_payload(result))
+    _write_json(out_dir / "analytics.json", result.bundle.to_dict())
     files.append({"path": "analytics.json", "rows": len(result.boards)})
-    _write_json(out_dir / "bundle.json", result.bundle.to_dict())
-    files.append({"path": "bundle.json", "rows": len(result.boards)})
 
     manifest = {
         "version": __version__,
@@ -247,17 +205,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    formats = _parse_formats(args.format)
     try:
-        payload = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-        bundle = ReportBundle.from_dict(payload)
+        bundle = ReportBundle.from_dict(json.loads(Path(args.bundle).read_text(encoding="utf-8")))
     except OSError as exc:
         raise InputIOError(f"cannot read bundle {args.bundle}: {exc}") from exc
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ConfigurationError(f"bad bundle file: {exc}") from exc
+    except (json.JSONDecodeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"bad bundle file {args.bundle}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in _parse_formats(args.format):
-        for entry in render(bundle, fmt, out_dir):
+    for fmt in formats:
+        try:
+            entries = render(bundle, fmt, out_dir)
+        except (KeyError, TypeError, ValueError) as exc:  # a row or section that lacks a key
+            raise ConfigurationError(f"bad bundle file {args.bundle}: {exc!r}") from exc
+        for entry in entries:
             print(f"wrote {entry['path']} ({entry['rows']} rows)")
     return EXIT_OK
 

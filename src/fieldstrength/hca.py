@@ -4,7 +4,8 @@ Publications are compared only against publications of the same year and
 subject category (one "cell" per pair). A publication is highly cited at
 percentile p when fewer than p% of its cell rank strictly above it; ties
 share the better outcome. Multi-category publications are judged in
-every one of their cells and keep the most favourable result.
+every one of their cells and keep the most favourable result. The
+per-discipline dataset summary counts the flagged publications.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import PublicationRecord
+from .ingest import Corpus, PublicationRecord
 from .model import p_label
 
 
@@ -166,3 +167,79 @@ def write_flags_csv(flag_sets: Mapping[float, HcaFlagSet], path: Path) -> int:
         writer.writerow(["pub_id", "p", "category_of_best_rank"])
         writer.writerows(rows)
     return len(rows)
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    """One discipline's roster size and output, with HCA counts per percentile."""
+
+    uda: str
+    uda_name: str
+    n_sds: int
+    n_professors: int
+    n_publications: int
+    hca_counts: Mapping[float, int]
+
+    def hca_share(self, p: float) -> float:
+        if self.n_publications == 0:
+            return 0.0
+        return 100.0 * self.hca_counts[p] / self.n_publications
+
+
+@dataclass(frozen=True)
+class SummaryTable:
+    percentiles: tuple[float, ...]
+    rows: tuple[SummaryRow, ...]
+    overall: SummaryRow
+
+
+def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
+                   authors_by_pub: Mapping[str, tuple[str, ...]]) -> SummaryTable:
+    """Per-discipline dataset summary.
+
+    A publication counts once per discipline it reaches through its
+    roster authors, so a cross-discipline co-authored publication counts
+    in several rows; the overall row de-duplicates (it counts distinct
+    publications), which is why per-discipline columns can sum to more
+    than the overall value. authors_by_pub is corpus.authors_by_pub,
+    built once by the caller.
+    """
+    percentiles = corpus.config.sorted_percentiles
+    flagged = {p: flag_sets[p].flagged for p in percentiles}
+
+    pubs_by_uda: dict[str, set[str]] = {}
+    profs_by_uda: dict[str, set[str]] = {}
+    sds_by_uda: dict[str, set[str]] = {}
+    for researcher in corpus.researchers.values():
+        uda = corpus.taxonomy.uda_of(researcher.sds)
+        profs_by_uda.setdefault(uda, set()).add(researcher.researcher_id)
+        sds_by_uda.setdefault(uda, set()).add(researcher.sds)
+    for pub_id, authors in authors_by_pub.items():
+        for researcher_id in authors:
+            uda = corpus.taxonomy.uda_of(corpus.researchers[researcher_id].sds)
+            pubs_by_uda.setdefault(uda, set()).add(pub_id)
+
+    rows = []
+    for uda in sorted(profs_by_uda):
+        pubs = pubs_by_uda.get(uda, set())
+        rows.append(
+            SummaryRow(
+                uda=uda,
+                uda_name=corpus.taxonomy.uda_names[uda],
+                n_sds=len(sds_by_uda[uda]),
+                n_professors=len(profs_by_uda[uda]),
+                n_publications=len(pubs),
+                hca_counts={p: len(pubs & flagged[p]) for p in percentiles},
+            )
+        )
+
+    all_pubs = set(authors_by_pub)
+    overall = SummaryRow(
+        uda="ALL",
+        uda_name="Overall",
+        n_sds=sum(r.n_sds for r in rows),
+        n_professors=sum(r.n_professors for r in rows),
+        n_publications=len(all_pubs),
+        hca_counts={p: len(all_pubs & flagged[p]) for p in percentiles},
+    )
+    return SummaryTable(percentiles=percentiles, rows=tuple(rows), overall=overall)

@@ -13,10 +13,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional
-
-if TYPE_CHECKING:
-    from .hca import HcaFlagSet
+from typing import Mapping, Optional
 
 from .errors import (
     ISSUE_CONSTRAINT,
@@ -120,7 +117,10 @@ class Corpus:
 
 
 def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue]):
-    """Yield (line_number, row) for data rows; enforce the exact header."""
+    """Yield (line_number, row) for data rows; enforce the exact header.
+
+    A byte that is not UTF-8 ends the file with one issue at its line.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -128,37 +128,32 @@ def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue]):
     with handle:
         reader = csv.reader(handle)
         try:
-            first = next(reader)
-        except StopIteration:
-            issues.append(
-                ValidationIssue(ISSUE_MALFORMED_ROW, "empty file, header row required", str(path), 1)
-            )
-            return
-        if first != header:
-            issues.append(
-                ValidationIssue(
-                    ISSUE_MALFORMED_ROW,
-                    f"bad header {first!r}, expected {header!r}",
-                    str(path),
-                    1,
-                )
-            )
-            return
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                issues.append(
-                    ValidationIssue(
-                        ISSUE_MALFORMED_ROW,
-                        f"expected {len(header)} fields, got {len(row)}",
-                        str(path),
-                        line,
-                    )
-                )
-                continue
-            yield line, row
+            first = next(reader, None)
+            if first is None:
+                issues.append(ValidationIssue(ISSUE_MALFORMED_ROW,
+                                              "empty file, header row required", str(path), 1))
+                return
+            if first != header:
+                issues.append(ValidationIssue(ISSUE_MALFORMED_ROW,
+                                              f"bad header {first!r}, expected {header!r}",
+                                              str(path), 1))
+                return
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    issues.append(ValidationIssue(ISSUE_MALFORMED_ROW,
+                                                  f"expected {len(header)} fields, got {len(row)}",
+                                                  str(path), line))
+                    continue
+                yield line, row
+        except UnicodeDecodeError as exc:
+            # exc.object is the chunk being decoded, which starts on the line after the last read
+            line = reader.line_num + 1 + exc.object[:exc.start].count(b"\n")
+            issues.append(ValidationIssue(
+                ISSUE_MALFORMED_ROW, f"not valid UTF-8 ({exc.reason}); rest of file skipped",
+                str(path), line))
 
 
 def _parse_int(text: str, what: str, path: Path, line: int, issues: list[ValidationIssue],
@@ -408,79 +403,3 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
         config=config,
         report=report,
     )
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """One discipline's roster size and output, with HCA counts per percentile."""
-
-    uda: str
-    uda_name: str
-    n_sds: int
-    n_professors: int
-    n_publications: int
-    hca_counts: Mapping[float, int]
-
-    def hca_share(self, p: float) -> float:
-        if self.n_publications == 0:
-            return 0.0
-        return 100.0 * self.hca_counts[p] / self.n_publications
-
-
-@dataclass(frozen=True)
-class SummaryTable:
-    percentiles: tuple[float, ...]
-    rows: tuple[SummaryRow, ...]
-    overall: SummaryRow
-
-
-def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, "HcaFlagSet"],
-                   authors_by_pub: Mapping[str, tuple[str, ...]]) -> SummaryTable:
-    """Per-discipline dataset summary.
-
-    A publication counts once per discipline it reaches through its
-    roster authors, so a cross-discipline co-authored publication counts
-    in several rows; the overall row de-duplicates (it counts distinct
-    publications), which is why per-discipline columns can sum to more
-    than the overall value. authors_by_pub is corpus.authors_by_pub,
-    built once by the caller.
-    """
-    percentiles = corpus.config.sorted_percentiles
-    flagged = {p: flag_sets[p].flagged for p in percentiles}
-
-    pubs_by_uda: dict[str, set[str]] = {}
-    profs_by_uda: dict[str, set[str]] = {}
-    sds_by_uda: dict[str, set[str]] = {}
-    for researcher in corpus.researchers.values():
-        uda = corpus.taxonomy.uda_of(researcher.sds)
-        profs_by_uda.setdefault(uda, set()).add(researcher.researcher_id)
-        sds_by_uda.setdefault(uda, set()).add(researcher.sds)
-    for pub_id, authors in authors_by_pub.items():
-        for researcher_id in authors:
-            uda = corpus.taxonomy.uda_of(corpus.researchers[researcher_id].sds)
-            pubs_by_uda.setdefault(uda, set()).add(pub_id)
-
-    rows = []
-    for uda in sorted(profs_by_uda):
-        pubs = pubs_by_uda.get(uda, set())
-        rows.append(
-            SummaryRow(
-                uda=uda,
-                uda_name=corpus.taxonomy.uda_names[uda],
-                n_sds=len(sds_by_uda[uda]),
-                n_professors=len(profs_by_uda[uda]),
-                n_publications=len(pubs),
-                hca_counts={p: len(pubs & flagged[p]) for p in percentiles},
-            )
-        )
-
-    all_pubs = set(authors_by_pub)
-    overall = SummaryRow(
-        uda="ALL",
-        uda_name="Overall",
-        n_sds=sum(r.n_sds for r in rows),
-        n_professors=sum(r.n_professors for r in rows),
-        n_publications=len(all_pubs),
-        hca_counts={p: len(all_pubs & flagged[p]) for p in percentiles},
-    )
-    return SummaryTable(percentiles=percentiles, rows=tuple(rows), overall=overall)

@@ -6,8 +6,9 @@ is a rendering concern and happens only in the report layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+import collections.abc
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
 
@@ -15,21 +16,6 @@ RANK_ASSISTANT = "assistant"
 RANK_ASSOCIATE = "associate"
 RANK_FULL = "full"
 RANKS = (RANK_ASSISTANT, RANK_ASSOCIATE, RANK_FULL)
-
-# National average yearly salary per academic rank (euro) and yearly
-# capital endowment per professor (euro PPP), the default production
-# factor costs. Overridable through the run configuration.
-DEFAULT_SALARY = {
-    RANK_ASSISTANT: 54628.0,
-    RANK_ASSOCIATE: 66821.0,
-    RANK_FULL: 101301.0,
-}
-DEFAULT_CAPITAL = 42693.0
-DEFAULT_RESEARCH_TIME_SHARE = 0.5
-DEFAULT_REPORTING_SCALE = 1e8  # indicators reported per 100 M euro
-DEFAULT_FENCE_MULTIPLIER = 1.5
-DEFAULT_PERCENTILES = (5.0, 10.0)
-DEFAULT_MIN_YEARS = 3
 
 FALLBACK_UDA_THEN_NATIONAL = "uda_then_national"
 FALLBACK_NATIONAL_ONLY = "national_only"
@@ -97,10 +83,13 @@ class CostModel:
     same for every rank.
     """
 
-    salary: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_SALARY))
-    capital: float = DEFAULT_CAPITAL
-    research_time_share: float = DEFAULT_RESEARCH_TIME_SHARE
-    reporting_scale: float = DEFAULT_REPORTING_SCALE
+    # National average yearly salary per academic rank (euro) and yearly
+    # capital endowment per professor (euro PPP).
+    salary: Mapping[str, float] = field(default_factory=lambda: {
+        RANK_ASSISTANT: 54628.0, RANK_ASSOCIATE: 66821.0, RANK_FULL: 101301.0})
+    capital: float = 42693.0
+    research_time_share: float = 0.5
+    reporting_scale: float = 1e8  # indicators reported per 100 M euro
 
     def __post_init__(self):
         for rank, value in self.salary.items():
@@ -127,10 +116,10 @@ class AnalysisConfig:
     """Window, thresholds, and policy knobs for one analysis run."""
 
     window: tuple[int, int] = (2012, 2016)
-    hca_percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
-    min_years: int = DEFAULT_MIN_YEARS
+    hca_percentiles: tuple[float, ...] = (5.0, 10.0)
+    min_years: int = 3
     census_date: Optional[str] = None
-    ts_fence_multiplier: float = DEFAULT_FENCE_MULTIPLIER
+    ts_fence_multiplier: float = 1.5
     rescale_fallback: str = FALLBACK_UDA_THEN_NATIONAL
     roster_only_baseline: bool = False
 
@@ -163,6 +152,74 @@ class AnalysisConfig:
     @property
     def sorted_percentiles(self) -> tuple[float, ...]:
         return tuple(sorted(self.hca_percentiles))
+
+
+@dataclass(frozen=True)
+class OutputOptions:
+    """What a run writes besides the report tables."""
+
+    top_bottom_k: int = 10
+    export_hca_flags: bool = True
+    export_researcher_scores: bool = True
+
+    def __post_init__(self):
+        if self.top_bottom_k < 0:
+            raise ConfigurationError(
+                f"top_bottom_k must be a non-negative integer, got {self.top_bottom_k!r}")
+
+
+# JSON types each scalar field accepts, and how a message names them
+_JSON_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def read_json_fields(cls, data: Mapping[str, Any]):
+    """Build the dataclass cls from the fields of a JSON object.
+
+    Keys that are not fields of cls are ignored; an absent field takes its
+    default, and a field without one must be present. Each value must have
+    its field's JSON type exactly: a bool is only true/false, an int is never
+    a bool, a float field takes any JSON number and stores a float, a
+    tuple[X, Y] is a list of exactly two, a Mapping is an object. A mismatch
+    raises ConfigurationError naming the key.
+    """
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _json_value(data[f.name], hints[f.name], f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{f.name} is missing")
+    return cls(**values)
+
+
+def _json_value(value: Any, hint: Any, where: str) -> Any:
+    if hint is Any:
+        return value
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _json_value(value, args[0], where)
+    if hint in _JSON_SCALARS:
+        types, name = _JSON_SCALARS[hint]
+        if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
+            raise ConfigurationError(f"{where} must be {name}, got {value!r}")
+        return float(value) if hint is float else value
+    if origin in (tuple, list):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            shape = f"a list of {len(args)}" if fixed else "a list"
+            raise ConfigurationError(f"{where} must be {shape}, got {value!r}")
+        return origin(_json_value(item, args[i] if fixed else args[0], f"{where}[{i}]")
+                      for i, item in enumerate(value))
+    if origin in (dict, collections.abc.Mapping):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be an object, got {value!r}")
+        return {key: _json_value(item, args[1], f"{where}.{key}") for key, item in value.items()}
+    raise TypeError(f"{where}: no JSON reading for {hint!r}")
 
 
 def cost_per_year(rank: str, cost_model: CostModel) -> float:

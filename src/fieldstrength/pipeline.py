@@ -20,7 +20,7 @@ from .analytics import (
     quadrant_classify,
     rank_indicator,
 )
-from .hca import HcaFlagSet, build_cells, flag_hcas
+from .hca import HcaFlagSet, SummaryTable, build_cells, corpus_summary, flag_hcas
 from .indicators import (
     DisciplineScoreboard,
     FieldScoreboard,
@@ -28,7 +28,7 @@ from .indicators import (
     build_field_scoreboards,
     indicator_id,
 )
-from .ingest import Corpus, SummaryTable, corpus_summary
+from .ingest import Corpus
 from .model import CostModel, p_label
 from .reporting import ReportBundle
 from .scoring import RESCALE_FROM_FIELD, ResearcherScore, score_researchers
@@ -221,7 +221,7 @@ def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
             if discipline_overall is not None else None
         ),
         field_rows=[_field_row_dict(b, percentiles) for b in boards],
-        correlation={
+        spearman={
             "indicator_ids": list(correlations.indicator_ids),
             "matrix": [list(line) for line in correlations.values],
         },
@@ -233,8 +233,6 @@ def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
         },
         avg_rank={
             "entries": [avg_entry(e) for e in avg_rank.entries],
-            "top": [avg_entry(e) for e in avg_rank.top],
-            "bottom": [avg_entry(e) for e in avg_rank.bottom],
             "truncated": avg_rank.truncated,
         },
         rankings={
@@ -245,27 +243,3 @@ def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
         },
         top_bottom_k=top_bottom_k,
     )
-
-
-def analytics_payload(result: PipelineResult) -> dict[str, Any]:
-    """Full-precision analytics export (rankings, correlations, quadrants,
-    average ranks); the report tables carry the rounded views."""
-    k = result.bundle.top_bottom_k
-    rankings = result.bundle.rankings
-    return {
-        "indicator_ids": list(result.correlations.indicator_ids),
-        "rankings": rankings,
-        "strongest": {i: entries[:k] for i, entries in rankings.items()},
-        "weakest": {i: entries[-k:] for i, entries in rankings.items()},
-        "spearman": {
-            "indicator_ids": list(result.correlations.indicator_ids),
-            "matrix": [list(line) for line in result.correlations.values],
-        },
-        "quadrants": {
-            "medians": dict(sorted(result.quadrant.medians.items())),
-            "strong_union": sorted(result.quadrant.strong_union),
-            "weak_union": sorted(result.quadrant.weak_union),
-            "ambiguous": sorted(result.quadrant.ambiguous),
-        },
-        "average_rank": result.bundle.avg_rank,
-    }

@@ -10,23 +10,27 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import InputIOError
+import numpy as np
+
+from .errors import ConfigurationError, InputIOError
+from .model import read_json_fields
 
 FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
-# column kinds drive both string formatting and json rounding
+# column kinds; each one's decimals drive both string formatting and json rounding
 K_STR = "str"
 K_INT = "int"
-K_FSS = "fss"      # strength indicators: 2 decimals
-K_PCT = "pct"      # percentages: 1 decimal
-K_COST = "cost"    # euro: integer
-K_CORR = "corr"    # correlations: 3 decimals, may be undefined
-K_RANK = "rank"    # fractional ranks / averages: 2 decimals
+K_FSS = "fss"      # strength indicators
+K_PCT = "pct"      # percentages
+K_COST = "cost"    # euro
+K_CORR = "corr"    # correlations, may be undefined
+K_RANK = "rank"    # fractional ranks / averages
+_DECIMALS = {K_STR: None, K_INT: 0, K_FSS: 2, K_PCT: 1, K_COST: 0, K_CORR: 3, K_RANK: 2}
 
 
 @dataclass
@@ -39,7 +43,7 @@ class ReportBundle:
     discipline_rows: list[dict[str, Any]]
     discipline_overall: Optional[dict[str, Any]]  # None for an empty corpus
     field_rows: list[dict[str, Any]]
-    correlation: dict[str, Any]
+    spearman: dict[str, Any]  # indicator_ids, and the matrix with rows and columns in that order
     quadrant: dict[str, Any]
     avg_rank: dict[str, Any]
     rankings: dict[str, list[dict[str, Any]]]
@@ -49,46 +53,33 @@ class ReportBundle:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ReportBundle":
-        return cls(**data)
+    def from_dict(cls, data: Any) -> "ReportBundle":
+        """Read a bundle back from to_dict's JSON; ConfigurationError names
+        a missing, unknown or mistyped field."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("a bundle must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown bundle fields: {unknown}")
+        return read_json_fields(cls, data)
 
 
 def _fmt(value: Any, kind: str) -> str:
+    places = _DECIMALS[kind]
     if value is None:
         return ""
-    if kind == K_STR:
-        return str(value)
-    if kind == K_INT:
-        return str(int(value))
-    if kind == K_FSS:
-        return f"{value:.2f}"
-    if kind == K_PCT:
-        return f"{value:.1f}"
-    if kind == K_COST:
-        return f"{value:.0f}"
-    if kind == K_CORR:
-        return f"{value:.3f}"
-    if kind == K_RANK:
-        return f"{value:.2f}"
-    raise ValueError(f"unknown column kind {kind!r}")
+    return str(value) if places is None else f"{value:.{places}f}"
 
 
 def _jr(value: Any, kind: str) -> Any:
-    if value is None or kind == K_STR:
+    places = _DECIMALS[kind]
+    if value is None or places is None:
         return value
-    if kind == K_INT:
-        return int(value)
-    if kind == K_FSS:
-        return round(value, 2)
-    if kind == K_PCT:
-        return round(value, 1)
-    if kind == K_COST:
-        return round(value)
-    if kind == K_CORR:
-        return round(value, 3)
     if kind == K_RANK:
-        return round(value, 2)
-    raise ValueError(f"unknown column kind {kind!r}")
+        # ranks are numpy floats in a run, which round() rounds at value * 100;
+        # rounding a reloaded rank the same way keeps `report` byte-identical to `run`
+        value = np.float64(value)
+    return round(value, places) if places else round(value)
 
 
 @dataclass
@@ -148,10 +139,10 @@ def _field_table(bundle: ReportBundle) -> _Table:
 
 
 def _correlation_table(bundle: ReportBundle) -> _Table:
-    ids = bundle.correlation["indicator_ids"]
+    ids = bundle.spearman["indicator_ids"]
     columns = [("indicator", K_STR)] + [(i, K_CORR) for i in ids]
     rows = []
-    for indicator, line in zip(ids, bundle.correlation["matrix"]):
+    for indicator, line in zip(ids, bundle.spearman["matrix"]):
         row: dict[str, Any] = {"indicator": indicator}
         row.update({i: v for i, v in zip(ids, line)})
         rows.append(row)
@@ -160,7 +151,7 @@ def _correlation_table(bundle: ReportBundle) -> _Table:
 
 
 def _quadrant_table(bundle: ReportBundle) -> _Table:
-    ids = bundle.correlation["indicator_ids"]
+    ids = bundle.spearman["indicator_ids"]
     columns = [("set", K_STR), ("sds", K_STR), ("uda", K_STR)]
     columns += [(i, K_FSS) for i in ids]
     rows = []
@@ -182,14 +173,16 @@ def _quadrant_table(bundle: ReportBundle) -> _Table:
 
 
 def _avg_rank_table(bundle: ReportBundle) -> _Table:
-    ids = bundle.correlation["indicator_ids"]
+    ids = bundle.spearman["indicator_ids"]
     columns = [("group", K_STR), ("sds", K_STR), ("uda", K_STR)]
     for i in ids:
         columns += [(f"{i}_value", K_FSS), (f"{i}_rank", K_RANK)]
     columns += [("avg_rank", K_RANK), ("position", K_INT)]
+    entries = bundle.avg_rank["entries"]
+    k = min(bundle.top_bottom_k, len(entries))
     rows = []
-    for group in ("top", "bottom"):
-        for entry in bundle.avg_rank[group]:
+    for group, chosen in (("top", entries[:k]), ("bottom", entries[len(entries) - k:])):
+        for entry in chosen:
             row = dict(entry)
             row["group"] = group
             rows.append(row)

@@ -78,7 +78,7 @@ def test_run_writes_expected_layout(synth_run):
         for ext in ("csv", "json", "md"):
             assert (out / "reports" / f"{name}.{ext}").exists()
     for name in ("scoreboard.csv", "hca_flags.csv", "researcher_scores.csv",
-                 "analytics.json", "bundle.json", "manifest.json"):
+                 "analytics.json", "manifest.json"):
         assert (out / name).exists()
 
 
@@ -122,7 +122,7 @@ def test_extra_percentile_adds_columns(tmp_path):
     header = (out / "scoreboard.csv").read_text(encoding="utf-8").splitlines()[0]
     assert "ts_1,ts_5,ts_10" in header and "fss_fhca_1" in header
     analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
-    assert len(analytics["indicator_ids"]) == 6
+    assert len(analytics["spearman"]["indicator_ids"]) == 6
     flags = (out / "hca_flags.csv").read_text(encoding="utf-8")
     assert ",1," in flags  # three flag sets exported
 
@@ -130,10 +130,26 @@ def test_extra_percentile_adds_columns(tmp_path):
 def test_report_rerenders_identically(synth_run):
     tmp, _, out = synth_run
     re_out = tmp / "rerender"
-    assert main(["report", "--bundle", str(out / "bundle.json"),
+    assert main(["report", "--bundle", str(out / "analytics.json"),
                  "--out", str(re_out)]) == 0
     for path in sorted((out / "reports").iterdir()):
         assert (re_out / "reports" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda a: a.update(field_rows=None), "field_rows"),
+    (lambda a: a.update(correlation=a.pop("spearman")), "correlation"),
+    (lambda a: a.pop("quadrant"), "quadrant"),
+    (lambda a: a["quadrant"].pop("medians"), "medians"),
+])
+def test_report_rejects_malformed_artifact(synth_run, tmp_path, capsys, edit, field):
+    _, _, out = synth_run
+    analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
+    edit(analytics)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(analytics), encoding="utf-8")
+    assert main(["report", "--bundle", str(bad), "--out", str(tmp_path / "re")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_synth_seed_determinism(tmp_path):
@@ -171,6 +187,42 @@ def test_bad_top_bottom_k_is_config_error(tmp_path, mini_config, capsys, value):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "top_bottom_k" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("roster_only_baseline", "false"),
+    ("salary", []),
+    ("salary", {"assistant": "54628", "associate": 66821, "full": 101301}),
+    ("window", "2012"),
+    ("window", [2012, 2016, 2020]),
+    ("export_hca_flags", "no"),
+    ("hca_percentiles", "10"),
+    ("min_years", 3.0),
+    ("capital", "42693"),
+    ("census_date", 20181030),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, mini_config, capsys, key, value):
+    raw = json.loads(mini_config.read_text(encoding="utf-8"))
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_valued_floats_write_the_same_bytes(tmp_path, mini_config):
+    raw = json.loads(mini_config.read_text(encoding="utf-8"))
+    outputs = []
+    for capital, share in ((42693.0, 1.0), (42693, 1)):
+        raw.update(capital=capital, research_time_share=share)
+        path = tmp_path / f"config_{len(outputs)}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / f"out_{len(outputs)}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("scoreboard.csv", "researcher_scores.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_input_file_is_io_error(tmp_path, mini_config):

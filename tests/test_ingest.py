@@ -20,8 +20,8 @@ from fieldstrength.errors import (
     CorpusValidationError,
     InputIOError,
 )
-from fieldstrength.hca import build_cells, flag_hcas
-from fieldstrength.ingest import corpus_summary, load_corpus
+from fieldstrength.hca import build_cells, corpus_summary, flag_hcas
+from fieldstrength.ingest import load_corpus
 from fieldstrength.model import AnalysisConfig
 
 
@@ -198,6 +198,22 @@ def test_missing_file_is_io_error(tmp_path):
     (tmp_path / "publications.csv").unlink()
     with pytest.raises(InputIOError):
         load_corpus(paths, AnalysisConfig())
+
+
+@pytest.mark.parametrize("n_good", [0, 1000])
+def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
+    publications = MINI_PUBLICATIONS + [f"q{i},2013,1,1,A" for i in range(n_good)]
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications, MINI_AUTHORSHIPS)
+    with open(paths.publications, "ab") as handle:
+        handle.write(b"bad,2013,5,1,Caf\xe9\n")
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(paths, AnalysisConfig())
+    issues = [i for i in issues_of(excinfo) if i.file == str(paths.publications)]
+    assert len(issues) == 1
+    assert issues[0].kind == ISSUE_MALFORMED_ROW and "not valid UTF-8" in issues[0].message
+    assert issues[0].line == len(publications) + 2  # after the header and the good rows
+    if n_good:  # the good rows before it were read, so nothing else is wrong
+        assert issues_of(excinfo) == issues
 
 
 def test_bad_header_rejected(tmp_path):
