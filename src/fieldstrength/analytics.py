@@ -59,33 +59,19 @@ class IndicatorRanking:
         return codes, np.array([self.rank_by_sds[sds] for sds in codes])
 
 
-def indicator_values(boards: Sequence[FieldScoreboard], indicator: str) -> list[tuple[str, float]]:
-    """(sds, value) pairs for an indicator id like "fss_ts_5"."""
-    for family in ("fss_ts", "fss_fhca"):
-        if not indicator.startswith(family + "_"):
-            continue
-        p = float(indicator[len(family) + 1:])
-        if not boards:
-            return []
-        if p in getattr(boards[0], family):
-            return [(b.sds, getattr(b, family)[p]) for b in boards]
-    raise KeyError(f"unknown indicator {indicator!r}")
-
-
-def rank_indicator(boards: Sequence[FieldScoreboard], indicator: str) -> IndicatorRanking:
-    """Rank fields on one indicator, best value first.
+def rank_indicator(boards: Sequence[FieldScoreboard], family: str, p: float) -> IndicatorRanking:
+    """Rank fields on one indicator (family "fss_ts" or "fss_fhca" at
+    percentile p), best value first.
 
     Rank 1 is the best; tied values share the mean of the ranks they
     span. Display order breaks ties by SDS code so output is stable.
     """
-    pairs = indicator_values(boards, indicator)
+    values = [getattr(board, family)[p] for board in boards]
     # rank 1 = highest value, so rank descending
-    ranks = fractional_ranks([-value for _, value in pairs])
-    entries = [
-        (sds, value, rank) for (sds, value), rank in zip(pairs, ranks)
-    ]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return IndicatorRanking(indicator_id=indicator, ranked=tuple(entries))
+    ranks = fractional_ranks([-value for value in values]).tolist()
+    entries = sorted(zip((board.sds for board in boards), values, ranks),
+                     key=lambda e: (-e[1], e[0]))
+    return IndicatorRanking(indicator_id=indicator_id(family, p), ranked=tuple(entries))
 
 
 def spearman(x: IndicatorRanking, y: IndicatorRanking) -> Optional[float]:
@@ -182,17 +168,16 @@ class AverageRankEntry:
 @dataclass(frozen=True)
 class AverageRankResult:
     entries: tuple[AverageRankEntry, ...]  # ascending by avg_rank (best first)
-    top: tuple[AverageRankEntry, ...]
-    bottom: tuple[AverageRankEntry, ...]
-    truncated: bool
+    truncated: bool  # more than len(entries) best and worst fields were asked for
 
 
 def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> AverageRankResult:
     """Order fields by the mean of their fractional ranks across all
-    indicator rankings; return the best and worst k.
+    indicator rankings, best first.
 
-    Ties on the average are broken by SDS code; asking for more fields
-    than exist truncates with a logged note.
+    Ties on the average are broken by SDS code. Asking for the best and
+    worst k of fewer than k fields marks the result truncated, with a
+    logged note; the report layer picks the k extremes.
     """
     if not rankings:
         raise ValueError("no rankings supplied")
@@ -216,10 +201,4 @@ def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> Avera
     truncated = k > len(full)
     if truncated:
         log.warning("requested top/bottom %d of only %d fields; truncating", k, len(full))
-        k = len(full)
-    return AverageRankResult(
-        entries=full,
-        top=full[:k],
-        bottom=full[len(full) - k:],
-        truncated=truncated,
-    )
+    return AverageRankResult(entries=full, truncated=truncated)

@@ -152,7 +152,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
                 "path": config.input_paths_as_written[name],
                 "sha256": _sha256_file(path),
             }
-            for name, path in sorted(config.paths.as_dict().items())
+            for name, path in sorted(vars(config.paths).items())
         },
         "counts": result.counts,
         "parsed": dict(sorted(corpus.report.parsed.items())),

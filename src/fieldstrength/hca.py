@@ -180,11 +180,6 @@ class SummaryRow:
     n_publications: int
     hca_counts: Mapping[float, int]
 
-    def hca_share(self, p: float) -> float:
-        if self.n_publications == 0:
-            return 0.0
-        return 100.0 * self.hca_counts[p] / self.n_publications
-
 
 @dataclass(frozen=True)
 class SummaryTable:

@@ -24,9 +24,8 @@ from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
     ResearcherScore,
-    avg_ts_fractional_output,
-    build_rescale_context,
     detect_top_scientists,
+    ts_output_means,
 )
 
 
@@ -76,18 +75,11 @@ class DisciplineScoreboard:
     fss_fhca: Mapping[float, float]
 
 
-def fss_ts(ts_count: int, total_cost: float, reporting_scale: float) -> float:
-    """Top scientists per euro, scaled for reporting."""
+def per_euro(amount: float, total_cost: float, reporting_scale: float) -> float:
+    """Top scientists or rescaled fractional HCAs per euro, scaled for reporting."""
     if total_cost <= 0:
         raise ValueError("field with non-positive total cost")
-    return reporting_scale * ts_count / total_cost
-
-
-def fss_fhca(fhca_rescaled: float, total_cost: float, reporting_scale: float) -> float:
-    """Intensity-rescaled fractional HCAs per euro, scaled for reporting."""
-    if total_cost <= 0:
-        raise ValueError("field with non-positive total cost")
-    return reporting_scale * fhca_rescaled / total_cost
+    return reporting_scale * amount / total_cost
 
 
 def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
@@ -106,7 +98,7 @@ def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
         sds: detect_top_scientists(field_scores, percentiles, multiplier)
         for sds, field_scores in scores_by_sds.items()
     }
-    context = build_rescale_context(
+    ts_means = ts_output_means(
         scores_by_sds,
         ts_by_sds,
         corpus.taxonomy.sds_to_uda,
@@ -133,15 +125,13 @@ def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
             ts = ts_by_sds[sds][p]
             ts_ids[p] = frozenset(ts)
             fhca_total[p] = sum(s.fhca_score[p] for s in field_scores)
-            avg_out, source = avg_ts_fractional_output(field_scores, ts, context, uda, p)
-            provenance[p] = source
-            if source == RESCALE_EXHAUSTED or fhca_total[p] == 0.0:
+            avg_out, provenance[p] = ts_means[sds, p]
+            if provenance[p] == RESCALE_EXHAUSTED or fhca_total[p] == 0.0:
                 fhca_rescaled[p] = 0.0
-                fss_fhca_by_p[p] = 0.0
             else:
                 fhca_rescaled[p] = fhca_total[p] / avg_out
-                fss_fhca_by_p[p] = fss_fhca(fhca_rescaled[p], total_cost, scale)
-            fss_ts_by_p[p] = fss_ts(len(ts), total_cost, scale)
+            fss_fhca_by_p[p] = per_euro(fhca_rescaled[p], total_cost, scale)
+            fss_ts_by_p[p] = per_euro(len(ts), total_cost, scale)
 
         boards.append(
             FieldScoreboard(

@@ -59,14 +59,6 @@ class CorpusPaths:
     publications: Path
     authorships: Path
 
-    def as_dict(self) -> dict[str, Path]:
-        return {
-            "taxonomy": self.taxonomy,
-            "researchers": self.researchers,
-            "publications": self.publications,
-            "authorships": self.authorships,
-        }
-
 
 @dataclass
 class LoadReport:
@@ -116,10 +108,12 @@ class Corpus:
         return frozenset(p for p in self.publications if p not in linked)
 
 
-def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue]):
+def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue],
+               stopped: set[Path]):
     """Yield (line_number, row) for data rows; enforce the exact header.
 
-    A byte that is not UTF-8 ends the file with one issue at its line.
+    An empty file, a bad header or a byte that is not UTF-8 ends the file
+    with one issue, and adds path to stopped.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -129,14 +123,11 @@ def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue]):
         reader = csv.reader(handle)
         try:
             first = next(reader, None)
-            if first is None:
-                issues.append(ValidationIssue(ISSUE_MALFORMED_ROW,
-                                              "empty file, header row required", str(path), 1))
-                return
             if first != header:
-                issues.append(ValidationIssue(ISSUE_MALFORMED_ROW,
-                                              f"bad header {first!r}, expected {header!r}",
-                                              str(path), 1))
+                problem = ("empty file, header row required" if first is None
+                           else f"bad header {first!r}, expected {header!r}")
+                issues.append(ValidationIssue(ISSUE_MALFORMED_ROW, problem, str(path), 1))
+                stopped.add(path)
                 return
             for row in reader:
                 if not row:
@@ -154,6 +145,7 @@ def _read_rows(path: Path, header: list[str], issues: list[ValidationIssue]):
             issues.append(ValidationIssue(
                 ISSUE_MALFORMED_ROW, f"not valid UTF-8 ({exc.reason}); rest of file skipped",
                 str(path), line))
+            stopped.add(path)
 
 
 def _parse_int(text: str, what: str, path: Path, line: int, issues: list[ValidationIssue],
@@ -177,7 +169,7 @@ def _load_taxonomy(path: Path, issues: list[ValidationIssue]) -> Optional[Taxono
     sds_to_uda: dict[str, str] = {}
     sds_names: dict[str, str] = {}
     uda_names: dict[str, str] = {}
-    for line, row in _read_rows(path, TAXONOMY_HEADER, issues):
+    for line, row in _read_rows(path, TAXONOMY_HEADER, issues, set()):
         sds_code, sds_name, uda_code, uda_name = (f.strip() for f in row)
         if not sds_code or not uda_code:
             issues.append(ValidationIssue(ISSUE_MALFORMED_ROW, "empty code", str(path), line))
@@ -208,8 +200,11 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     Raises CorpusValidationError with the complete issue list if any
     hard error is found; drops (with report counts) researchers active
     fewer than config.min_years years and rows outside the window.
+    References into a file that was not read to its end are not checked,
+    so that its one issue does not cascade.
     """
     issues: list[ValidationIssue] = []
+    stopped: set[Path] = set()
     report = LoadReport()
     window = set(config.years)
 
@@ -220,7 +215,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     researcher_sds: dict[str, str] = {}
     out_of_window_years = 0
     n_rows = 0
-    for line, row in _read_rows(paths.researchers, RESEARCHERS_HEADER, issues):
+    for line, row in _read_rows(paths.researchers, RESEARCHERS_HEADER, issues, stopped):
         n_rows += 1
         researcher_id, sds_code, year_text, rank = (f.strip() for f in row)
         rank = rank.lower()
@@ -269,7 +264,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     parsed_pub_ids: set[str] = set()
     out_of_window_pubs = 0
     n_rows = 0
-    for line, row in _read_rows(paths.publications, PUBLICATIONS_HEADER, issues):
+    for line, row in _read_rows(paths.publications, PUBLICATIONS_HEADER, issues, stopped):
         n_rows += 1
         pub_id, year_text, cit_text, auth_text, cats_text = (f.strip() for f in row)
         year = _parse_int(year_text, "year", paths.publications, line, issues)
@@ -307,17 +302,17 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     roster_links_per_pub: dict[str, int] = {}
     links_to_dropped_pubs = 0
     n_rows = 0
-    for line, row in _read_rows(paths.authorships, AUTHORSHIPS_HEADER, issues):
+    for line, row in _read_rows(paths.authorships, AUTHORSHIPS_HEADER, issues, stopped):
         n_rows += 1
         pub_id, researcher_id = (f.strip() for f in row)
-        if pub_id not in parsed_pub_ids:
+        if pub_id not in parsed_pub_ids and paths.publications not in stopped:
             issues.append(
                 ValidationIssue(ISSUE_DANGLING_REFERENCE,
                                 f"authorship references unknown pub_id {pub_id!r}",
                                 str(paths.authorships), line, key=pub_id)
             )
             continue
-        if researcher_id not in researcher_sds:
+        if researcher_id not in researcher_sds and paths.researchers not in stopped:
             issues.append(
                 ValidationIssue(ISSUE_DANGLING_REFERENCE,
                                 f"authorship references unknown researcher_id {researcher_id!r}",

@@ -45,10 +45,6 @@ class Taxonomy:
     def sds_codes(self) -> list[str]:
         return sorted(self.sds_to_uda)
 
-    @property
-    def uda_codes(self) -> list[str]:
-        return sorted(self.uda_names)
-
     def uda_of(self, sds: str) -> str:
         return self.sds_to_uda[sds]
 
@@ -60,14 +56,6 @@ class ResearcherRecord:
     researcher_id: str
     sds: str
     rank_by_year: Mapping[int, str]
-
-    @property
-    def active_years(self) -> frozenset[int]:
-        return frozenset(self.rank_by_year)
-
-    @property
-    def n_years(self) -> int:
-        return len(self.rank_by_year)
 
     @property
     def latest_rank(self) -> str:

@@ -16,7 +16,6 @@ from .analytics import (
     QuadrantResult,
     average_rank_extremes,
     correlation_matrix,
-    indicator_values,
     quadrant_classify,
     rank_indicator,
 )
@@ -26,10 +25,9 @@ from .indicators import (
     FieldScoreboard,
     build_discipline_scoreboards,
     build_field_scoreboards,
-    indicator_id,
 )
 from .ingest import Corpus
-from .model import CostModel, p_label
+from .model import CostModel, OutputOptions, p_label
 from .reporting import ReportBundle
 from .scoring import RESCALE_FROM_FIELD, ResearcherScore, score_researchers
 
@@ -52,13 +50,8 @@ class PipelineResult:
     warnings: list[str]
 
 
-def indicator_ids(percentiles) -> list[str]:
-    ids = [indicator_id("fss_ts", p) for p in percentiles]
-    ids += [indicator_id("fss_fhca", p) for p in percentiles]
-    return ids
-
-
-def run_pipeline(corpus: Corpus, cost_model: CostModel, top_bottom_k: int = 10) -> PipelineResult:
+def run_pipeline(corpus: Corpus, cost_model: CostModel,
+                 top_bottom_k: int = OutputOptions.top_bottom_k) -> PipelineResult:
     percentiles = list(corpus.config.sorted_percentiles)
     cells = build_cells(corpus.publications.values())
     flag_sets = flag_hcas(cells, percentiles)
@@ -71,8 +64,8 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel, top_bottom_k: int = 10) 
     else:
         discipline_rows, discipline_overall = [], None
 
-    ids = indicator_ids(percentiles)
-    rankings = [rank_indicator(boards, i) for i in ids]
+    rankings = [rank_indicator(boards, family, p)
+                for family in ("fss_ts", "fss_fhca") for p in percentiles]
     correlations = correlation_matrix(rankings)
     quadrant = quadrant_classify(boards, percentiles)
     avg_rank = average_rank_extremes(rankings, top_bottom_k)
@@ -188,7 +181,7 @@ def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
                   rankings, correlations, quadrant, avg_rank, top_bottom_k) -> ReportBundle:
     percentiles = list(corpus.config.sorted_percentiles)
     ids = [r.indicator_id for r in rankings]
-    value_maps = {i: dict(indicator_values(boards, i)) for i in ids}
+    value_maps = {r.indicator_id: r.value_by_sds for r in rankings}
     uda_of = {b.sds: b.uda for b in boards}
 
     def quadrant_entries(members) -> list[dict[str, Any]]:

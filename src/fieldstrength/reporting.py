@@ -1,8 +1,9 @@
 """Render the computed tables as CSV, JSON, and Markdown.
 
 The bundle holds full-precision values; every rounding convention lives
-here (2 decimals for strength indicators, 1 for percentages, integer
-euro for costs) and nothing upstream ever rounds. Rendering is pure:
+here (2 decimals for strength indicators and ranks, 1 for percentages,
+integer euro for costs; every format rounds a value the same way) and
+nothing upstream ever rounds. Rendering is pure:
 identical bundles produce byte-identical files, with no timestamps.
 """
 
@@ -13,8 +14,6 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
-
-import numpy as np
 
 from .errors import ConfigurationError, InputIOError
 from .model import read_json_fields
@@ -75,11 +74,14 @@ def _jr(value: Any, kind: str) -> Any:
     places = _DECIMALS[kind]
     if value is None or places is None:
         return value
-    if kind == K_RANK:
-        # ranks are numpy floats in a run, which round() rounds at value * 100;
-        # rounding a reloaded rank the same way keeps `report` byte-identical to `run`
-        value = np.float64(value)
     return round(value, places) if places else round(value)
+
+
+def _extremes(entries: list, k: int) -> tuple[list, list]:
+    """The best k and the worst k of entries ordered best first: both
+    empty when k is 0, and all of them when k exceeds their number."""
+    k = min(k, len(entries))
+    return entries[:k], entries[len(entries) - k:]
 
 
 @dataclass
@@ -178,10 +180,9 @@ def _avg_rank_table(bundle: ReportBundle) -> _Table:
     for i in ids:
         columns += [(f"{i}_value", K_FSS), (f"{i}_rank", K_RANK)]
     columns += [("avg_rank", K_RANK), ("position", K_INT)]
-    entries = bundle.avg_rank["entries"]
-    k = min(bundle.top_bottom_k, len(entries))
     rows = []
-    for group, chosen in (("top", entries[:k]), ("bottom", entries[len(entries) - k:])):
+    top, bottom = _extremes(bundle.avg_rank["entries"], bundle.top_bottom_k)
+    for group, chosen in (("top", top), ("bottom", bottom)):
         for entry in chosen:
             row = dict(entry)
             row["group"] = group
@@ -241,10 +242,11 @@ def _write_markdown(table: _Table, bundle: ReportBundle, path: Path) -> None:
     if table.name == "fields":
         # strongest / weakest lists per indicator
         k = bundle.top_bottom_k
+        columns = [("sds", K_STR), ("value", K_FSS), ("rank", K_RANK)]
         for indicator, entries in bundle.rankings.items():
-            columns = [("sds", K_STR), ("value", K_FSS), ("rank", K_RANK)]
-            lines += _md_section(f"strongest {k}: {indicator}", columns, entries[:k], [])
-            lines += _md_section(f"weakest {k}: {indicator}", columns, entries[-k:], [])
+            strongest, weakest = _extremes(entries, k)
+            lines += _md_section(f"strongest {k}: {indicator}", columns, strongest, [])
+            lines += _md_section(f"weakest {k}: {indicator}", columns, weakest, [])
     path.write_text("\n".join(lines), encoding="utf-8")
 
 

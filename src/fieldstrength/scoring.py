@@ -131,64 +131,43 @@ def detect_top_scientists(field_scores: Sequence[ResearcherScore], percentiles: 
             for j, p in enumerate(percentiles)}
 
 
-@dataclass(frozen=True)
-class RescaleContext:
-    """Fallback means for fields whose own top-scientist set is empty.
+def ts_output_means(scores_by_sds: Mapping[str, Sequence[ResearcherScore]],
+                    ts_by_sds: Mapping[str, Mapping[float, set[str]]],
+                    sds_to_uda: Mapping[str, str],
+                    percentiles: Sequence[float],
+                    use_uda: bool) -> dict[tuple[str, float], tuple[float, str]]:
+    """Mean fractional publication output of each field's top scientists,
+    with its provenance, per (sds, p).
 
-    Pooled mean fractional output of top scientists per (uda, p) and
-    nationally per p; None where the pool itself is empty.
+    A field without a top scientist at p takes the pooled mean of its
+    discipline's top scientists (when use_uda), then the national pool;
+    (0.0, "no_ts_anywhere") when every pool is empty. Pools are extended
+    field by field in scores_by_sds order.
     """
-
-    uda_mean: Mapping[tuple[str, float], Optional[float]]
-    national_mean: Mapping[float, Optional[float]]
-    use_uda: bool
-
-
-def build_rescale_context(scores_by_sds: Mapping[str, Sequence[ResearcherScore]],
-                          ts_by_sds: Mapping[str, Mapping[float, set[str]]],
-                          sds_to_uda: Mapping[str, str],
-                          percentiles: Sequence[float],
-                          use_uda: bool) -> RescaleContext:
+    own: dict[tuple[str, float], list[float]] = {}
     pooled_uda: dict[tuple[str, float], list[float]] = {}
     pooled_national: dict[float, list[float]] = {p: [] for p in percentiles}
     for sds, scores in scores_by_sds.items():
         uda = sds_to_uda[sds]
         for p in percentiles:
             ts = ts_by_sds[sds][p]
-            outputs = [s.frac_pub_output for s in scores if s.researcher_id in ts]
+            outputs = own[sds, p] = [s.frac_pub_output for s in scores if s.researcher_id in ts]
             pooled_uda.setdefault((uda, p), []).extend(outputs)
             pooled_national[p].extend(outputs)
 
     def mean(values: list[float]) -> Optional[float]:
         return sum(values) / len(values) if values else None
 
-    return RescaleContext(
-        uda_mean={key: mean(vals) for key, vals in pooled_uda.items()},
-        national_mean={p: mean(vals) for p, vals in pooled_national.items()},
-        use_uda=use_uda,
-    )
-
-
-def avg_ts_fractional_output(field_scores: Sequence[ResearcherScore], ts_set: set[str],
-                             context: RescaleContext, uda: str, p: float,
-                             ) -> tuple[float, str]:
-    """Mean fractional publication output of the field's top scientists.
-
-    Falls back to the discipline pool and then the national pool when
-    the field has no top scientist; returns (0.0, "no_ts_anywhere") when
-    every pool is empty. The second element records provenance.
-    """
-    outputs = [s.frac_pub_output for s in field_scores if s.researcher_id in ts_set]
-    if outputs:
-        return sum(outputs) / len(outputs), RESCALE_FROM_FIELD
-    if context.use_uda:
-        uda_mean = context.uda_mean.get((uda, p))
-        if uda_mean is not None:
-            return uda_mean, RESCALE_FROM_UDA
-    national = context.national_mean.get(p)
-    if national is not None:
-        return national, RESCALE_FROM_NATIONAL
-    return 0.0, RESCALE_EXHAUSTED
+    uda_mean = {key: mean(values) for key, values in pooled_uda.items()}
+    national_mean = {p: mean(values) for p, values in pooled_national.items()}
+    means = {}
+    for (sds, p), outputs in own.items():
+        chain = ((mean(outputs), RESCALE_FROM_FIELD),
+                 (uda_mean[sds_to_uda[sds], p] if use_uda else None, RESCALE_FROM_UDA),
+                 (national_mean[p], RESCALE_FROM_NATIONAL),
+                 (0.0, RESCALE_EXHAUSTED))
+        means[sds, p] = next(c for c in chain if c[0] is not None)
+    return means
 
 
 def write_researcher_scores_csv(scores: Sequence[ResearcherScore],

@@ -112,8 +112,8 @@ def test_criterion_2_oracle_equivalence():
                 mk_board(f"F{i:03d}", "U1", {5.0: x[i]}, {5.0: y[i]})
                 for i in range(n)
             ]
-            got = spearman(rank_indicator(boards, "fss_ts_5"),
-                           rank_indicator(boards, "fss_fhca_5"))
+            got = spearman(rank_indicator(boards, "fss_ts", 5.0),
+                           rank_indicator(boards, "fss_fhca", 5.0))
             expected = oracle_spearman(x, y)
             if expected is None:
                 assert got is None
@@ -311,9 +311,8 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
         assert not (result.quadrant.strong_union & result.quadrant.weak_union)
 
         # top-k / bottom-k average-rank lists
-        assert len(result.avg_rank.top) == 10
-        assert len(result.avg_rank.bottom) == 10
-        assert result.avg_rank.top[0].position == 1
-        assert result.avg_rank.bottom[-1].position == 44
+        assert not result.avg_rank.truncated
+        assert result.avg_rank.entries[0].position == 1
+        assert result.avg_rank.entries[-1].position == 44
         avg_values = [e.avg_rank for e in result.avg_rank.entries]
         assert avg_values == sorted(avg_values)

@@ -25,9 +25,9 @@ def boards_from_values(values: dict[str, float], indicator_p: float = 5.0):
     ]
 
 
-def ranking_from_values(values: list[float], indicator: str = "fss_ts_5") -> IndicatorRanking:
+def ranking_from_values(values: list[float]) -> IndicatorRanking:
     boards = [mk_board(f"F{i:03d}", "U1", {5.0: v}, {5.0: v}) for i, v in enumerate(values)]
-    return rank_indicator(boards, indicator)
+    return rank_indicator(boards, "fss_ts", 5.0)
 
 
 def test_fractional_ranks_match_oracle():
@@ -38,12 +38,12 @@ def test_fractional_ranks_match_oracle():
 
 
 def test_rank_indicator_basic():
-    ranking = rank_indicator(boards_from_values({"A": 3.0, "B": 1.0, "C": 2.0}), "fss_ts_5")
+    ranking = rank_indicator(boards_from_values({"A": 3.0, "B": 1.0, "C": 2.0}), "fss_ts", 5.0)
     assert [(sds, rank) for sds, _, rank in ranking.ranked] == [("A", 1.0), ("C", 2.0), ("B", 3.0)]
 
 
 def test_rank_indicator_ties_share_mean_rank():
-    ranking = rank_indicator(boards_from_values({"A": 5.0, "B": 5.0, "C": 1.0}), "fss_ts_5")
+    ranking = rank_indicator(boards_from_values({"A": 5.0, "B": 5.0, "C": 1.0}), "fss_ts", 5.0)
     assert ranking.rank_by_sds == {"A": 1.5, "B": 1.5, "C": 3.0}
     # display order breaks the tie by field code
     assert [sds for sds, _, _ in ranking.ranked] == ["A", "B", "C"]
@@ -52,7 +52,7 @@ def test_rank_indicator_ties_share_mean_rank():
 def test_rank_indicator_zero_block_shares_bottom_rank():
     values = {f"Z{i:02d}": 0.0 for i in range(36)}
     values.update({"A": 3.0, "B": 2.0})
-    ranking = rank_indicator(boards_from_values(values), "fss_ts_5")
+    ranking = rank_indicator(boards_from_values(values), "fss_ts", 5.0)
     zero_ranks = {rank for sds, _, rank in ranking.ranked if sds.startswith("Z")}
     # ranks 3..38 averaged
     assert zero_ranks == {(3 + 38) / 2}
@@ -60,7 +60,7 @@ def test_rank_indicator_zero_block_shares_bottom_rank():
 
 def test_rank_indicator_unknown_indicator():
     with pytest.raises(KeyError):
-        rank_indicator(boards_from_values({"A": 1.0}), "fss_ts_42")
+        rank_indicator(boards_from_values({"A": 1.0}), "fss_ts", 42.0)
 
 
 def test_spearman_identical_and_reversed():
@@ -92,7 +92,7 @@ def test_spearman_undefined_cases():
 def test_spearman_mismatched_fields_rejected():
     x = ranking_from_values([1, 2])
     boards = [mk_board("OTHER", "U1", {5.0: 1.0}, {5.0: 1.0})]
-    y = rank_indicator(boards, "fss_ts_5")
+    y = rank_indicator(boards, "fss_ts", 5.0)
     with pytest.raises(ValueError):
         spearman(x, y)
 
@@ -187,7 +187,8 @@ def test_average_rank_example():
     rankings = []
     ranks_wanted = {"A": [3, 18, 4, 2]}
     # build four rankings where A takes the wanted rank and the rest follow
-    for slot, indicator in enumerate(["fss_ts_5", "fss_ts_10", "fss_fhca_5", "fss_fhca_10"]):
+    for slot, indicator in enumerate([("fss_ts", 5.0), ("fss_ts", 10.0),
+                                      ("fss_fhca", 5.0), ("fss_fhca", 10.0)]):
         values = {}
         target = ranks_wanted["A"][slot]
         for i in range(20):
@@ -198,7 +199,7 @@ def test_average_rank_example():
                      {5.0: v, 10.0: v}, {5.0: v, 10.0: v})
             for sds, v in values.items()
         ]
-        rankings.append(rank_indicator(boards, indicator))
+        rankings.append(rank_indicator(boards, *indicator))
     result = average_rank_extremes(rankings, 5)
     entry = next(e for e in result.entries if e.sds == "A")
     assert entry.avg_rank == pytest.approx((3 + 18 + 4 + 2) / 4)
@@ -206,17 +207,18 @@ def test_average_rank_example():
 
 def test_average_rank_all_first():
     rankings = []
-    for indicator in ["fss_ts_5", "fss_fhca_5"]:
+    for indicator in [("fss_ts", 5.0), ("fss_fhca", 5.0)]:
         boards = [
             mk_board("TOP", "U1", {5.0: 9.0}, {5.0: 9.0}),
             mk_board("MID", "U1", {5.0: 5.0}, {5.0: 5.0}),
             mk_board("LOW", "U1", {5.0: 1.0}, {5.0: 1.0}),
         ]
-        rankings.append(rank_indicator(boards, indicator))
+        rankings.append(rank_indicator(boards, *indicator))
     result = average_rank_extremes(rankings, 1)
-    assert result.top[0].sds == "TOP"
-    assert result.top[0].avg_rank == 1.0
-    assert result.bottom[0].sds == "LOW"
+    assert not result.truncated
+    assert result.entries[0].sds == "TOP"
+    assert result.entries[0].avg_rank == 1.0
+    assert result.entries[-1].sds == "LOW"
 
 
 def test_average_rank_tie_breaks_by_code_and_truncation():
@@ -224,7 +226,7 @@ def test_average_rank_tie_breaks_by_code_and_truncation():
         mk_board("AAA", "U1", {5.0: 2.0}, {5.0: 1.0}),
         mk_board("BBB", "U1", {5.0: 1.0}, {5.0: 2.0}),
     ]
-    rankings = [rank_indicator(boards, i) for i in ("fss_ts_5", "fss_fhca_5")]
+    rankings = [rank_indicator(boards, family, 5.0) for family in ("fss_ts", "fss_fhca")]
     result = average_rank_extremes(rankings, 10)
     assert result.truncated
     assert [e.sds for e in result.entries] == ["AAA", "BBB"]
@@ -241,8 +243,8 @@ def test_monotone_transform_leaves_analytics_unchanged():
     base_boards = transformed(lambda v: v)
     mono_boards = transformed(lambda v: math.expm1(v) + v ** 3)
 
-    base_rank = rank_indicator(base_boards, "fss_ts_5")
-    mono_rank = rank_indicator(mono_boards, "fss_ts_5")
+    base_rank = rank_indicator(base_boards, "fss_ts", 5.0)
+    mono_rank = rank_indicator(mono_boards, "fss_ts", 5.0)
     assert base_rank.rank_by_sds == mono_rank.rank_by_sds
 
     base_quadrant = quadrant_classify(base_boards, [5.0])
@@ -266,8 +268,8 @@ def test_average_rank_permutation_invariant():
     boards = [mk_board(s, "U1", {5.0: v}, {5.0: v}) for s, v in values.items()]
     shuffled = list(boards)
     rng.shuffle(shuffled)
-    r1 = [rank_indicator(boards, "fss_ts_5"), rank_indicator(boards, "fss_fhca_5")]
-    r2 = [rank_indicator(shuffled, "fss_ts_5"), rank_indicator(shuffled, "fss_fhca_5")]
+    r1 = [rank_indicator(boards, "fss_ts", 5.0), rank_indicator(boards, "fss_fhca", 5.0)]
+    r2 = [rank_indicator(shuffled, "fss_ts", 5.0), rank_indicator(shuffled, "fss_fhca", 5.0)]
     assert average_rank_extremes(r1, 5) == average_rank_extremes(r2, 5)
 
 
@@ -276,7 +278,7 @@ def test_correlation_matrix_on_rankings():
         mk_board(f"F{i}", "U1", {5.0: float(i)}, {5.0: float(i % 3)})
         for i in range(9)
     ]
-    rankings = [rank_indicator(boards, "fss_ts_5"), rank_indicator(boards, "fss_fhca_5")]
+    rankings = [rank_indicator(boards, "fss_ts", 5.0), rank_indicator(boards, "fss_fhca", 5.0)]
     matrix = correlation_matrix(rankings)
     assert matrix.indicator_ids == ("fss_ts_5", "fss_fhca_5")
     assert matrix.values[0][0] == pytest.approx(1.0)

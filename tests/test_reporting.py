@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -129,7 +130,27 @@ def test_unwritable_directory_is_io_error(default_result, tmp_path):
 
 
 def test_markdown_has_extreme_lists(default_result, tmp_path):
-    render(default_result.bundle, "markdown", tmp_path)
-    text = (tmp_path / "reports" / "fields.md").read_text(encoding="utf-8")
-    assert "strongest 10: fss_ts_5" in text
-    assert "weakest 10: fss_fhca_10" in text
+    for k in (10, 0):
+        bundle = dataclasses.replace(default_result.bundle, top_bottom_k=k)
+        render(bundle, "markdown", tmp_path / str(k))
+        text = (tmp_path / str(k) / "reports" / "fields.md").read_text(encoding="utf-8")
+        assert f"strongest {k}: fss_ts_5" in text
+        assert f"weakest {k}: fss_fhca_10" in text
+        lists = [section.splitlines() for section in text.split("## ")
+                 if section.startswith(("strongest", "weakest"))]
+        assert len(lists) == 2 * len(bundle.rankings)
+        for lines in lists:
+            # title, blank, column header and separator, then one line per field
+            assert len([line for line in lines if line.startswith("| ")]) - 2 == k, lines[0]
+
+
+def test_rank_at_a_decimal_tie_renders_alike_in_json_and_csv(default_result, tmp_path):
+    data = json.loads(json.dumps(default_result.bundle.to_dict()))
+    data["avg_rank"]["entries"][0]["avg_rank"] = 24.575  # stored below 24.575: rounds down
+    bundle = ReportBundle.from_dict(data)
+    render(bundle, "csv", tmp_path)
+    render(bundle, "json", tmp_path)
+    csv_row = read_csv(tmp_path / "reports" / "avg_rank.csv")[0]
+    json_row = json.loads((tmp_path / "reports" / "avg_rank.json").read_text())["rows"][0]
+    assert csv_row["avg_rank"] == "24.57"
+    assert json_row["avg_rank"] == 24.57

@@ -13,11 +13,10 @@ from fieldstrength.scoring import (
     RESCALE_FROM_FIELD,
     RESCALE_FROM_NATIONAL,
     RESCALE_FROM_UDA,
-    RescaleContext,
     ResearcherScore,
-    avg_ts_fractional_output,
     detect_top_scientists,
     score_researchers,
+    ts_output_means,
     tukey_fence,
 )
 
@@ -147,38 +146,43 @@ def test_positive_scaling_leaves_ts_set_unchanged():
         assert scaled_fence.threshold == pytest.approx(c * fence.threshold, rel=1e-9)
 
 
-def _context(uda_mean=None, national=None, use_uda=True):
-    return RescaleContext(
-        uda_mean={("U1", 5.0): uda_mean},
-        national_mean={5.0: national},
-        use_uda=use_uda,
-    )
+def _mean_of(field, ts, others=(), use_uda=True):
+    """ts_output_means of field S1 (discipline U1) with top scientists ts at
+    p=5, next to (sds, uda, output) fields of one top scientist each."""
+    scores_by_sds = {"S1": field}
+    ts_by_sds = {"S1": {5.0: ts}}
+    sds_to_uda = {"S1": "U1"}
+    for sds, uda, output in others:
+        scores_by_sds[sds] = [mk_score(f"{sds}-ts", sds, 1.0, output=output)]
+        ts_by_sds[sds] = {5.0: {f"{sds}-ts"}}
+        sds_to_uda[sds] = uda
+    return ts_output_means(scores_by_sds, ts_by_sds, sds_to_uda, [5.0], use_uda)["S1", 5.0]
 
 
 def test_avg_ts_output_direct():
     field = [mk_score("r1", "S1", 1.0, output=3.4), mk_score("r2", "S1", 0.0, output=9.9)]
-    value, source = avg_ts_fractional_output(field, {"r1"}, _context(), "U1", 5.0)
+    value, source = _mean_of(field, {"r1"})
     assert (value, source) == (3.4, RESCALE_FROM_FIELD)
 
     field.append(mk_score("r3", "S1", 1.0, output=2.0))
-    value, _ = avg_ts_fractional_output(field, {"r1", "r3"}, _context(), "U1", 5.0)
+    value, _ = _mean_of(field, {"r1", "r3"})
     assert value == pytest.approx((3.4 + 2.0) / 2)
 
 
 def test_avg_ts_output_fallback_chain():
     field = [mk_score("r1", "S1", 0.0, output=1.0)]
-    value, source = avg_ts_fractional_output(field, set(), _context(uda_mean=2.5), "U1", 5.0)
+    value, source = _mean_of(field, set(), [("S2", "U1", 2.5)])
     assert (value, source) == (2.5, RESCALE_FROM_UDA)
 
-    value, source = avg_ts_fractional_output(field, set(), _context(national=4.0), "U1", 5.0)
+    value, source = _mean_of(field, set(), [("S3", "U2", 4.0)])
     assert (value, source) == (4.0, RESCALE_FROM_NATIONAL)
 
-    # national-only mode skips the discipline pool
-    value, source = avg_ts_fractional_output(
-        field, set(), _context(uda_mean=2.5, national=4.0, use_uda=False), "U1", 5.0)
+    # national-only mode skips the discipline pool (national mean (2.5 + 5.5) / 2)
+    value, source = _mean_of(field, set(), [("S2", "U1", 2.5), ("S3", "U2", 5.5)],
+                             use_uda=False)
     assert (value, source) == (4.0, RESCALE_FROM_NATIONAL)
 
-    value, source = avg_ts_fractional_output(field, set(), _context(), "U1", 5.0)
+    value, source = _mean_of(field, set())
     assert (value, source) == (0.0, RESCALE_EXHAUSTED)
 
 
