@@ -24,7 +24,7 @@ from .errors import ConfigurationError, CorpusValidationError, InputIOError
 from .hca import write_flags_csv
 from .indicators import write_scoreboard_csv
 from .ingest import CorpusPaths, load_corpus
-from .model import AnalysisConfig, CostModel, OutputOptions, read_json_fields
+from .model import AnalysisConfig, CostModel, OutputOptions, parse_json, read_json_fields
 from .pipeline import run_pipeline
 from .reporting import FORMATS, ReportBundle, render
 from .scoring import write_researcher_scores_csv
@@ -58,8 +58,8 @@ def load_run_config(path: Path) -> RunConfig:
     except OSError as exc:
         raise InputIOError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = parse_json(text)
+    except ValueError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -176,10 +176,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     overrides: dict[str, Any] = {}
     if args.params:
         try:
-            overrides = json.loads(Path(args.params).read_text(encoding="utf-8"))
+            overrides = parse_json(Path(args.params).read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputIOError(f"cannot read params {args.params}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigurationError(f"bad params JSON: {exc}") from exc
     known = {f.name for f in dataclass_fields(SynthParams)}
     unknown = sorted(set(overrides) - known)
@@ -207,10 +207,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     formats = _parse_formats(args.format)
     try:
-        bundle = ReportBundle.from_dict(json.loads(Path(args.bundle).read_text(encoding="utf-8")))
+        bundle = ReportBundle.from_dict(parse_json(Path(args.bundle).read_text(encoding="utf-8")))
     except OSError as exc:
         raise InputIOError(f"cannot read bundle {args.bundle}: {exc}") from exc
-    except (json.JSONDecodeError, ConfigurationError) as exc:
+    except (ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"bad bundle file {args.bundle}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

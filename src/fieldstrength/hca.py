@@ -11,7 +11,9 @@ per-discipline dataset summary counts the flagged publications.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -111,9 +113,14 @@ def flag_hcas(cells: Sequence[CitationCell],
     The strictly-above count b of each cell membership, the cell sizes and
     each publication's best standing do not depend on p, so they are
     computed once for all memberships. Each p then costs one vectorized
-    comparison, 100*b < p*size, scattered to publications: a
-    multi-category publication is flagged if it qualifies in at least one
-    of its cells (the most favourable category counts).
+    comparison, scattered to publications: a multi-category publication is
+    flagged if it qualifies in at least one of its cells (the most
+    favourable category counts).
+
+    The rule b < p*size/100 is decided exactly, with p taken as the decimal
+    it is written as (Fraction(repr(p))), not as its binary float: for an
+    integer b it holds iff b < ceil(p*size/100), an integer cutoff computed
+    once per distinct cell size.
     """
     percentiles = list(percentiles)
     for p in percentiles:
@@ -135,13 +142,16 @@ def flag_hcas(cells: Sequence[CitationCell],
     member_category = np.array([code[cell.category] for cell in cells], dtype=np.int32)[cell_of]
 
     above = _strictly_above(cell_of, citations, sizes)
-    member_size = sizes[cell_of]
-    best_category = _best_category(pub_of, above / member_size, member_category).tolist()
+    best_category = _best_category(pub_of, above / sizes[cell_of], member_category).tolist()
+    distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
 
     flag_sets = {}
     for p in percentiles:
+        exact_p = Fraction(repr(float(p)))
+        cutoffs = np.array([math.ceil(exact_p * size / 100) for size in distinct_sizes.tolist()],
+                           dtype=np.int64)
         hit = np.zeros(len(pub_ids), dtype=bool)
-        hit[pub_of[100.0 * above < p * member_size]] = True
+        hit[pub_of[above < cutoffs[size_index][cell_of]]] = True
         best = {pub_ids[row]: categories[best_category[row]] for row in np.flatnonzero(hit).tolist()}
         # a frozenset built from a dict is sized once, half the table of one grown from a generator
         flag_sets[p] = HcaFlagSet(p=p, flagged=frozenset(best), best_category=best)

@@ -10,6 +10,7 @@ parsed always holds.
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,7 +171,7 @@ def _load_taxonomy(path: Path, issues: list[ValidationIssue]) -> Optional[Taxono
     sds_names: dict[str, str] = {}
     uda_names: dict[str, str] = {}
     for line, row in _read_rows(path, TAXONOMY_HEADER, issues, set()):
-        sds_code, sds_name, uda_code, uda_name = (f.strip() for f in row)
+        sds_code, sds_name, uda_code, uda_name = map(str.strip, row)
         if not sds_code or not uda_code:
             issues.append(ValidationIssue(ISSUE_MALFORMED_ROW, "empty code", str(path), line))
             continue
@@ -202,7 +203,22 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     fewer than config.min_years years and rows outside the window.
     References into a file that was not read to its end are not checked,
     so that its one issue does not cascade.
+
+    The load builds no reference cycles, only strings, ints, tuples, dicts
+    and frozen records, so the cyclic garbage collector is paused while it
+    runs: otherwise it rescans the growing heap over and over. The
+    caller's collector state is restored on return and on error.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_corpus(paths, config)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     issues: list[ValidationIssue] = []
     stopped: set[Path] = set()
     report = LoadReport()
@@ -217,7 +233,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     n_rows = 0
     for line, row in _read_rows(paths.researchers, RESEARCHERS_HEADER, issues, stopped):
         n_rows += 1
-        researcher_id, sds_code, year_text, rank = (f.strip() for f in row)
+        researcher_id, sds_code, year_text, rank = map(str.strip, row)
         rank = rank.lower()
         year = _parse_int(year_text, "year", paths.researchers, line, issues)
         if year is None:
@@ -259,18 +275,24 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     report.parsed["researcher_rows"] = n_rows
     report.drop("researcher_years_outside_window", out_of_window_years)
 
-    # publications.csv
+    # publications.csv; each distinct category list is parsed once and its tuple shared
     publications: dict[str, PublicationRecord] = {}
-    parsed_pub_ids: set[str] = set()
+    parsed_pub_ids: dict[str, str] = {}  # each id to itself, for the links to share
+    categories_of: dict[str, tuple[str, ...]] = {}
     out_of_window_pubs = 0
     n_rows = 0
     for line, row in _read_rows(paths.publications, PUBLICATIONS_HEADER, issues, stopped):
         n_rows += 1
-        pub_id, year_text, cit_text, auth_text, cats_text = (f.strip() for f in row)
-        year = _parse_int(year_text, "year", paths.publications, line, issues)
-        citations = _parse_int(cit_text, "citations", paths.publications, line, issues, minimum=0)
-        author_count = _parse_int(auth_text, "author_count", paths.publications, line, issues, minimum=1)
-        if year is None or citations is None or author_count is None:
+        pub_id, year_text, cit_text, auth_text, cats_text = map(str.strip, row)
+        try:
+            year, citations, author_count = int(year_text), int(cit_text), int(auth_text)
+            numbers_ok = citations >= 0 and author_count >= 1
+        except ValueError:
+            numbers_ok = False
+        if not numbers_ok:  # report each bad number with its own message
+            _parse_int(year_text, "year", paths.publications, line, issues)
+            _parse_int(cit_text, "citations", paths.publications, line, issues, minimum=0)
+            _parse_int(auth_text, "author_count", paths.publications, line, issues, minimum=1)
             continue
         if pub_id in parsed_pub_ids:
             issues.append(
@@ -278,8 +300,11 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
                                 str(paths.publications), line, key=pub_id)
             )
             continue
-        parsed_pub_ids.add(pub_id)
-        categories = tuple(sorted({c.strip() for c in cats_text.split(";") if c.strip()}))
+        parsed_pub_ids[pub_id] = pub_id
+        categories = categories_of.get(cats_text)
+        if categories is None:
+            categories = categories_of[cats_text] = tuple(
+                sorted({c.strip() for c in cats_text.split(";") if c.strip()}))
         if not categories:
             issues.append(
                 ValidationIssue(ISSUE_EMPTY_CATEGORIES,
@@ -290,21 +315,23 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
         if year not in window:
             out_of_window_pubs += 1
             continue
-        publications[pub_id] = PublicationRecord(
-            pub_id=pub_id, year=year, citations=citations,
-            author_count=author_count, subject_categories=categories,
-        )
+        publications[pub_id] = PublicationRecord(pub_id, year, citations, author_count, categories)
     report.parsed["publications"] = n_rows
     report.drop("publications_outside_window", out_of_window_pubs)
 
-    # authorships.csv
-    links: set[tuple[str, str]] = set()
+    # authorships.csv; a dict keeps the links in file order, which is
+    # usually already sorted, so the final sort is a linear pass
+    links: dict[tuple[str, str], None] = {}
+    researcher_ids = {r: r for r in researcher_sds}
     roster_links_per_pub: dict[str, int] = {}
     links_to_dropped_pubs = 0
     n_rows = 0
     for line, row in _read_rows(paths.authorships, AUTHORSHIPS_HEADER, issues, stopped):
         n_rows += 1
-        pub_id, researcher_id = (f.strip() for f in row)
+        pub_id, researcher_id = map(str.strip, row)
+        # the strings read before replace this row's copies, so each id is stored once
+        pub_id = parsed_pub_ids.get(pub_id, pub_id)
+        researcher_id = researcher_ids.get(researcher_id, researcher_id)
         if pub_id not in parsed_pub_ids and paths.publications not in stopped:
             issues.append(
                 ValidationIssue(ISSUE_DANGLING_REFERENCE,
@@ -319,7 +346,8 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
                                 str(paths.authorships), line, key=researcher_id)
             )
             continue
-        if (pub_id, researcher_id) in links:
+        link = (pub_id, researcher_id)
+        if link in links:
             issues.append(
                 ValidationIssue(ISSUE_DUPLICATE_KEY,
                                 f"duplicate authorship ({pub_id!r}, {researcher_id!r})",
@@ -329,20 +357,21 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
         if pub_id not in publications:
             links_to_dropped_pubs += 1
             continue
-        links.add((pub_id, researcher_id))
+        links[link] = None
         roster_links_per_pub[pub_id] = roster_links_per_pub.get(pub_id, 0) + 1
     report.parsed["authorships"] = n_rows
     report.drop("authorships_of_dropped_publications", links_to_dropped_pubs)
 
-    for pub_id, n_linked in sorted(roster_links_per_pub.items()):
-        pub = publications.get(pub_id)
-        if pub is not None and pub.author_count < n_linked:
-            issues.append(
-                ValidationIssue(ISSUE_CONSTRAINT,
-                                f"publication {pub_id!r} has author_count {pub.author_count} "
-                                f"but {n_linked} roster authorships",
-                                str(paths.publications), key=pub_id)
-            )
+    over_linked = sorted(pub_id for pub_id, n_linked in roster_links_per_pub.items()
+                         if publications[pub_id].author_count < n_linked)
+    for pub_id in over_linked:
+        issues.append(
+            ValidationIssue(ISSUE_CONSTRAINT,
+                            f"publication {pub_id!r} has author_count "
+                            f"{publications[pub_id].author_count} "
+                            f"but {roster_links_per_pub[pub_id]} roster authorships",
+                            str(paths.publications), key=pub_id)
+        )
 
     if issues:
         raise CorpusValidationError(issues)
@@ -366,8 +395,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     report.drop("researchers_below_min_years", below_min)
 
     kept_links = tuple(
-        AuthorshipLink(pub_id=p, researcher_id=r)
-        for p, r in sorted(links)
+        AuthorshipLink(p, r) for p, r in sorted(links)
         if r in researchers
     )
     report.drop("authorships_of_dropped_researchers", len(links) - len(kept_links))
@@ -386,7 +414,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
         )
     report.kept["publications"] = len(publications)
 
-    publications = dict(sorted(publications.items()))
+    publications = {pub_id: publications[pub_id] for pub_id in sorted(publications)}
     for key, value in sorted(report.dropped.items()):
         log.info("load_corpus dropped %d: %s", value, key)
 

@@ -7,6 +7,8 @@ is a rendering concern and happens only in the report layer.
 from __future__ import annotations
 
 import collections.abc
+import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -117,6 +119,8 @@ class AnalysisConfig:
         start, end = self.window
         if start > end:
             raise ConfigurationError(f"window start {start} > end {end}")
+        if not self.hca_percentiles:
+            raise ConfigurationError("hca_percentiles must list at least one percentile")
         for p in self.hca_percentiles:
             if not 0 < p < 100:
                 raise ConfigurationError(f"percentile must be in (0, 100), got {p}")
@@ -165,6 +169,17 @@ _JSON_SCALARS = {
 }
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON number; numbers must be finite")
+
+
+def parse_json(text: str) -> Any:
+    """json.loads, except that the NaN, Infinity and -Infinity tokens, which
+    Python's json accepts but JSON does not, raise ValueError like any other
+    malformed document (json.JSONDecodeError is a ValueError)."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def read_json_fields(cls, data: Mapping[str, Any]):
     """Build the dataclass cls from the fields of a JSON object.
 
@@ -172,8 +187,9 @@ def read_json_fields(cls, data: Mapping[str, Any]):
     default, and a field without one must be present. Each value must have
     its field's JSON type exactly: a bool is only true/false, an int is never
     a bool, a float field takes any JSON number and stores a float, a
-    tuple[X, Y] is a list of exactly two, a Mapping is an object. A mismatch
-    raises ConfigurationError naming the key.
+    tuple[X, Y] is a list of exactly two, a Mapping is an object. A float must
+    be finite (1e999 parses to inf). A mismatch raises ConfigurationError
+    naming the key.
     """
     hints = get_type_hints(cls)
     values = {}
@@ -195,7 +211,11 @@ def _json_value(value: Any, hint: Any, where: str) -> Any:
         types, name = _JSON_SCALARS[hint]
         if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
             raise ConfigurationError(f"{where} must be {name}, got {value!r}")
-        return float(value) if hint is float else value
+        if hint is not float:
+            return value
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+        return float(value)
     if origin in (tuple, list):
         fixed = origin is tuple and args[-1] is not Ellipsis
         if not isinstance(value, list) or (fixed and len(value) != len(args)):

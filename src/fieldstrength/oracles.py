@@ -9,6 +9,7 @@ acceptance runs only; never on the hot path.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 
@@ -16,17 +17,19 @@ def oracle_top_p(members: Sequence[tuple[str, int]], p: float) -> set[str]:
     """Flag the top-p% members of one citation cell by pairwise counting.
 
     A member is flagged iff the number of members with strictly more
-    citations, b, satisfies 100*b < p*len(members). Ties therefore share
-    the better outcome.
+    citations, b, satisfies 100*b < p*len(members), compared exactly with
+    p as the decimal it is written as. Ties therefore share the better
+    outcome.
     """
     size = len(members)
+    exact_p = Fraction(repr(float(p)))
     flagged = set()
     for pub_id, cits in members:
         b = 0
         for _, other in members:
             if other > cits:
                 b += 1
-        if 100.0 * b < p * size:
+        if 100 * b < exact_p * size:
             flagged.add(pub_id)
     return flagged
 

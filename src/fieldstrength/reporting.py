@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigurationError, InputIOError
-from .model import read_json_fields
+from .model import OutputOptions, read_json_fields
 
 FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
@@ -54,13 +54,16 @@ class ReportBundle:
     @classmethod
     def from_dict(cls, data: Any) -> "ReportBundle":
         """Read a bundle back from to_dict's JSON; ConfigurationError names
-        a missing, unknown or mistyped field."""
+        a missing, unknown or mistyped field, or a top_bottom_k that the run
+        config would reject."""
         if not isinstance(data, dict):
             raise ConfigurationError("a bundle must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown bundle fields: {unknown}")
-        return read_json_fields(cls, data)
+        bundle = read_json_fields(cls, data)
+        OutputOptions(top_bottom_k=bundle.top_bottom_k)  # the run config's rule for k
+        return bundle
 
 
 def _fmt(value: Any, kind: str) -> str:

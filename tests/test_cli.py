@@ -211,6 +211,40 @@ def test_mistyped_config_value_is_config_error(tmp_path, mini_config, capsys, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, literal, named", [
+    ("hca_percentiles", "[]", "hca_percentiles"),
+    ("capital", "NaN", "NaN"),
+    ("ts_fence_multiplier", "NaN", "NaN"),
+    ("reporting_scale", "Infinity", "Infinity"),
+    ("capital", "-Infinity", "-Infinity"),
+    ("capital", "1e999", "capital"),  # a literal that overflows to inf
+])
+def test_non_finite_or_empty_config_value_is_config_error(tmp_path, mini_config, capsys,
+                                                         key, literal, named):
+    text = mini_config.read_text(encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace("{", f'{{"{key}": {literal},', 1), encoding="utf-8")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_rejects_negative_top_bottom_k(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "6",
+                 "--n-udas", "2", "--n-fields-per-uda", "4"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, corpus)), "--out", str(out)]) == 0
+    analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
+    analytics["top_bottom_k"] = -3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(analytics), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bad), "--out", str(tmp_path / "re")]) == 2
+    assert "top_bottom_k must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
 def test_int_valued_floats_write_the_same_bytes(tmp_path, mini_config):
     raw = json.loads(mini_config.read_text(encoding="utf-8"))
     outputs = []
@@ -242,6 +276,14 @@ def test_unknown_synth_param_rejected(tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"n_uda": 3}), encoding="utf-8")
     assert main(["synth", "--out", str(tmp_path / "x"), "--params", str(params)]) == 2
+
+
+def test_non_finite_synth_param_rejected(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text('{"hca_fraction": NaN}', encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "x"), "--params", str(params)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_params_file_seed_survives_unless_flag_given(tmp_path):

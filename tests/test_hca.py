@@ -73,6 +73,16 @@ def test_is_top_p_singleton():
     assert oracle_top_p(cell.members, 5) == {"p0"}
 
 
+def test_percentile_is_compared_as_its_decimal():
+    # exactly 2.2% of 1500 is 33 members, so a member with b = 33 above it is
+    # not in the top 2.2%; in floats 2.2 * 1500 is 3300.0000000000005 > 100 * 33
+    cell = cell_of(list(range(1500)))
+    flagged = flag_hcas([cell], [2.2])[2.2].flagged
+    assert "p1466" not in flagged  # b = 33
+    assert flagged == {f"p{i}" for i in range(1467, 1500)}  # b = 0..32
+    assert oracle_top_p(cell.members, 2.2) == flagged
+
+
 def test_flag_hcas_most_favourable_category():
     # top of its 2012/A cell, bottom of its 2012/B cell
     pubs = [

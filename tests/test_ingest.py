@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from fieldstrength.errors import (
     InputIOError,
 )
 from fieldstrength.hca import build_cells, corpus_summary, flag_hcas
-from fieldstrength.ingest import load_corpus
+from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import AnalysisConfig
 
 
@@ -330,3 +332,142 @@ def test_summary_share_by_construction(tmp_path):
     table = _summary(corpus)
     assert table.overall.hca_counts[5.0] == 2
     assert 100 * table.overall.hca_counts[5.0] / table.overall.n_publications == pytest.approx(5.0)
+
+
+# Every row-level check fires, interleaved over the three row files: a row
+# with three bad integers, a duplicate of an out-of-window publication,
+# whitespace-padded fields and a quoted field spanning two lines.
+ORDER_TAXONOMY = ["S1,Field one,U1,Discipline one", "S2,Field two,U1,Discipline one",
+                  "S3,Field three,U2,Discipline two"]
+ORDER_RESEARCHERS = [
+    "r1,S1,2012,assistant",
+    "r2,S2,notayear,full",
+    "r1,S1,2013,assistant",
+    " r2 , S2 , 2012 , FULL ",
+    "r2,S2,2013,baron",
+    "r3,NOPE,2012,full",
+    "r1,S2,2015,full",
+    "r1,S1,2014,associate",
+    "r1,S1,2012,full",
+    "r2,S2,2005,full",
+    "short,row",
+    "r2,S2,2014,full",
+    "r2,S2,2015,full",
+]
+ORDER_PUBLICATIONS = [
+    "p1,2013,7,2,A;B",
+    "bad3,yr,x,-,A",
+    "neg,2013,-4,0,A",
+    "old,1999,5,1,A",
+    "old,2000,6,1,A",
+    " pad , 2014 , 3 , 1 , B ; A ",
+    'nl,2013,2,2,"A;\nC"',
+    "p1,2014,1,1,A",
+    "empty,2013,1,1, ; ;",
+    "a,b,c",
+    "one,2013,9,1,A",
+    "abc,2013,4,1,A",
+]
+ORDER_AUTHORSHIPS = [
+    "p1,r1",
+    "ghost,r1",
+    "p1,nobody",
+    "p1,r1",
+    "old,r1",
+    "old,r1",
+    " pad , r2 ",
+    "bad3,r2",
+    "one,r1",
+    "x",
+    "one,r2",
+    "nl,r3",
+    "nl,r2",
+    "abc,r2",
+    "abc,r1",
+]
+ORDER_ISSUES = [
+    "malformed_row: year is not an integer: 'notayear' [researchers.csv:3]",
+    "malformed_row: unknown rank 'baron' [researchers.csv:6]",
+    "dangling_reference: researcher 'r3' references unknown sds 'NOPE' [researchers.csv:7]",
+    "constraint_violation: researcher 'r1' listed in both 'S1' and 'S2' [researchers.csv:8]",
+    "duplicate_key: duplicate (researcher, year) key ('r1', 2012) [researchers.csv:10]",
+    "malformed_row: expected 4 fields, got 2 [researchers.csv:12]",
+    "malformed_row: year is not an integer: 'yr' [publications.csv:3]",
+    "malformed_row: citations is not an integer: 'x' [publications.csv:3]",
+    "malformed_row: author_count is not an integer: '-' [publications.csv:3]",
+    "malformed_row: citations must be >= 0, got -4 [publications.csv:4]",
+    "malformed_row: author_count must be >= 1, got 0 [publications.csv:4]",
+    "duplicate_key: duplicate pub_id 'old' [publications.csv:6]",
+    "duplicate_key: duplicate pub_id 'p1' [publications.csv:10]",
+    "empty_categories: publication 'empty' has no subject categories [publications.csv:11]",
+    "malformed_row: expected 5 fields, got 3 [publications.csv:12]",
+    "dangling_reference: authorship references unknown pub_id 'ghost' [authorships.csv:3]",
+    "dangling_reference: authorship references unknown researcher_id 'nobody' [authorships.csv:4]",
+    "duplicate_key: duplicate authorship ('p1', 'r1') [authorships.csv:5]",
+    "dangling_reference: authorship references unknown pub_id 'bad3' [authorships.csv:9]",
+    "malformed_row: expected 2 fields, got 1 [authorships.csv:11]",
+    "dangling_reference: authorship references unknown researcher_id 'r3' [authorships.csv:13]",
+    "constraint_violation: publication 'abc' has author_count 1 but 2 roster authorships [publications.csv]",
+    "constraint_violation: publication 'one' has author_count 1 but 2 roster authorships [publications.csv]",
+]
+# The file-level checks: the three taxonomy checks, a bad header, a
+# non-UTF-8 byte and an empty file.
+FILE_ISSUES = [
+    "malformed_row: empty code [taxonomy.csv:3]",
+    "duplicate_key: duplicate sds_code 'S1' [taxonomy.csv:4]",
+    "constraint_violation: conflicting names for uda 'U1' [taxonomy.csv:5]",
+    "malformed_row: bad header ['researcher_id', 'sds', 'year', 'rank'], "
+    "expected ['researcher_id', 'sds_code', 'year', 'rank'] [researchers.csv:1]",
+    "malformed_row: not valid UTF-8 (invalid continuation byte); rest of file skipped "
+    "[publications.csv:3]",
+    "malformed_row: empty file, header row required [authorships.csv:1]",
+]
+
+
+def _issue_lines(tmp_path, monkeypatch) -> list[str]:
+    # relative paths, so that each issue names its file as written here
+    monkeypatch.chdir(tmp_path)
+    paths = CorpusPaths(*(Path(f"{name}.csv") for name in
+                          ("taxonomy", "researchers", "publications", "authorships")))
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(paths, AnalysisConfig())
+    return [issue.format() for issue in issues_of(excinfo)]
+
+
+def test_every_row_check_reports_in_file_order(tmp_path, monkeypatch):
+    write_csvs(tmp_path, ORDER_TAXONOMY, ORDER_RESEARCHERS, ORDER_PUBLICATIONS,
+               ORDER_AUTHORSHIPS)
+    assert _issue_lines(tmp_path, monkeypatch) == ORDER_ISSUES
+
+
+def test_every_file_check_reports_in_file_order(tmp_path, monkeypatch):
+    write_csvs(tmp_path,
+               ["S1,Field one,U1,Discipline one", ",No code,U1,Discipline one",
+                "S1,Again,U1,Discipline one", "S2,Field two,U1,Another name",
+                "S3,Field three,U2,Discipline two"],
+               [], ["p1,2013,7,2,A"], [])
+    (tmp_path / "researchers.csv").write_text("researcher_id,sds,year,rank\nr1,S1,2012,full\n",
+                                              encoding="utf-8")
+    with open(tmp_path / "publications.csv", "ab") as handle:
+        handle.write(b"p3,2013,1,1,Caf\xe9\np4,2013,1,1,A\n")
+    (tmp_path / "authorships.csv").write_text("", encoding="utf-8")
+    assert _issue_lines(tmp_path, monkeypatch) == FILE_ISSUES
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_load_leaves_gc_state_as_found(tmp_path, enabled, valid):
+    publications = MINI_PUBLICATIONS if valid else ["p1,2013,x,2,A"]
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications,
+                       MINI_AUTHORSHIPS)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            load_corpus(paths, AnalysisConfig())
+        else:
+            with pytest.raises(CorpusValidationError):
+                load_corpus(paths, AnalysisConfig())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

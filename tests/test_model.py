@@ -12,6 +12,7 @@ from fieldstrength.model import (
     Taxonomy,
     cost_per_year,
     normalization_factor,
+    read_json_fields,
     researcher_cost,
 )
 
@@ -121,12 +122,25 @@ def test_analysis_config_validation():
         AnalysisConfig(hca_percentiles=(100,))
     with pytest.raises(ConfigurationError):
         AnalysisConfig(hca_percentiles=(5, 5))
+    with pytest.raises(ConfigurationError, match="at least one percentile"):
+        AnalysisConfig(hca_percentiles=())
     with pytest.raises(ConfigurationError):
         AnalysisConfig(ts_fence_multiplier=-0.1)
     with pytest.raises(ConfigurationError):
         AnalysisConfig(rescale_fallback="nearest_field")
     cfg = AnalysisConfig(hca_percentiles=(10, 1, 5))
     assert cfg.sorted_percentiles == (1.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (CostModel, "capital", float("nan")),
+    (CostModel, "reporting_scale", float("inf")),
+    (AnalysisConfig, "ts_fence_multiplier", float("-inf")),
+    (AnalysisConfig, "hca_percentiles", [5.0, float("nan")]),
+])
+def test_read_json_fields_rejects_non_finite_numbers(cls, key, value):
+    with pytest.raises(ConfigurationError, match=rf"^{key}(\[1\])? must be a finite number"):
+        read_json_fields(cls, {key: value})
 
 
 def test_taxonomy_rejects_orphan_uda():
