@@ -5,7 +5,8 @@ cost model, the analysis settings and the output options. Its keys are
 the fields of AnalysisConfig, CostModel and OutputOptions, read with
 strict JSON types; each has a default, so a minimal config only names the
 four input files. Exit codes: 0 success, 1 validation failure,
-2 configuration failure, 3 I/O failure.
+2 configuration failure, 3 I/O failure, 4 internal error (a fault of the
+program; the traceback is printed at --log-level debug).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 # the config file's sections besides "inputs"; each key is a field of one of them
 _SECTIONS = (AnalysisConfig, CostModel, OutputOptions)
@@ -57,6 +59,9 @@ def load_run_config(path: Path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputIOError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"config {path} is not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     try:
         raw = parse_json(text)
     except ValueError as exc:
@@ -291,6 +296,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputIOError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)  # the traceback, at --log-level debug
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

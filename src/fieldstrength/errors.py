@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the pipeline.
 
 Exit-code mapping (see cli): validation failure -> 1, configuration
-failure -> 2, I/O failure -> 3.
+failure -> 2, I/O failure -> 3, any other exception -> 4.
 """
 
 from __future__ import annotations

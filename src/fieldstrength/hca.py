@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import Corpus, PublicationRecord
+from .ingest import Corpus
 from .model import p_label
 
 
-@dataclass(frozen=True)
-class CitationCell:
+class CitationCell(NamedTuple):
     """All publications of one (year, subject category) pair."""
 
     year: int
@@ -33,13 +32,32 @@ class CitationCell:
     pub_ids: tuple[str, ...]
     citations: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.pub_ids)
 
-    @property
-    def members(self) -> list[tuple[str, int]]:
-        return list(zip(self.pub_ids, self.citations))
+@dataclass(frozen=True, eq=False)
+class CitationCells:
+    """Every (year, subject category) cell of a corpus, as columns.
+
+    Cell i is (year[i], corpus.categories[category[i]]); its members are the
+    publication rows pub_row[start[i]:start[i + 1]], ascending. Cells are in
+    (year, category) order; iterating reads them back as CitationCell records.
+    """
+
+    corpus: Corpus
+    year: np.ndarray
+    category: np.ndarray
+    start: np.ndarray
+    pub_row: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    def __iter__(self) -> Iterator[CitationCell]:
+        corpus = self.corpus
+        members = np.split(self.pub_row, self.start[1:-1])
+        for year, category, rows in zip(self.year.tolist(), self.category.tolist(), members):
+            yield CitationCell(year, corpus.categories[category],
+                               tuple(map(corpus.pub_ids.__getitem__, rows.tolist())),
+                               tuple(corpus.citations[rows].tolist()))
 
 
 @dataclass(frozen=True)
@@ -48,37 +66,33 @@ class HcaFlagSet:
 
     best_category records, for each flagged publication, the category in
     which it achieved its best cell standing (smallest share of members
-    strictly above it; ties broken by category code).
+    strictly above it; ties broken by category code). hit marks the
+    flagged rows of the corpus the cells came from.
     """
 
     p: float
     flagged: frozenset[str]
     best_category: Mapping[str, str]
+    hit: np.ndarray = field(compare=False, repr=False)
 
 
-def build_cells(publications: Iterable[PublicationRecord]) -> list[CitationCell]:
+def build_cells(corpus: Corpus) -> CitationCells:
     """Group publications into (year, category) cells.
 
-    A publication with several categories appears in one cell per
-    category. Cells come back sorted by (year, category) with members
-    sorted by pub_id, so the output is independent of input order.
+    A publication with several categories is a member of one cell per
+    category. One lexsort of the memberships by (year, category code, pub
+    row) gives the cells sorted by (year, category) with members sorted by
+    pub_id, whatever the input order.
     """
-    groups: dict[tuple[int, str], list[tuple[str, int]]] = {}
-    for pub in publications:
-        for category in pub.subject_categories:
-            groups.setdefault((pub.year, category), []).append((pub.pub_id, pub.citations))
-    cells = []
-    for (year, category), members in sorted(groups.items()):
-        members.sort()
-        cells.append(
-            CitationCell(
-                year=year,
-                category=category,
-                pub_ids=tuple(m[0] for m in members),
-                citations=tuple(m[1] for m in members),
-            )
-        )
-    return cells
+    member_pub = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
+    member_year = corpus.year[member_pub]
+    order = np.lexsort((member_pub, corpus.category_code, member_year))
+    year, category = member_year[order], corpus.category_code[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (year[1:] != year[:-1]) | (category[1:] != category[:-1])
+    heads = np.flatnonzero(head)
+    return CitationCells(corpus=corpus, year=year[heads], category=category[heads],
+                         start=np.append(heads, len(order)), pub_row=member_pub[order])
 
 
 def _strictly_above(cell_of: np.ndarray, citations: np.ndarray,
@@ -106,16 +120,16 @@ def _best_category(pub_of: np.ndarray, share_above: np.ndarray,
     return member_category[best[first]]
 
 
-def flag_hcas(cells: Sequence[CitationCell],
-              percentiles: Iterable[float]) -> dict[float, HcaFlagSet]:
+def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> dict[float, HcaFlagSet]:
     """Flag publications highly cited at every percentile in one pass.
 
     The strictly-above count b of each cell membership, the cell sizes and
     each publication's best standing do not depend on p, so they are
     computed once for all memberships. Each p then costs one vectorized
-    comparison, scattered to publications: a multi-category publication is
-    flagged if it qualifies in at least one of its cells (the most
-    favourable category counts).
+    comparison, scattered to publication rows: a multi-category
+    publication is flagged if it qualifies in at least one of its cells
+    (the most favourable category counts). Row indices become pub_id and
+    category strings only for the flagged publications.
 
     The rule b < p*size/100 is decided exactly, with p taken as the decimal
     it is written as (Fraction(repr(p))), not as its binary float: for an
@@ -126,52 +140,36 @@ def flag_hcas(cells: Sequence[CitationCell],
     for p in percentiles:
         if not 0 < p <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {p}")
-    sizes = np.array([cell.size for cell in cells], dtype=np.int64)
-    n = int(sizes.sum())
+    corpus = cells.corpus
+    n_pubs = len(corpus.pub_ids)
+    sizes = np.diff(cells.start)
     # one entry per membership; int32 codes keep the peak memory down
     cell_of = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
-    citations = np.fromiter(chain.from_iterable(cell.citations for cell in cells),
-                            dtype=np.int64, count=n)
-    row_of: dict[str, int] = {}
-    pub_of = np.fromiter((row_of.setdefault(pub_id, len(row_of))
-                          for cell in cells for pub_id in cell.pub_ids), dtype=np.int32, count=n)
-    pub_ids = list(row_of)
-    del row_of
-    categories = sorted({cell.category for cell in cells})
-    code = {category: i for i, category in enumerate(categories)}
-    member_category = np.array([code[cell.category] for cell in cells], dtype=np.int32)[cell_of]
-
-    above = _strictly_above(cell_of, citations, sizes)
-    best_category = _best_category(pub_of, above / sizes[cell_of], member_category).tolist()
+    above = _strictly_above(cell_of, corpus.citations[cells.pub_row], sizes)
+    # every publication has a category, so is in a cell: one best category per row
+    best_category = _best_category(cells.pub_row, above / sizes[cell_of], cells.category[cell_of])
     distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
+    member_size = size_index[cell_of]
 
     flag_sets = {}
     for p in percentiles:
         exact_p = Fraction(repr(float(p)))
         cutoffs = np.array([math.ceil(exact_p * size / 100) for size in distinct_sizes.tolist()],
                            dtype=np.int64)
-        hit = np.zeros(len(pub_ids), dtype=bool)
-        hit[pub_of[above < cutoffs[size_index][cell_of]]] = True
-        best = {pub_ids[row]: categories[best_category[row]] for row in np.flatnonzero(hit).tolist()}
+        hit = np.zeros(n_pubs, dtype=bool)
+        hit[cells.pub_row[above < cutoffs[member_size]]] = True
+        rows = np.flatnonzero(hit)
+        best = dict(zip(map(corpus.pub_ids.__getitem__, rows.tolist()),
+                        map(corpus.categories.__getitem__, best_category[rows].tolist())))
         # a frozenset built from a dict is sized once, half the table of one grown from a generator
-        flag_sets[p] = HcaFlagSet(p=p, flagged=frozenset(best), best_category=best)
+        flag_sets[p] = HcaFlagSet(p=p, flagged=frozenset(best), best_category=best, hit=hit)
     return flag_sets
-
-
-def fractional_value(pub: PublicationRecord) -> float:
-    """Each author's share of one publication: 1 / author_count."""
-    if pub.author_count < 1:
-        raise ValueError(f"publication {pub.pub_id} has author_count {pub.author_count}")
-    return 1.0 / pub.author_count
 
 
 def write_flags_csv(flag_sets: Mapping[float, HcaFlagSet], path: Path) -> int:
     """Export flagged publications with the category of their best standing."""
-    rows = []
-    for p in sorted(flag_sets):
-        flags = flag_sets[p]
-        for pub_id in sorted(flags.flagged):
-            rows.append((pub_id, p_label(p), flags.best_category[pub_id]))
+    rows = [(pub_id, p_label(p), flag_sets[p].best_category[pub_id])
+            for p in sorted(flag_sets) for pub_id in sorted(flag_sets[p].flagged)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["pub_id", "p", "category_of_best_rank"])
@@ -198,53 +196,37 @@ class SummaryTable:
     overall: SummaryRow
 
 
-def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
-                   authors_by_pub: Mapping[str, tuple[str, ...]]) -> SummaryTable:
+def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> SummaryTable:
     """Per-discipline dataset summary.
 
     A publication counts once per discipline it reaches through its
     roster authors, so a cross-discipline co-authored publication counts
     in several rows; the overall row de-duplicates (it counts distinct
     publications), which is why per-discipline columns can sum to more
-    than the overall value. authors_by_pub is corpus.authors_by_pub,
-    built once by the caller.
+    than the overall value. The distinct (discipline, publication) pairs
+    come from one sort of the links' codes uda * n_pubs + pub_row.
     """
     percentiles = corpus.config.sorted_percentiles
-    flagged = {p: flag_sets[p].flagged for p in percentiles}
+    taxonomy = corpus.taxonomy
+    researcher_udas = [taxonomy.uda_of(r.sds) for r in corpus.researchers.values()]
+    udas = sorted(set(researcher_udas))
+    code = {uda: i for i, uda in enumerate(udas)}
+    researcher_uda = np.array([code[uda] for uda in researcher_udas], dtype=np.int64)
+    n_sds = Counter(taxonomy.uda_of(sds) for sds in {r.sds for r in corpus.researchers.values()})
 
-    pubs_by_uda: dict[str, set[str]] = {}
-    profs_by_uda: dict[str, set[str]] = {}
-    sds_by_uda: dict[str, set[str]] = {}
-    for researcher in corpus.researchers.values():
-        uda = corpus.taxonomy.uda_of(researcher.sds)
-        profs_by_uda.setdefault(uda, set()).add(researcher.researcher_id)
-        sds_by_uda.setdefault(uda, set()).add(researcher.sds)
-    for pub_id, authors in authors_by_pub.items():
-        for researcher_id in authors:
-            uda = corpus.taxonomy.uda_of(corpus.researchers[researcher_id].sds)
-            pubs_by_uda.setdefault(uda, set()).add(pub_id)
+    def per_uda(codes: np.ndarray) -> list[int]:
+        return np.bincount(codes, minlength=len(udas)).tolist()
 
-    rows = []
-    for uda in sorted(profs_by_uda):
-        pubs = pubs_by_uda.get(uda, set())
-        rows.append(
-            SummaryRow(
-                uda=uda,
-                uda_name=corpus.taxonomy.uda_names[uda],
-                n_sds=len(sds_by_uda[uda]),
-                n_professors=len(profs_by_uda[uda]),
-                n_publications=len(pubs),
-                hca_counts={p: len(pubs & flagged[p]) for p in percentiles},
-            )
-        )
-
-    all_pubs = set(authors_by_pub)
-    overall = SummaryRow(
-        uda="ALL",
-        uda_name="Overall",
-        n_sds=sum(r.n_sds for r in rows),
-        n_professors=sum(r.n_professors for r in rows),
-        n_publications=len(all_pubs),
-        hca_counts={p: len(all_pubs & flagged[p]) for p in percentiles},
-    )
-    return SummaryTable(percentiles=percentiles, rows=tuple(rows), overall=overall)
+    stride = max(len(corpus.pub_ids), 1)
+    pairs = np.sort(researcher_uda[corpus.link_researcher] * stride + corpus.link_pub)
+    pair_uda, pair_pub = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], stride)
+    columns = zip(udas, per_uda(researcher_uda), per_uda(pair_uda),
+                  *(per_uda(pair_uda[flag_sets[p].hit[pair_pub]]) for p in percentiles))
+    rows = tuple(SummaryRow(uda, taxonomy.uda_names[uda], n_sds[uda], n_professors, n_publications,
+                            dict(zip(percentiles, hca_counts)))
+                 for uda, n_professors, n_publications, *hca_counts in columns)
+    roster = corpus.has_roster_author
+    overall = SummaryRow("ALL", "Overall", sum(r.n_sds for r in rows),
+                         sum(r.n_professors for r in rows), int(roster.sum()),
+                         {p: int((roster & flag_sets[p].hit).sum()) for p in percentiles})
+    return SummaryTable(percentiles=percentiles, rows=rows, overall=overall)

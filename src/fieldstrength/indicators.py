@@ -116,10 +116,7 @@ def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
             n_by_rank[corpus.researchers[score.researcher_id].latest_rank] += 1
 
         ts_ids: dict[float, frozenset[str]] = {}
-        fhca_total: dict[float, float] = {}
-        fhca_rescaled: dict[float, float] = {}
-        fss_ts_by_p: dict[float, float] = {}
-        fss_fhca_by_p: dict[float, float] = {}
+        fhca_total, fhca_rescaled, fss_ts_by_p, fss_fhca_by_p = {}, {}, {}, {}
         provenance: dict[float, str] = {}
         for p in percentiles:
             ts = ts_by_sds[sds][p]
@@ -133,21 +130,11 @@ def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
             fss_fhca_by_p[p] = per_euro(fhca_rescaled[p], total_cost, scale)
             fss_ts_by_p[p] = per_euro(len(ts), total_cost, scale)
 
-        boards.append(
-            FieldScoreboard(
-                sds=sds,
-                uda=uda,
-                n_professors=len(field_scores),
-                n_by_rank=n_by_rank,
-                total_cost=total_cost,
-                ts_ids=ts_ids,
-                fhca_total=fhca_total,
-                fhca_rescaled=fhca_rescaled,
-                fss_ts=fss_ts_by_p,
-                fss_fhca=fss_fhca_by_p,
-                rescale_provenance=provenance,
-            )
-        )
+        boards.append(FieldScoreboard(
+            sds=sds, uda=uda, n_professors=len(field_scores), n_by_rank=n_by_rank,
+            total_cost=total_cost, ts_ids=ts_ids, fhca_total=fhca_total,
+            fhca_rescaled=fhca_rescaled, fss_ts=fss_ts_by_p, fss_fhca=fss_fhca_by_p,
+            rescale_provenance=provenance))
     return boards
 
 
@@ -165,26 +152,16 @@ def aggregate_uda(uda: str, fields: Sequence[FieldScoreboard],
     weights = {f.sds: f.total_cost / total_cost for f in fields}
     n_professors = sum(f.n_professors for f in fields)
 
-    ts_count = {}
-    ts_share = {}
-    w_fss_ts = {}
-    w_fss_fhca = {}
+    ts_count, ts_share, w_fss_ts, w_fss_fhca = {}, {}, {}, {}
     for p in percentiles:
         ts_count[p] = sum(f.ts_count(p) for f in fields)
         ts_share[p] = 100.0 * ts_count[p] / n_professors
         w_fss_ts[p] = sum(weights[f.sds] * f.fss_ts[p] for f in fields)
         w_fss_fhca[p] = sum(weights[f.sds] * f.fss_fhca[p] for f in fields)
 
-    return DisciplineScoreboard(
-        uda=uda,
-        n_sds=len(fields),
-        n_professors=n_professors,
-        total_cost=total_cost,
-        ts_count=ts_count,
-        ts_share=ts_share,
-        fss_ts=w_fss_ts,
-        fss_fhca=w_fss_fhca,
-    )
+    return DisciplineScoreboard(uda=uda, n_sds=len(fields), n_professors=n_professors,
+                                total_cost=total_cost, ts_count=ts_count, ts_share=ts_share,
+                                fss_ts=w_fss_ts, fss_fhca=w_fss_fhca)
 
 
 def build_discipline_scoreboards(boards: Sequence[FieldScoreboard],

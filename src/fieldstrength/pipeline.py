@@ -7,7 +7,7 @@ can be exercised and compared in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from .analytics import (
     AverageRankResult,
@@ -53,10 +53,9 @@ class PipelineResult:
 def run_pipeline(corpus: Corpus, cost_model: CostModel,
                  top_bottom_k: int = OutputOptions.top_bottom_k) -> PipelineResult:
     percentiles = list(corpus.config.sorted_percentiles)
-    cells = build_cells(corpus.publications.values())
+    cells = build_cells(corpus)
     flag_sets = flag_hcas(cells, percentiles)
-    authors_by_pub = corpus.authors_by_pub
-    summary = corpus_summary(corpus, flag_sets, authors_by_pub)
+    summary = corpus_summary(corpus, flag_sets)
     scores = score_researchers(corpus, flag_sets, cost_model)
     boards = build_field_scoreboards(corpus, scores, flag_sets, cost_model)
     if boards:
@@ -70,12 +69,11 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     quadrant = quadrant_classify(boards, percentiles)
     avg_rank = average_rank_extremes(rankings, top_bottom_k)
 
-    roster_pubs = set(authors_by_pub)
     counts = {
         "researchers": len(corpus.researchers),
-        "publications": len(corpus.publications),
-        "baseline_only_publications": len(corpus.publications.keys() - roster_pubs),
-        "authorships": len(corpus.authorships),
+        "publications": len(corpus.pub_ids),
+        "baseline_only_publications": len(corpus.pub_ids) - summary.overall.n_publications,
+        "authorships": len(corpus.link_pub),
         "citation_cells": len(cells),
         "fields": len(boards),
         "disciplines": len(discipline_rows),
@@ -83,26 +81,19 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     for p in percentiles:
         pl = p_label(p)
         counts[f"hca_{pl}_flagged"] = len(flag_sets[p].flagged)
-        counts[f"hca_{pl}_roster"] = len(flag_sets[p].flagged & roster_pubs)
+        counts[f"hca_{pl}_roster"] = summary.overall.hca_counts[p]
         counts[f"ts_{pl}"] = sum(b.ts_count(p) for b in boards)
 
     warnings = list(corpus.report.warnings)
-    for board in boards:
-        for p in percentiles:
-            source = board.rescale_provenance[p]
-            if source != RESCALE_FROM_FIELD:
-                warnings.append(
-                    f"field {board.sds}: rescaling at p={p_label(p)} used {source}"
-                )
+    warnings += [f"field {board.sds}: rescaling at p={p_label(p)} used {source}"
+                 for board in boards for p, source in board.rescale_provenance.items()
+                 if source != RESCALE_FROM_FIELD]
     if avg_rank.truncated:
         warnings.append(
-            f"average-rank lists truncated: requested {top_bottom_k}, have {len(boards)} fields"
-        )
+            f"average-rank lists truncated: requested {top_bottom_k}, have {len(boards)} fields")
     if quadrant.ambiguous:
-        warnings.append(
-            "fields strong at one percentile but weak at another, in neither union: "
-            + ", ".join(sorted(quadrant.ambiguous))
-        )
+        warnings.append("fields strong at one percentile but weak at another, in neither union: "
+                        + ", ".join(sorted(quadrant.ambiguous)))
 
     bundle = _build_bundle(
         corpus, summary, boards, discipline_rows, discipline_overall,
@@ -126,55 +117,33 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     )
 
 
+def _per_p(percentiles, **families: Mapping[float, Any]) -> dict[str, Any]:
+    """One f"{family}_{p}" entry per family and percentile, family by family."""
+    return {f"{family}_{p_label(p)}": values[p]
+            for family, values in families.items() for p in percentiles}
+
+
 def _summary_row_dict(row, percentiles) -> dict[str, Any]:
-    out = {
-        "uda": row.uda,
-        "uda_name": row.uda_name,
-        "n_sds": row.n_sds,
-        "n_professors": row.n_professors,
-        "n_publications": row.n_publications,
-    }
-    for p in percentiles:
-        out[f"hca_{p_label(p)}"] = row.hca_counts[p]
-    return out
+    return {"uda": row.uda, "uda_name": row.uda_name, "n_sds": row.n_sds,
+            "n_professors": row.n_professors, "n_publications": row.n_publications,
+            **_per_p(percentiles, hca=row.hca_counts)}
 
 
 def _discipline_row_dict(row: DisciplineScoreboard, percentiles) -> dict[str, Any]:
-    out = {
-        "uda": row.uda,
-        "n_sds": row.n_sds,
-        "n_professors": row.n_professors,
-        "total_cost": row.total_cost,
-    }
+    out = {"uda": row.uda, "n_sds": row.n_sds, "n_professors": row.n_professors,
+           "total_cost": row.total_cost}
     for p in percentiles:
-        pl = p_label(p)
-        out[f"ts_{pl}"] = row.ts_count[p]
-        out[f"ts_{pl}_share"] = row.ts_share[p]
-    for p in percentiles:
-        out[f"fss_ts_{p_label(p)}"] = row.fss_ts[p]
-    for p in percentiles:
-        out[f"fss_fhca_{p_label(p)}"] = row.fss_fhca[p]
-    return out
+        out.update({f"ts_{p_label(p)}": row.ts_count[p], f"ts_{p_label(p)}_share": row.ts_share[p]})
+    return {**out, **_per_p(percentiles, fss_ts=row.fss_ts, fss_fhca=row.fss_fhca)}
 
 
 def _field_row_dict(board: FieldScoreboard, percentiles) -> dict[str, Any]:
-    out = {
-        "sds": board.sds,
-        "uda": board.uda,
-        "n_assistant": board.n_by_rank["assistant"],
-        "n_associate": board.n_by_rank["associate"],
-        "n_full": board.n_by_rank["full"],
-        "n_professors": board.n_professors,
-        "total_cost": board.total_cost,
-    }
-    for p in percentiles:
-        out[f"ts_{p_label(p)}"] = board.ts_count(p)
-    for p in percentiles:
-        out[f"fss_ts_{p_label(p)}"] = board.fss_ts[p]
-    for p in percentiles:
-        out[f"fss_fhca_{p_label(p)}"] = board.fss_fhca[p]
-    out["fallback_flags"] = board.fallback_flags()
-    return out
+    return {"sds": board.sds, "uda": board.uda,
+            **{f"n_{rank}": board.n_by_rank[rank] for rank in ("assistant", "associate", "full")},
+            "n_professors": board.n_professors, "total_cost": board.total_cost,
+            **_per_p(percentiles, ts={p: board.ts_count(p) for p in percentiles},
+                     fss_ts=board.fss_ts, fss_fhca=board.fss_fhca),
+            "fallback_flags": board.fallback_flags()}
 
 
 def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
@@ -193,12 +162,8 @@ def _build_bundle(corpus, summary, boards, discipline_rows, discipline_overall,
         return entries
 
     def avg_entry(entry) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "sds": entry.sds,
-            "uda": uda_of[entry.sds],
-            "avg_rank": entry.avg_rank,
-            "position": entry.position,
-        }
+        out: dict[str, Any] = {"sds": entry.sds, "uda": uda_of[entry.sds],
+                               "avg_rank": entry.avg_rank, "position": entry.position}
         for i in ids:
             out[f"{i}_value"] = entry.values[i]
             out[f"{i}_rank"] = entry.ranks[i]

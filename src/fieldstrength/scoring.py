@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .hca import HcaFlagSet, fractional_value
+from .hca import HcaFlagSet
 from .ingest import Corpus
 from .model import CostModel, p_label, researcher_cost
 
@@ -48,31 +47,20 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
     """Fractional HCA score per percentile plus total fractional output
     and cost, for every roster researcher (zero scorers included).
 
-    Every sum is one np.bincount over the authorship links, which come
-    sorted by pub_id: bincount adds in input order, so each researcher's
-    shares are added in ascending pub_id order at every percentile.
-    Output is sorted by (sds, researcher_id).
+    Every sum is one np.bincount of 1/author_count over the authorship
+    links, which come sorted by pub_id: bincount adds in input order, so
+    each researcher's shares are added in ascending pub_id order at every
+    percentile. Output is sorted by (sds, researcher_id).
     """
     percentiles = sorted(flag_sets)
-    researcher_row = {researcher_id: i for i, researcher_id in enumerate(corpus.researchers)}
-    links = corpus.authorships
-    pub_ids = list(map(attrgetter("pub_id"), links))
-    link_researcher = np.fromiter(
-        map(researcher_row.__getitem__, map(attrgetter("researcher_id"), links)),
-        dtype=np.intp, count=len(links))
-    share = np.fromiter(map(fractional_value, map(corpus.publications.__getitem__, pub_ids)),
-                        dtype=float, count=len(links))
+    share = 1.0 / corpus.author_count[corpus.link_pub]
 
     def per_researcher(weights: np.ndarray) -> list[float]:
-        return np.bincount(link_researcher, weights=weights,
-                           minlength=len(researcher_row)).tolist()
+        return np.bincount(corpus.link_researcher, weights=weights,
+                           minlength=len(corpus.researchers)).tolist()
 
     output = per_researcher(share)
-    fhca = {}
-    for p in percentiles:
-        flagged = np.fromiter(map(flag_sets[p].flagged.__contains__, pub_ids),
-                              dtype=bool, count=len(links))
-        fhca[p] = per_researcher(share * flagged)
+    fhca = {p: per_researcher(share * flag_sets[p].hit[corpus.link_pub]) for p in percentiles}
 
     scores = [
         ResearcherScore(

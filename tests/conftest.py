@@ -4,15 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fieldstrength.hca import CitationCell, CitationCells, build_cells
 from fieldstrength.indicators import FieldScoreboard
-from fieldstrength.ingest import (
-    AuthorshipLink,
-    Corpus,
-    CorpusPaths,
-    LoadReport,
-    PublicationRecord,
-    load_corpus,
-)
+from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
 from fieldstrength.model import AnalysisConfig, CostModel, ResearcherRecord, Taxonomy
 from fieldstrength.pipeline import PipelineResult, run_pipeline
 from fieldstrength.synth import SynthParams, generate
@@ -27,29 +21,44 @@ def mk_taxonomy(sds_to_uda: dict[str, str]) -> Taxonomy:
 
 
 def mk_corpus(researchers, pubs, links, sds_to_uda, config=None) -> Corpus:
-    """Assemble a Corpus directly, bypassing the CSV layer.
+    """Assemble a Corpus with the loader's table constructor, bypassing the
+    CSV layer.
 
     researchers: (id, sds, {year: rank}); pubs: (id, year, citations,
     author_count, [categories]); links: (pub_id, researcher_id).
     """
-    config = config or AnalysisConfig()
-    return Corpus(
-        taxonomy=mk_taxonomy(sds_to_uda),
-        researchers={
-            rid: ResearcherRecord(researcher_id=rid, sds=sds, rank_by_year=dict(ranks))
-            for rid, sds, ranks in researchers
-        },
-        publications={
-            pid: PublicationRecord(
-                pub_id=pid, year=year, citations=cits, author_count=n,
-                subject_categories=tuple(sorted(cats)),
-            )
-            for pid, year, cits, n, cats in pubs
-        },
-        authorships=tuple(AuthorshipLink(p, r) for p, r in sorted(links)),
-        config=config,
+    pub_index = {pub[0]: i for i, pub in enumerate(pubs)}
+    researcher_index = {researcher[0]: i for i, researcher in enumerate(researchers)}
+    return build_corpus(
+        mk_taxonomy(sds_to_uda),
+        [ResearcherRecord(researcher_id=rid, sds=sds, rank_by_year=dict(ranks))
+         for rid, sds, ranks in researchers],
+        pub_ids=[pub[0] for pub in pubs],
+        year=[pub[1] for pub in pubs],
+        citations=[pub[2] for pub in pubs],
+        author_count=[pub[3] for pub in pubs],
+        category_sets=[tuple(sorted(set(pub[4]))) for pub in pubs],
+        category_set_of=range(len(pubs)),
+        link_pub=[pub_index[pub_id] for pub_id, _ in links],
+        link_researcher=[researcher_index[researcher_id] for _, researcher_id in links],
+        config=config or AnalysisConfig(),
         report=LoadReport(),
     )
+
+
+def mk_cells(pubs) -> CitationCells:
+    """The citation cells of publications given as mk_corpus rows."""
+    return build_cells(mk_corpus([], pubs, [], {"S1": "U1"}))
+
+
+def members(cell: CitationCell) -> list[tuple[str, int]]:
+    """The (pub_id, citations) pairs of a cell, as the oracle takes them."""
+    return list(zip(cell.pub_ids, cell.citations))
+
+
+def one_cell(citations, year=2012, category="A") -> CitationCells:
+    """One cell whose members p0, p1, ... have the given citation counts."""
+    return mk_cells([(f"p{i}", year, c, 1, [category]) for i, c in enumerate(citations)])
 
 
 def mk_board(sds: str, uda: str, fss_ts: dict[float, float], fss_fhca: dict[float, float],

@@ -17,10 +17,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import mk_board, mk_corpus
+from conftest import members, mk_board, mk_corpus, one_cell
 from fieldstrength.analytics import rank_indicator, spearman
 from fieldstrength.cli import main
-from fieldstrength.hca import CitationCell, build_cells, flag_hcas
+from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.indicators import build_field_scoreboards
 from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import AnalysisConfig, CostModel, cost_per_year
@@ -81,10 +81,9 @@ def test_criterion_2_oracle_equivalence():
         for _ in range(1000):
             size = rng.randint(1, 200)
             citations = [rng.randint(0, 50) for _ in range(size)]
-            cell = CitationCell(2012, "A", tuple(f"p{i}" for i in range(size)),
-                                tuple(citations))
+            cells = one_cell(citations)
             p = rng.choice([5.0, 10.0, round(rng.uniform(0.5, 99.5), 2)])
-            assert flag_hcas([cell], [p])[p].flagged == oracle_top_p(cell.members, p)
+            assert flag_hcas(cells, [p])[p].flagged == oracle_top_p(members(*cells), p)
 
         # Tukey quartiles: 1e-12
         for _ in range(1000):
@@ -131,7 +130,7 @@ def test_criterion_3_invariance_suite(default_corpus, default_result, tmp_path):
                               professors_per_field=(4, 8), pubs_per_professor_mean=5.0,
                               hca_fraction=0.5)]
         for corpus in corpora:
-            cells = build_cells(corpus.publications.values())
+            cells = build_cells(corpus)
             assert flag_hcas(cells, [5.0])[5.0].flagged <= flag_hcas(cells, [10.0])[10.0].flagged
 
         # (b) positive scaling of a field's scores leaves its TS set unchanged
@@ -238,8 +237,7 @@ def test_criterion_5_rescaling_purpose():
                     pubs.append((pid, 2013, i % 4, 2, [cat]))
                     links.append((pid, f"{tag}{i}"))
         corpus = mk_corpus(researchers, pubs, links, {"S1": "U1", "S2": "U2"})
-        flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
-                 for p in (5.0, 10.0)}
+        flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
         scores = score_researchers(corpus, flags, CostModel())
         boards = {b.sds: b for b in
                   build_field_scoreboards(corpus, scores, flags, CostModel())}

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import MINI_AUTHORSHIPS, MINI_PUBLICATIONS, MINI_RESEARCHERS, MINI_TAXONOMY, write_csvs
+from fieldstrength import cli
 from fieldstrength.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_config(tmp_path: Path, corpus_dir: Path, **extra) -> Path:
@@ -296,3 +302,68 @@ def test_params_file_seed_survives_unless_flag_given(tmp_path):
     assert (a / "publications.csv").read_bytes() == (b / "publications.csv").read_bytes()
     assert main(["synth", "--out", str(c), "--params", str(params), "--seed", "8"]) == 0
     assert (a / "publications.csv").read_bytes() != (c / "publications.csv").read_bytes()
+
+
+def test_rows_before_a_bad_byte_are_validated(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    paths = write_csvs(corpus, MINI_TAXONOMY, MINI_RESEARCHERS,
+                       ["p1,2013,7,2,A", "p2,2013,x,2,A"], MINI_AUTHORSHIPS)
+    with open(paths.publications, "ab") as handle:
+        handle.write(b"p3,2013,1,1,Caf\xe9\n")
+    assert main(["validate", "--config", str(write_config(tmp_path, corpus))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 errors",
+        f"  malformed_row: citations is not an integer: 'x' [{paths.publications}:3]",
+        "  malformed_row: not valid UTF-8 (invalid continuation byte); rest of file skipped "
+        f"[{paths.publications}:4]",
+    ]
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"inputs": {}, "capital": "caf\xe9"}')
+    assert main(["validate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"config {config} is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, mini_config, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    assert main(["run", "--config", str(mini_config), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom on two lines\n"
+
+
+def test_internal_error_traceback_only_at_debug_level(mini_config, tmp_path):
+    script = ("import sys\n"
+              "from fieldstrength import cli\n"
+              "def broken(*args, **kwargs):\n"
+              "    raise RuntimeError('boom')\n"
+              "cli.run_pipeline = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for level, traceback in (("warning", False), ("debug", True)):
+        done = subprocess.run([sys.executable, "-c", script, "--log-level", level, "run",
+                               "--config", str(mini_config), "--out", str(tmp_path / level)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 4
+        assert done.stderr.endswith("internal error: RuntimeError: boom\n")
+        assert ("Traceback" in done.stderr) is traceback
+
+
+def test_run_output_does_not_depend_on_the_hash_seed(default_synth_dir, tmp_path):
+    # string hashing is salted per process, so an order taken from a set of
+    # strings would show up as two different trees
+    config = write_config(tmp_path, default_synth_dir)
+    trees = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out_{seed}"
+        subprocess.run([sys.executable, "-m", "fieldstrength.cli", "run", "--config", str(config),
+                        "--out", str(out)], check=True,
+                       env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed))
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1] and len(trees[0]) == 23

@@ -4,83 +4,73 @@ import random
 
 import pytest
 
-from fieldstrength.hca import (
-    CitationCell,
-    build_cells,
-    flag_hcas,
-    fractional_value,
-)
-from fieldstrength.ingest import PublicationRecord
+from conftest import members, mk_cells, mk_corpus, one_cell
+from fieldstrength.hca import build_cells, flag_hcas
+from fieldstrength.model import CostModel
 from fieldstrength.oracles import oracle_top_p
+from fieldstrength.scoring import score_researchers
 
 
 def pub(pid, year, cits, cats, n_authors=1):
-    return PublicationRecord(pub_id=pid, year=year, citations=cits,
-                             author_count=n_authors, subject_categories=tuple(cats))
-
-
-def cell_of(citations: list[int], year=2012, category="A") -> CitationCell:
-    return CitationCell(
-        year=year, category=category,
-        pub_ids=tuple(f"p{i}" for i in range(len(citations))),
-        citations=tuple(citations),
-    )
+    return (pid, year, cits, n_authors, cats)
 
 
 def test_build_cells_groups_by_year_and_category():
-    cells = build_cells([
+    cells = mk_cells([
         pub("p1", 2012, 3, ["A"]),
         pub("p2", 2012, 5, ["A"]),
         pub("p3", 2013, 1, ["A"]),
     ])
-    assert [(c.year, c.category, c.size) for c in cells] == [(2012, "A", 2), (2013, "A", 1)]
+    assert [(c.year, c.category, len(c.pub_ids)) for c in cells] == [(2012, "A", 2), (2013, "A", 1)]
 
 
 def test_build_cells_multi_category_membership():
-    cells = build_cells([pub("p1", 2012, 3, ["A", "B"])])
+    cells = mk_cells([pub("p1", 2012, 3, ["A", "B"])])
     assert [(c.year, c.category) for c in cells] == [(2012, "A"), (2012, "B")]
     assert all(c.pub_ids == ("p1",) for c in cells)
 
 
 def test_build_cells_empty():
-    assert build_cells([]) == []
+    assert len(mk_cells([])) == 0
+    assert list(mk_cells([])) == []
 
 
 def test_build_cells_order_insensitive():
     pubs = [pub(f"p{i}", 2012 + i % 3, i * 2 % 7, ["A", "B"][i % 2]) for i in range(30)]
     shuffled = list(pubs)
     random.Random(3).shuffle(shuffled)
-    assert build_cells(pubs) == build_cells(shuffled)
+    assert list(mk_cells(pubs)) == list(mk_cells(shuffled))
 
 
 def test_is_top_p_distinct_counts():
-    cell = cell_of(list(range(100)))
-    top5 = flag_hcas([cell], [5])[5].flagged
+    cells = one_cell(list(range(100)))
+    top5 = flag_hcas(cells, [5])[5].flagged
     assert top5 == {"p95", "p96", "p97", "p98", "p99"}
-    assert oracle_top_p(cell.members, 5) == top5
+    assert oracle_top_p(members(*cells), 5) == top5
 
 
 def test_is_top_p_all_tied_cell_flags_everyone():
     # b = 0 for every member, so the whole tie group shares the best outcome
-    cell = cell_of([4] * 20)
-    assert flag_hcas([cell], [5])[5].flagged == set(cell.pub_ids)
-    assert oracle_top_p(cell.members, 5) == set(cell.pub_ids)
+    cells = one_cell([4] * 20)
+    [cell] = cells
+    assert flag_hcas(cells, [5])[5].flagged == set(cell.pub_ids)
+    assert oracle_top_p(members(cell), 5) == set(cell.pub_ids)
 
 
 def test_is_top_p_singleton():
-    cell = cell_of([0])
-    assert flag_hcas([cell], [5])[5].flagged == {"p0"}
-    assert oracle_top_p(cell.members, 5) == {"p0"}
+    cells = one_cell([0])
+    assert flag_hcas(cells, [5])[5].flagged == {"p0"}
+    assert oracle_top_p(members(*cells), 5) == {"p0"}
 
 
 def test_percentile_is_compared_as_its_decimal():
     # exactly 2.2% of 1500 is 33 members, so a member with b = 33 above it is
     # not in the top 2.2%; in floats 2.2 * 1500 is 3300.0000000000005 > 100 * 33
-    cell = cell_of(list(range(1500)))
-    flagged = flag_hcas([cell], [2.2])[2.2].flagged
+    cells = one_cell(list(range(1500)))
+    flagged = flag_hcas(cells, [2.2])[2.2].flagged
     assert "p1466" not in flagged  # b = 33
     assert flagged == {f"p{i}" for i in range(1467, 1500)}  # b = 0..32
-    assert oracle_top_p(cell.members, 2.2) == flagged
+    assert oracle_top_p(members(*cells), 2.2) == flagged
 
 
 def test_flag_hcas_most_favourable_category():
@@ -90,7 +80,7 @@ def test_flag_hcas_most_favourable_category():
         pub("a1", 2012, 1, ["A"]),
         *[pub(f"b{i}", 2012, 100 + i, ["B"]) for i in range(30)],
     ]
-    flags = flag_hcas(build_cells(pubs), [5])[5]
+    flags = flag_hcas(mk_cells(pubs), [5])[5]
     assert "star" in flags.flagged
     assert flags.best_category["star"] == "A"
 
@@ -100,21 +90,21 @@ def test_flag_hcas_not_flagged_when_outside_everywhere():
     for i in range(40):
         pubs.append(pub(f"a{i}", 2012, 10 + i, ["A"]))
         pubs.append(pub(f"b{i}", 2012, 10 + i, ["B"]))
-    flags = flag_hcas(build_cells(pubs), [10])[10]
+    flags = flag_hcas(mk_cells(pubs), [10])[10]
     assert "low" not in flags.flagged
 
 
 def test_flag_hcas_p100_flags_everything():
     pubs = [pub(f"p{i}", 2012, i, ["A"]) for i in range(10)]
-    flags = flag_hcas(build_cells(pubs), [100])[100]
-    assert flags.flagged == {p.pub_id for p in pubs}
+    flags = flag_hcas(mk_cells(pubs), [100])[100]
+    assert flags.flagged == {p[0] for p in pubs}
 
 
 def test_flag_hcas_rejects_bad_percentile():
     with pytest.raises(ValueError):
-        flag_hcas([], [0])
+        flag_hcas(mk_cells([]), [0])
     with pytest.raises(ValueError):
-        flag_hcas([], [101])
+        flag_hcas(mk_cells([]), [101])
 
 
 def test_flags_match_oracle_and_nest_on_random_cells():
@@ -122,38 +112,34 @@ def test_flags_match_oracle_and_nest_on_random_cells():
     for _ in range(200):
         size = rng.randint(1, 200)
         citations = [rng.randint(0, 50) for _ in range(size)]
-        cell = cell_of(citations)
-        flags5 = flag_hcas([cell], [5])[5].flagged
-        flags10 = flag_hcas([cell], [10])[10].flagged
-        assert flags5 == oracle_top_p(cell.members, 5)
-        assert flags10 == oracle_top_p(cell.members, 10)
+        cells = one_cell(citations)
+        flags5 = flag_hcas(cells, [5])[5].flagged
+        flags10 = flag_hcas(cells, [10])[10].flagged
+        assert flags5 == oracle_top_p(members(*cells), 5)
+        assert flags10 == oracle_top_p(members(*cells), 10)
         assert flags5 <= flags10
         # one call at both thresholds agrees with a call per threshold
-        both = flag_hcas([cell], [5, 10])
+        both = flag_hcas(cells, [5, 10])
         assert (both[5].flagged, both[10].flagged) == (flags5, flags10)
 
 
 def test_flags_invariant_under_member_permutation():
     rng = random.Random(5)
-    citations = [rng.randint(0, 10) for _ in range(50)]
-    ids = [f"p{i}" for i in range(50)]
-    cell_a = CitationCell(2012, "A", tuple(ids), tuple(citations))
-    shuffled = list(zip(ids, citations))
+    pubs = [pub(f"p{i}", 2012, rng.randint(0, 10), ["A"]) for i in range(50)]
+    shuffled = list(pubs)
     rng.shuffle(shuffled)
-    cell_b = CitationCell(2012, "A", tuple(i for i, _ in shuffled),
-                          tuple(c for _, c in shuffled))
-    assert flag_hcas([cell_a], [10])[10].flagged == flag_hcas([cell_b], [10])[10].flagged
+    flagged = flag_hcas(mk_cells(pubs), [10])[10].flagged
+    assert flag_hcas(mk_cells(shuffled), [10])[10].flagged == flagged
 
 
 def test_more_citations_never_unflags():
     rng = random.Random(13)
     citations = [rng.randint(0, 30) for _ in range(80)]
-    base = cell_of(citations)
-    flagged = flag_hcas([base], [10])[10].flagged
+    flagged = flag_hcas(one_cell(citations), [10])[10].flagged
     for idx in range(0, 80, 7):
         bumped = list(citations)
         bumped[idx] += rng.randint(1, 20)
-        new_flags = flag_hcas([cell_of(bumped)], [10])[10].flagged
+        new_flags = flag_hcas(one_cell(bumped), [10])[10].flagged
         if f"p{idx}" in flagged:
             assert f"p{idx}" in new_flags
 
@@ -161,7 +147,7 @@ def test_more_citations_never_unflags():
 SWEEP = [0.5 * i for i in range(1, 21)] + [100.0]
 
 
-def random_pubs(rng: random.Random) -> list[PublicationRecord]:
+def random_pubs(rng: random.Random) -> list[tuple]:
     """Multi-year, multi-category publications with frequent citation ties."""
     return [
         pub(f"p{i:03d}", rng.choice((2012, 2013, 2014)), rng.randint(0, 6),
@@ -173,11 +159,11 @@ def random_pubs(rng: random.Random) -> list[PublicationRecord]:
 def test_single_pass_equals_oracle_union_over_cells():
     rng = random.Random(17)
     for _ in range(40):
-        cells = build_cells(random_pubs(rng))
+        cells = mk_cells(random_pubs(rng))
         flag_sets = flag_hcas(cells, SWEEP)
         assert sorted(flag_sets) == SWEEP
         for p in SWEEP:
-            expected = set().union(*(oracle_top_p(cell.members, p) for cell in cells))
+            expected = set().union(*(oracle_top_p(members(cell), p) for cell in cells))
             assert flag_sets[p].p == p
             assert flag_sets[p].flagged == expected
 
@@ -185,12 +171,12 @@ def test_single_pass_equals_oracle_union_over_cells():
 def test_best_category_is_brute_force_argmin():
     rng = random.Random(19)
     for _ in range(40):
-        cells = build_cells(random_pubs(rng))
+        cells = mk_cells(random_pubs(rng))
         standings: dict[str, list[tuple[float, str]]] = {}
         for cell in cells:
-            for pub_id, own in cell.members:
+            for pub_id, own in members(cell):
                 b = sum(1 for other in cell.citations if other > own)
-                standings.setdefault(pub_id, []).append((b / cell.size, cell.category))
+                standings.setdefault(pub_id, []).append((b / len(cell.pub_ids), cell.category))
         best = {pub_id: min(options)[1] for pub_id, options in standings.items()}
         flag_sets = flag_hcas(cells, SWEEP)
         assert flag_sets[100.0].best_category == best  # p = 100 flags everyone
@@ -199,6 +185,12 @@ def test_best_category_is_brute_force_argmin():
 
 
 def test_fractional_value():
-    assert fractional_value(pub("x", 2012, 0, ["A"], n_authors=4)) == 0.25
-    assert fractional_value(pub("x", 2012, 0, ["A"], n_authors=1)) == 1.0
-    assert fractional_value(pub("x", 2012, 0, ["A"], n_authors=1000)) == 0.001
+    # each author's share of one publication is 1 / author_count
+    years = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
+    for n_authors, share in ((4, 0.25), (1, 1.0), (1000, 0.001)):
+        corpus = mk_corpus([("r1", "S1", years)], [pub("x", 2012, 0, ["A"], n_authors)],
+                           [("x", "r1")], {"S1": "U1"})
+        flag_sets = flag_hcas(build_cells(corpus), [5.0])
+        [score] = score_researchers(corpus, flag_sets, CostModel())
+        assert score.frac_pub_output == share
+        assert score.fhca_score[5.0] == share  # the lone publication tops its cell

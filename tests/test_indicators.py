@@ -63,10 +63,7 @@ def two_field_corpus():
 
 def build_boards(corpus, cost_model=None):
     cost_model = cost_model or CostModel()
-    flags = {
-        p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
-        for p in corpus.config.sorted_percentiles
-    }
+    flags = flag_hcas(build_cells(corpus), corpus.config.sorted_percentiles)
     scores = score_researchers(corpus, flags, cost_model)
     return build_field_scoreboards(corpus, scores, flags, cost_model)
 

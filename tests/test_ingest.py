@@ -4,6 +4,7 @@ import gc
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -24,7 +25,8 @@ from fieldstrength.errors import (
 )
 from fieldstrength.hca import build_cells, corpus_summary, flag_hcas
 from fieldstrength.ingest import CorpusPaths, load_corpus
-from fieldstrength.model import AnalysisConfig
+from fieldstrength.model import RANKS, AnalysisConfig
+from fieldstrength.oracles import oracle_top_p
 
 
 def load(tmp_path, taxonomy=None, researchers=None, publications=None,
@@ -46,7 +48,7 @@ def issues_of(excinfo) -> list:
 def test_minimal_corpus(mini_paths):
     corpus = load_corpus(mini_paths, AnalysisConfig())
     assert len(corpus.researchers) == 1
-    assert len(corpus.publications) == 1
+    assert corpus.pub_ids == ("p1",)
     assert len(corpus.authorships) == 1
     assert corpus.researchers["r1"].rank_by_year == {
         2012: "assistant", 2013: "assistant", 2014: "associate"
@@ -167,7 +169,7 @@ def test_out_of_window_rows_dropped_with_reason(tmp_path):
     assert corpus.report.dropped["researcher_years_outside_window"] == 1
     assert corpus.report.dropped["publications_outside_window"] == 1
     assert corpus.report.dropped["authorships_of_dropped_publications"] == 1
-    assert "old" not in corpus.publications
+    assert "old" not in corpus.pub_ids
 
 
 def test_dropped_plus_kept_equals_parsed(tmp_path):
@@ -218,6 +220,23 @@ def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
         assert issues_of(excinfo) == issues
 
 
+@pytest.mark.parametrize("n_good", [0, 1000])
+def test_rows_before_a_bad_byte_are_checked(tmp_path, n_good):
+    # the decoder reads ahead, so the bad byte is met before the rows in
+    # front of it in the same chunk have been handed out
+    publications = ([f"q{i},2013,1,1,A" for i in range(n_good)]
+                    + ["p1,2013,7,2,A", "p2,2013,x,2,A", '"p3",2013,1,1,"A;\nB"'])
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications, MINI_AUTHORSHIPS)
+    with open(paths.publications, "ab") as handle:
+        handle.write(b"p4,2013,5,1,Caf\xe9\np5,2013,x,1,A\n")
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(paths, AnalysisConfig())
+    assert [(i.message, i.line) for i in issues_of(excinfo)] == [
+        ("citations is not an integer: 'x'", n_good + 3),
+        ("not valid UTF-8 (invalid continuation byte); rest of file skipped", n_good + 6),
+    ]
+
+
 @pytest.mark.parametrize("name", ["researchers", "publications"])
 @pytest.mark.parametrize("damage", ["bom_header", "bad_byte"])
 def test_file_that_stops_early_is_not_used_to_check_references(tmp_path, name, damage):
@@ -265,14 +284,18 @@ def test_load_is_order_insensitive(tmp_path):
     corpus_b = load(dir_b, taxonomy, researchers, publications, authorships)
 
     assert corpus_a.researchers == corpus_b.researchers
-    assert corpus_a.publications == corpus_b.publications
-    assert corpus_a.authorships == corpus_b.authorships
-    assert list(corpus_a.publications) == list(corpus_b.publications)
+    assert list(corpus_a.researchers) == list(corpus_b.researchers)
+    assert corpus_a.pub_ids == corpus_b.pub_ids == ("p1", "p2")
+    assert corpus_a.categories == corpus_b.categories == ("A", "B")
+    for column in ("year", "citations", "author_count", "category_start", "category_code",
+                   "link_pub", "link_researcher"):
+        assert np.array_equal(getattr(corpus_a, column), getattr(corpus_b, column)), column
+    assert corpus_a.authors_by_pub == {"p1": ("r1", "r2"), "p2": ("r2",)}
 
 
 def test_baseline_publications_kept_by_default(tmp_path):
     corpus = load(tmp_path, publications=MINI_PUBLICATIONS + ["world,2013,99,3,A"])
-    assert "world" in corpus.publications
+    assert "world" in corpus.pub_ids
     assert corpus.baseline_only_pubs == {"world"}
     assert any("citation baseline" in w for w in corpus.report.warnings)
 
@@ -281,16 +304,12 @@ def test_roster_only_baseline_drops_unlinked(tmp_path):
     cfg = AnalysisConfig(roster_only_baseline=True)
     corpus = load(tmp_path, publications=MINI_PUBLICATIONS + ["world,2013,99,3,A"],
                   config=cfg)
-    assert "world" not in corpus.publications
+    assert "world" not in corpus.pub_ids
     assert corpus.report.dropped["publications_without_roster_author"] == 1
 
 
 def _summary(corpus):
-    flags = {
-        p: flag_hcas(build_cells(corpus.publications.values()), [p])[p]
-        for p in corpus.config.sorted_percentiles
-    }
-    return corpus_summary(corpus, flags, corpus.authors_by_pub)
+    return corpus_summary(corpus, flag_hcas(build_cells(corpus), corpus.config.sorted_percentiles))
 
 
 def test_summary_single_uda_overall_equals_row(tmp_path):
@@ -332,6 +351,73 @@ def test_summary_share_by_construction(tmp_path):
     table = _summary(corpus)
     assert table.overall.hca_counts[5.0] == 2
     assert 100 * table.overall.hca_counts[5.0] / table.overall.n_publications == pytest.approx(5.0)
+
+
+def random_tables(rng: random.Random) -> tuple[list[str], list[str], list[str], list[str]]:
+    """CSV rows of a random corpus: researchers below min_years, publications
+    outside the window or without roster authors, cross-discipline links."""
+    taxonomy = [f"S{i},Field {i},U{i % 3},Discipline {i % 3}" for i in range(6)]
+    researchers, publications, authorships = [], [], []
+    for i in range(30):
+        for year in rng.sample(range(2010, 2018), rng.randint(1, 6)):
+            researchers.append(f"r{i:02d},S{i % 6},{year},{rng.choice(RANKS)}")
+    for j in range(200):
+        authors = rng.sample(range(30), rng.choice((0, 0, 1, 2, 3, 4)))
+        cats = ";".join(rng.sample("ABCD", rng.randint(1, 2)))
+        publications.append(f"q{j:03d},{rng.randint(2011, 2017)},{rng.randint(0, 9)},"
+                            f"{len(authors) + rng.randint(0, 2) or 1},{cats}")
+        authorships += [f"q{j:03d},r{i:02d}" for i in authors]
+    return taxonomy, researchers, publications, authorships
+
+
+def brute_force_summary(tables, config: AnalysisConfig) -> list[tuple]:
+    """(uda, n_sds, n_professors, n_publications, hca counts) per discipline
+    and overall, by set counting over the CSV rows."""
+    taxonomy, researcher_rows, pub_rows, link_rows = ([line.split(",") for line in rows]
+                                                      for rows in tables)
+    uda_of = {sds: uda for sds, _, uda, _ in taxonomy}
+    years, sds_of = {}, {}
+    for rid, sds, year, _ in researcher_rows:
+        sds_of[rid] = sds
+        if int(year) in config.years:
+            years.setdefault(rid, set()).add(year)
+    roster = {rid for rid, active in years.items() if len(active) >= config.min_years}
+    pubs = {pid: (int(year), int(cits), cats.split(";"))
+            for pid, year, cits, _, cats in pub_rows if int(year) in config.years}
+    links = {(pid, rid) for pid, rid in link_rows if pid in pubs and rid in roster}
+    if config.roster_only_baseline:
+        pubs = {pid: pub for pid, pub in pubs.items() if pid in {p for p, _ in links}}
+    cells: dict[tuple, list] = {}
+    for pid, (year, cits, cats) in pubs.items():
+        for cat in cats:
+            cells.setdefault((year, cat), []).append((pid, cits))
+    flagged = {p: set().union(*(oracle_top_p(members, p) for members in cells.values()))
+               for p in config.sorted_percentiles}
+
+    def row(uda, researchers):
+        linked = {pid for pid, rid in links if rid in researchers}
+        return (uda, len({sds_of[rid] for rid in researchers}), len(researchers), len(linked),
+                {p: len(linked & flagged[p]) for p in config.sorted_percentiles})
+
+    return [row(uda, {rid for rid in roster if uda_of[sds_of[rid]] == uda})
+            for uda in sorted({uda_of[sds_of[rid]] for rid in roster})] + [row("ALL", roster)]
+
+
+@pytest.mark.parametrize("roster_only_baseline", [False, True])
+def test_summary_equals_brute_force_set_counts(tmp_path, roster_only_baseline):
+    rng = random.Random(31)
+    config = AnalysisConfig(hca_percentiles=(5.0, 10.0, 25.0),
+                            roster_only_baseline=roster_only_baseline)
+    for trial in range(5):
+        tables = random_tables(rng)
+        trial_dir = tmp_path / str(trial)
+        trial_dir.mkdir()
+        corpus = load(trial_dir, *tables, config=config)
+        table = _summary(corpus)
+        got = [(r.uda, r.n_sds, r.n_professors, r.n_publications, r.hca_counts)
+               for r in (*table.rows, table.overall)]
+        assert got == brute_force_summary(tables, config)
+        assert table.rows[0].n_publications > 0 and table.overall.hca_counts[25.0] > 0
 
 
 # Every row-level check fires, interleaved over the three row files: a row

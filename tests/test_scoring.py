@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mk_corpus
@@ -48,7 +49,7 @@ def scored_corpus():
 
 def test_score_researchers_fractional_sums():
     corpus = scored_corpus()
-    flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p] for p in (5.0, 10.0)}
+    flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
     assert flags[5.0].flagged >= {"hc1", "hc2"}
     scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
 
@@ -61,7 +62,7 @@ def test_score_researchers_fractional_sums():
 
 def test_zero_hca_researcher_scores_zero():
     corpus = scored_corpus()
-    flags = {p: flag_hcas(build_cells(corpus.publications.values()), [p])[p] for p in (5.0, 10.0)}
+    flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
     scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
     assert scores["r2"].fhca_score[5.0] <= scores["r2"].fhca_score[10.0]
     assert all(s.fhca_score[5.0] <= s.frac_pub_output for s in scores.values())
@@ -187,17 +188,16 @@ def test_avg_ts_output_fallback_chain():
 
 
 def test_fractional_conservation(default_corpus):
-    pubs = default_corpus.publications
-    for pub_id, authors in default_corpus.authors_by_pub.items():
-        pub = pubs[pub_id]
-        total = len(authors) / pub.author_count
-        assert total <= 1.0 + 1e-12
+    corpus = default_corpus
+    roster_share = np.bincount(corpus.link_pub, weights=1.0 / corpus.author_count[corpus.link_pub],
+                               minlength=len(corpus.pub_ids))
+    assert roster_share.max() <= 1.0 + 1e-12
 
 
 def test_min_years_config_respected():
     cfg = AnalysisConfig(min_years=2)
     corpus = mk_corpus([("r1", "S1", {2012: "full", 2013: "full"})], [], [], {"S1": "U1"}, cfg)
-    flags = {5.0: flag_hcas([], [5.0])[5.0], 10.0: flag_hcas([], [10.0])[10.0]}
+    flags = flag_hcas(build_cells(corpus), [5.0, 10.0])
     scores = score_researchers(corpus, flags, CostModel())
     assert len(scores) == 1 and scores[0].frac_pub_output == 0.0
 
@@ -237,16 +237,17 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
             for researcher_id, _, _ in rng.sample(researchers, rng.randint(0, min(n_authors, 4))):
                 links.append((f"p{j:03d}", researcher_id))
         corpus = mk_corpus(researchers, pubs, links, {"S0": "U1", "S1": "U1", "S2": "U2"})
-        flag_sets = flag_hcas(build_cells(corpus.publications.values()), SWEEP)
+        flag_sets = flag_hcas(build_cells(corpus), SWEEP)
 
+        author_count = {pub[0]: pub[3] for pub in pubs}
         fhca = {r: dict.fromkeys(SWEEP, 0.0) for r in corpus.researchers}
         output = dict.fromkeys(corpus.researchers, 0.0)
-        for link in corpus.authorships:  # ascending pub_id
-            share = 1.0 / corpus.publications[link.pub_id].author_count
-            output[link.researcher_id] += share
+        for pub_id, researcher_id in sorted(links):  # ascending pub_id
+            share = 1.0 / author_count[pub_id]
+            output[researcher_id] += share
             for p in SWEEP:
-                if link.pub_id in flag_sets[p].flagged:
-                    fhca[link.researcher_id][p] += share
+                if pub_id in flag_sets[p].flagged:
+                    fhca[researcher_id][p] += share
 
         for score in score_researchers(corpus, flag_sets, CostModel()):
             assert score.fhca_score == fhca[score.researcher_id]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import one_cell
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import AnalysisConfig
@@ -45,7 +46,7 @@ def test_default_corpus_shape(default_corpus):
     assert len(default_corpus.taxonomy.uda_names) == 11
     assert len(default_corpus.taxonomy.sds_to_uda) == 44
     assert 800 <= len(default_corpus.researchers) <= 1800
-    assert 10_000 <= len(default_corpus.publications) <= 40_000
+    assert 10_000 <= len(default_corpus.pub_ids) <= 40_000
     assert not default_corpus.report.dropped.get("researchers_below_min_years")
 
 
@@ -65,8 +66,8 @@ def test_sole_authorship_degenerates_to_full_counting(tmp_path):
                          extra_authors_mean=0.0, baseline_share=0.0)
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
-    assert all(p.author_count == 1 for p in corpus.publications.values())
-    flags = flag_hcas(build_cells(corpus.publications.values()), [10.0])[10.0]
+    assert (corpus.author_count == 1).all()
+    flags = flag_hcas(build_cells(corpus), [10.0])[10.0]
     by_researcher = corpus.pubs_by_researcher
     for rid, pubs in by_researcher.items():
         hca_count = sum(1 for p in pubs if p in flags.flagged)
@@ -82,7 +83,7 @@ def test_hca_fraction_zero_buries_every_roster_pub(tmp_path):
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
     roster_pubs = set(corpus.authors_by_pub)
-    cells = build_cells(corpus.publications.values())
+    cells = build_cells(corpus)
     for p in (5.0, 10.0):
         flagged = flag_hcas(cells, [p])[p].flagged
         assert not (flagged & roster_pubs)
@@ -96,23 +97,22 @@ def test_all_equal_citations_flag_everything(tmp_path):
                          baseline_share=0.0)
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
-    assert {p.citations for p in corpus.publications.values()} == {7}
-    cells = build_cells(corpus.publications.values())
+    assert set(corpus.citations.tolist()) == {7}
+    cells = build_cells(corpus)
     flagged = flag_hcas(cells, [5.0])[5.0].flagged
-    assert flagged == set(corpus.publications)
+    assert flagged == set(corpus.pub_ids)
 
 
 def test_large_cell_share_lands_near_p(default_corpus):
-    cells = build_cells(default_corpus.publications.values())
-    big = [c for c in cells if c.size >= 100]
+    cells = build_cells(default_corpus)
+    big = [c for c in cells if len(c.pub_ids) >= 100]
     assert big
     # one call per cell, so a member counts only when flagged in that cell
-    flag_sets = [flag_hcas([cell], (5.0, 10.0)) for cell in big]
+    flag_sets = [flag_hcas(one_cell(cell.citations), (5.0, 10.0)) for cell in big]
     for p in (5.0, 10.0):
         shares = []
         for cell, flags in zip(big, flag_sets):
-            flagged = sum(1 for pid in cell.pub_ids if pid in flags[p].flagged)
-            shares.append(100.0 * flagged / cell.size)
+            shares.append(100.0 * len(flags[p].flagged) / len(cell.pub_ids))
         mean_share = sum(shares) / len(shares)
         assert p <= mean_share <= p + 4.0  # ties only ever widen the top group
 
