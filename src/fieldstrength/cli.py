@@ -141,8 +141,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
         n = write_flags_csv(result.flag_sets, out_dir / "hca_flags.csv")
         files.append({"path": "hca_flags.csv", "rows": n})
     if config.output.export_researcher_scores:
-        ts_by_sds = {b.sds: b.ts_ids for b in result.boards}
-        n = write_researcher_scores_csv(result.scores, ts_by_sds,
+        n = write_researcher_scores_csv(result.scores, [b.is_ts for b in result.boards],
                                         out_dir / "researcher_scores.csv")
         files.append({"path": "researcher_scores.csv", "rows": n})
 

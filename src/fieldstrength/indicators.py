@@ -13,18 +13,20 @@ Discipline rows aggregate member fields weighted by research expenditure.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .hca import HcaFlagSet
+import numpy as np
+
 from .ingest import Corpus
 from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
-    ResearcherScore,
+    ScoreTable,
     detect_top_scientists,
+    group_sums,
     ts_output_means,
 )
 
@@ -35,22 +37,21 @@ def indicator_id(family: str, p: float) -> str:
 
 @dataclass(frozen=True)
 class FieldScoreboard:
-    """Everything computed for one field (SDS)."""
+    """Everything computed for one field (SDS). is_ts holds the TS verdict
+    of each of the field's professors (score-table rows) per percentile."""
 
     sds: str
     uda: str
     n_professors: int
     n_by_rank: Mapping[str, int]
     total_cost: float
-    ts_ids: Mapping[float, frozenset[str]]
+    ts_count: Mapping[float, int]
     fhca_total: Mapping[float, float]
     fhca_rescaled: Mapping[float, float]
     fss_ts: Mapping[float, float]
     fss_fhca: Mapping[float, float]
     rescale_provenance: Mapping[float, str]
-
-    def ts_count(self, p: float) -> int:
-        return len(self.ts_ids[p])
+    is_ts: np.ndarray = field(compare=False, repr=False)
 
     def fallback_flags(self) -> str:
         flagged = [
@@ -75,105 +76,96 @@ class DisciplineScoreboard:
     fss_fhca: Mapping[float, float]
 
 
-def per_euro(amount: float, total_cost: float, reporting_scale: float) -> float:
-    """Top scientists or rescaled fractional HCAs per euro, scaled for reporting."""
-    if total_cost <= 0:
+def per_euro(amount: np.ndarray, total_cost: np.ndarray, reporting_scale: float) -> np.ndarray:
+    """Top scientists or rescaled fractional HCAs per euro, scaled for
+    reporting, element by element (numbers work as well as arrays)."""
+    if np.any(np.less_equal(total_cost, 0)):
         raise ValueError("field with non-positive total cost")
     return reporting_scale * amount / total_cost
 
 
-def build_field_scoreboards(corpus: Corpus, scores: Sequence[ResearcherScore],
-                            flag_sets: Mapping[float, HcaFlagSet],
+def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
                             cost_model: CostModel) -> list[FieldScoreboard]:
-    """Compute the full per-field scoreboard, sorted by SDS code."""
-    percentiles = sorted(flag_sets)
-    multiplier = corpus.config.ts_fence_multiplier
+    """Compute the full per-field scoreboard, sorted by SDS code.
+
+    Every count and total is one np.bincount over the table's rows, which
+    adds each field's rows in (sds, researcher_id) order.
+    """
     scale = cost_model.reporting_scale
+    field_of_row = table.field
+    n_fields = len(table.sds_codes)
 
-    scores_by_sds: dict[str, list[ResearcherScore]] = {}
-    for score in scores:
-        scores_by_sds.setdefault(score.sds, []).append(score)
-
-    ts_by_sds = {
-        sds: detect_top_scientists(field_scores, percentiles, multiplier)
-        for sds, field_scores in scores_by_sds.items()
-    }
-    ts_means = ts_output_means(
-        scores_by_sds,
-        ts_by_sds,
-        corpus.taxonomy.sds_to_uda,
-        percentiles,
+    _, is_ts = detect_top_scientists(table, corpus.config.ts_fence_multiplier)
+    avg_out, provenance = ts_output_means(
+        table, is_ts, corpus.taxonomy.sds_to_uda,
         use_uda=corpus.config.rescale_fallback == FALLBACK_UDA_THEN_NATIONAL,
     )
+    n_by_rank = np.bincount(field_of_row * len(RANKS) + table.rank,
+                            minlength=n_fields * len(RANKS)).reshape(n_fields, len(RANKS))
+    total_cost = group_sums(field_of_row, table.cost[:, None], n_fields)
+    fhca_total = group_sums(field_of_row, table.fhca, n_fields)
+    ts_count = group_sums(field_of_row, is_ts, n_fields)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the masked means are 0.0
+        fhca_rescaled = np.where((provenance == RESCALE_EXHAUSTED) | (fhca_total == 0.0),
+                                 0.0, fhca_total / avg_out)
+    bounds = table.field_start.tolist()
 
-    boards = []
-    for sds in sorted(scores_by_sds):
-        field_scores = scores_by_sds[sds]
-        uda = corpus.taxonomy.uda_of(sds)
-        total_cost = sum(s.cost for s in field_scores)
-        n_by_rank = dict.fromkeys(RANKS, 0)
-        for score in field_scores:
-            n_by_rank[corpus.researchers[score.researcher_id].latest_rank] += 1
+    def by_p(matrix: np.ndarray, f: int, kind: type = float) -> dict:
+        return dict(zip(table.percentiles, matrix[f].astype(kind).tolist()))
 
-        ts_ids: dict[float, frozenset[str]] = {}
-        fhca_total, fhca_rescaled, fss_ts_by_p, fss_fhca_by_p = {}, {}, {}, {}
-        provenance: dict[float, str] = {}
-        for p in percentiles:
-            ts = ts_by_sds[sds][p]
-            ts_ids[p] = frozenset(ts)
-            fhca_total[p] = sum(s.fhca_score[p] for s in field_scores)
-            avg_out, provenance[p] = ts_means[sds, p]
-            if provenance[p] == RESCALE_EXHAUSTED or fhca_total[p] == 0.0:
-                fhca_rescaled[p] = 0.0
-            else:
-                fhca_rescaled[p] = fhca_total[p] / avg_out
-            fss_fhca_by_p[p] = per_euro(fhca_rescaled[p], total_cost, scale)
-            fss_ts_by_p[p] = per_euro(len(ts), total_cost, scale)
-
-        boards.append(FieldScoreboard(
-            sds=sds, uda=uda, n_professors=len(field_scores), n_by_rank=n_by_rank,
-            total_cost=total_cost, ts_ids=ts_ids, fhca_total=fhca_total,
-            fhca_rescaled=fhca_rescaled, fss_ts=fss_ts_by_p, fss_fhca=fss_fhca_by_p,
-            rescale_provenance=provenance))
-    return boards
-
-
-def aggregate_uda(uda: str, fields: Sequence[FieldScoreboard],
-                  percentiles: Sequence[float]) -> DisciplineScoreboard:
-    """Weighted mean of each indicator, weights = field cost share.
-
-    Also sums top-scientist counts and reports their share of the
-    discipline's professors. The weighted mean of member values is a
-    convex combination, so each aggregate lies within the member range.
-    """
-    if not fields:
-        raise ValueError(f"discipline {uda!r} has no fields")
-    total_cost = sum(f.total_cost for f in fields)
-    weights = {f.sds: f.total_cost / total_cost for f in fields}
-    n_professors = sum(f.n_professors for f in fields)
-
-    ts_count, ts_share, w_fss_ts, w_fss_fhca = {}, {}, {}, {}
-    for p in percentiles:
-        ts_count[p] = sum(f.ts_count(p) for f in fields)
-        ts_share[p] = 100.0 * ts_count[p] / n_professors
-        w_fss_ts[p] = sum(weights[f.sds] * f.fss_ts[p] for f in fields)
-        w_fss_fhca[p] = sum(weights[f.sds] * f.fss_fhca[p] for f in fields)
-
-    return DisciplineScoreboard(uda=uda, n_sds=len(fields), n_professors=n_professors,
-                                total_cost=total_cost, ts_count=ts_count, ts_share=ts_share,
-                                fss_ts=w_fss_ts, fss_fhca=w_fss_fhca)
+    return [FieldScoreboard(
+        sds=sds, uda=corpus.taxonomy.uda_of(sds), n_professors=bounds[f + 1] - bounds[f],
+        n_by_rank=dict(zip(RANKS, n_by_rank[f].tolist())), total_cost=float(total_cost[f, 0]),
+        ts_count=by_p(ts_count, f, int), fhca_total=by_p(fhca_total, f),
+        fhca_rescaled=by_p(fhca_rescaled, f),
+        fss_ts=by_p(per_euro(ts_count, total_cost, scale), f),
+        fss_fhca=by_p(per_euro(fhca_rescaled, total_cost, scale), f),
+        rescale_provenance=by_p(provenance, f, str), is_ts=is_ts[bounds[f]:bounds[f + 1]])
+        for f, sds in enumerate(table.sds_codes)]
 
 
 def build_discipline_scoreboards(boards: Sequence[FieldScoreboard],
                                  percentiles: Sequence[float],
                                  ) -> tuple[list[DisciplineScoreboard], DisciplineScoreboard]:
-    """Per-discipline rows (sorted by UDA code) plus the overall row."""
-    by_uda: dict[str, list[FieldScoreboard]] = {}
-    for board in boards:
-        by_uda.setdefault(board.uda, []).append(board)
-    rows = [aggregate_uda(uda, by_uda[uda], percentiles) for uda in sorted(by_uda)]
-    overall = aggregate_uda("ALL", list(boards), percentiles)
+    """Per-discipline rows (sorted by UDA code) plus the overall row.
+
+    Each indicator is the mean of the member fields' values weighted by
+    field cost share, summed in board order: a convex combination, so it
+    lies within the member range. Top-scientist counts are summed and
+    reported as a share of the discipline's professors.
+    """
+    if not boards:
+        raise ValueError("no fields to aggregate")
+    udas = sorted({board.uda for board in boards})
+    uda_of_board = np.array([udas.index(board.uda) for board in boards], dtype=np.intp)
+    rows = _aggregate(udas, uda_of_board, boards, percentiles)
+    [overall] = _aggregate(["ALL"], np.zeros_like(uda_of_board), boards, percentiles)
     return rows, overall
+
+
+def _aggregate(names: Sequence[str], group: np.ndarray, boards: Sequence[FieldScoreboard],
+               percentiles: Sequence[float]) -> list[DisciplineScoreboard]:
+    """One DisciplineScoreboard per name, over the boards of its group."""
+    def sums(values: list) -> np.ndarray:
+        return group_sums(group, np.array(values, dtype=float), len(names))
+
+    def per_p(attr: str) -> list[list[float]]:
+        return [[getattr(b, attr)[p] for p in percentiles] for b in boards]
+
+    cost = np.array([[b.total_cost] for b in boards])
+    total_cost = sums(cost)
+    weight = cost / total_cost[group]
+    n_professors = sums([[b.n_professors] for b in boards])
+    ts_count = sums(per_p("ts_count"))
+    means = {"ts_share": 100.0 * ts_count / n_professors,
+             "fss_ts": sums(weight * per_p("fss_ts")),
+             "fss_fhca": sums(weight * per_p("fss_fhca"))}
+    return [DisciplineScoreboard(
+        uda=name, n_sds=int(np.count_nonzero(group == g)), n_professors=int(n_professors[g, 0]),
+        total_cost=float(total_cost[g, 0]),
+        ts_count=dict(zip(percentiles, ts_count[g].astype(int).tolist())),
+        **{attr: dict(zip(percentiles, matrix[g].tolist())) for attr, matrix in means.items()})
+        for g, name in enumerate(names)]
 
 
 def write_scoreboard_csv(boards: Sequence[FieldScoreboard], percentiles: Sequence[float],
@@ -190,7 +182,7 @@ def write_scoreboard_csv(boards: Sequence[FieldScoreboard], percentiles: Sequenc
         writer.writerow(header)
         for board in boards:
             row = [board.sds, board.uda, board.n_professors, repr(board.total_cost)]
-            row += [board.ts_count(p) for p in percentiles]
+            row += [board.ts_count[p] for p in percentiles]
             row += [repr(board.fss_ts[p]) for p in percentiles]
             row += [repr(board.fss_fhca[p]) for p in percentiles]
             row.append(board.fallback_flags())

@@ -10,7 +10,9 @@ import collections.abc
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -242,10 +244,16 @@ def normalization_factor(rank: str, cost_model: CostModel) -> float:
     return cost_per_year(rank, cost_model) / cost_per_year(RANK_ASSISTANT, cost_model)
 
 
-def researcher_cost(researcher: ResearcherRecord, cost_model: CostModel) -> float:
-    """Total cost over the researcher's active years, rank resolved per year."""
-    if not researcher.rank_by_year:
-        raise ConfigurationError(
-            f"researcher {researcher.researcher_id} has no active years"
-        )
-    return sum(cost_per_year(rank, cost_model) for rank in researcher.rank_by_year.values())
+def researcher_costs(researchers: Sequence[ResearcherRecord], cost_model: CostModel) -> np.ndarray:
+    """Total cost of each researcher over their active years, rank resolved
+    per year: the yearly costs added one year at a time in year order (0.0
+    for an inactive year), as a left-to-right sum would on every Python."""
+    for researcher in researchers:
+        if not researcher.rank_by_year:
+            raise ConfigurationError(f"researcher {researcher.researcher_id} has no active years")
+    yearly = {rank: cost_per_year(rank, cost_model) for rank in RANKS}
+    total = np.zeros(len(researchers))
+    for year in sorted({year for r in researchers for year in r.rank_by_year}):
+        total += [yearly[r.rank_by_year[year]] if year in r.rank_by_year else 0.0
+                  for r in researchers]
+    return total

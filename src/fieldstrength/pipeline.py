@@ -29,7 +29,7 @@ from .indicators import (
 from .ingest import Corpus
 from .model import CostModel, OutputOptions, p_label
 from .reporting import ReportBundle
-from .scoring import RESCALE_FROM_FIELD, ResearcherScore, score_researchers
+from .scoring import RESCALE_FROM_FIELD, ScoreTable, score_researchers
 
 
 @dataclass
@@ -37,7 +37,7 @@ class PipelineResult:
     corpus: Corpus
     flag_sets: dict[float, HcaFlagSet]
     summary: SummaryTable
-    scores: list[ResearcherScore]
+    scores: ScoreTable
     boards: list[FieldScoreboard]
     discipline_rows: list[DisciplineScoreboard]
     discipline_overall: Optional[DisciplineScoreboard]
@@ -57,7 +57,7 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     flag_sets = flag_hcas(cells, percentiles)
     summary = corpus_summary(corpus, flag_sets)
     scores = score_researchers(corpus, flag_sets, cost_model)
-    boards = build_field_scoreboards(corpus, scores, flag_sets, cost_model)
+    boards = build_field_scoreboards(corpus, scores, cost_model)
     if boards:
         discipline_rows, discipline_overall = build_discipline_scoreboards(boards, percentiles)
     else:
@@ -82,7 +82,7 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         pl = p_label(p)
         counts[f"hca_{pl}_flagged"] = len(flag_sets[p].flagged)
         counts[f"hca_{pl}_roster"] = summary.overall.hca_counts[p]
-        counts[f"ts_{pl}"] = sum(b.ts_count(p) for b in boards)
+        counts[f"ts_{pl}"] = sum(b.ts_count[p] for b in boards)
 
     warnings = list(corpus.report.warnings)
     warnings += [f"field {board.sds}: rescaling at p={p_label(p)} used {source}"
@@ -141,8 +141,8 @@ def _field_row_dict(board: FieldScoreboard, percentiles) -> dict[str, Any]:
     return {"sds": board.sds, "uda": board.uda,
             **{f"n_{rank}": board.n_by_rank[rank] for rank in ("assistant", "associate", "full")},
             "n_professors": board.n_professors, "total_cost": board.total_cost,
-            **_per_p(percentiles, ts={p: board.ts_count(p) for p in percentiles},
-                     fss_ts=board.fss_ts, fss_fhca=board.fss_fhca),
+            **_per_p(percentiles, ts=board.ts_count, fss_ts=board.fss_ts,
+                     fss_fhca=board.fss_fhca),
             "fallback_flags": board.fallback_flags()}
 
 

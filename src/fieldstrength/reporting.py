@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -49,7 +49,8 @@ class ReportBundle:
     top_bottom_k: int
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields by name; the values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Any) -> "ReportBundle":

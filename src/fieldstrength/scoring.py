@@ -4,6 +4,10 @@ A researcher's score at percentile p is the sum of 1/author_count over
 their highly cited articles; top scientists are the researchers whose
 score strictly exceeds the Tukey fence (q3 + multiplier * iqr) of their
 field's full score distribution, zero scorers included.
+
+Every float total is added one value at a time in row order
+(np.bincount), never pairwise (np.sum) or compensated (the builtin sum
+since Python 3.12), so the output has the same bits on every Python.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .hca import HcaFlagSet
 from .ingest import Corpus
-from .model import CostModel, p_label, researcher_cost
+from .model import RANKS, CostModel, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -26,155 +30,149 @@ RESCALE_EXHAUSTED = "no_ts_anywhere"
 
 
 @dataclass(frozen=True)
-class ResearcherScore:
-    researcher_id: str
-    sds: str
-    fhca_score: Mapping[float, float]
-    frac_pub_output: float
-    cost: float
+class ScoreTable:
+    """Every roster researcher's scores as columns, one row per researcher
+    in (sds, researcher_id) order.
 
+    Field f is sds_codes[f] (sorted, each with at least one professor) and
+    holds rows field_start[f]:field_start[f + 1]. fhca[i, j] is row i's
+    fractional HCA score at percentiles[j]; output[i] its total fractional
+    output, cost[i] its cost over the active years, and rank[i] the index
+    into RANKS of its latest rank.
+    """
 
-@dataclass(frozen=True)
-class TukeyFence:
-    q1: float
-    q3: float
-    iqr: float
-    threshold: float
+    researcher_ids: tuple[str, ...]
+    sds_codes: tuple[str, ...]
+    field_start: np.ndarray
+    percentiles: tuple[float, ...]
+    fhca: np.ndarray
+    output: np.ndarray
+    cost: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def field(self) -> np.ndarray:
+        """The field index of every row."""
+        return np.repeat(np.arange(len(self.sds_codes)), np.diff(self.field_start))
 
 
 def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
-                      cost_model: CostModel) -> list[ResearcherScore]:
-    """Fractional HCA score per percentile plus total fractional output
-    and cost, for every roster researcher (zero scorers included).
+                      cost_model: CostModel) -> ScoreTable:
+    """Fractional HCA score per percentile plus total fractional output,
+    cost and latest rank, for every roster researcher (zero scorers
+    included).
 
-    Every sum is one np.bincount of 1/author_count over the authorship
+    Every score is one np.bincount of 1/author_count over the authorship
     links, which come sorted by pub_id: bincount adds in input order, so
     each researcher's shares are added in ascending pub_id order at every
-    percentile. Output is sorted by (sds, researcher_id).
+    percentile.
     """
-    percentiles = sorted(flag_sets)
+    percentiles = tuple(sorted(flag_sets))
+    records = list(corpus.researchers.values())
+    sds_codes = sorted({r.sds for r in records})
+    code = {sds: f for f, sds in enumerate(sds_codes)}
+    field = np.array([code[r.sds] for r in records], dtype=np.intp)
+    order = np.argsort(field, kind="stable")  # researcher rows are in researcher_id order
+    records = [records[i] for i in order.tolist()]
     share = 1.0 / corpus.author_count[corpus.link_pub]
 
-    def per_researcher(weights: np.ndarray) -> list[float]:
+    def per_researcher(weights: np.ndarray) -> np.ndarray:
         return np.bincount(corpus.link_researcher, weights=weights,
-                           minlength=len(corpus.researchers)).tolist()
+                           minlength=len(records))[order]
 
-    output = per_researcher(share)
-    fhca = {p: per_researcher(share * flag_sets[p].hit[corpus.link_pub]) for p in percentiles}
-
-    scores = [
-        ResearcherScore(
-            researcher_id=researcher.researcher_id,
-            sds=researcher.sds,
-            fhca_score={p: fhca[p][i] for p in percentiles},
-            frac_pub_output=output[i],
-            cost=researcher_cost(researcher, cost_model),
-        )
-        for i, researcher in enumerate(corpus.researchers.values())
-    ]
-    scores.sort(key=lambda s: (s.sds, s.researcher_id))
-    return scores
+    return ScoreTable(
+        researcher_ids=tuple(r.researcher_id for r in records),
+        sds_codes=tuple(sds_codes),
+        field_start=np.concatenate(([0], np.cumsum(np.bincount(field, minlength=len(sds_codes))))),
+        percentiles=percentiles,
+        fhca=np.column_stack([per_researcher(share * flag_sets[p].hit[corpus.link_pub])
+                              for p in percentiles]),
+        output=per_researcher(share),
+        cost=researcher_costs(records, cost_model),
+        rank=np.array([RANKS.index(r.latest_rank) for r in records], dtype=np.intp),
+    )
 
 
-def _fences(scores: np.ndarray, multiplier: float) -> tuple[np.ndarray, ...]:
-    """(q1, q3, iqr, threshold) of every column of a 2-D score matrix."""
-    q1, q3 = np.quantile(scores, [0.25, 0.75], axis=0, method="linear")
-    iqr = q3 - q1
-    return q1, q3, iqr, q3 + multiplier * iqr
+def group_sums(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Column sums of the (row x column) values over the rows of each group,
+    as an (n_groups x column) matrix. Each sum adds its rows one at a time in
+    row order, starting from 0.0, as np.bincount does."""
+    n_columns = values.shape[1]
+    index = group[:, None] * n_columns + np.arange(n_columns)
+    return np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=n_groups * n_columns).reshape(n_groups, n_columns)
 
 
-def tukey_fence(values: Sequence[float], multiplier: float = 1.5) -> TukeyFence:
-    """Outlier fence from linearly interpolated quartiles.
+def detect_top_scientists(table: ScoreTable,
+                          multiplier: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
+    """The Tukey fence threshold of every (field, percentile), and whether
+    each (row, percentile) score strictly exceeds its field's threshold.
 
-    Quartiles sit at position (n-1)*q in the sorted data, interpolated
-    between neighbouring order statistics (numpy's default "linear"
-    method); the brute-force oracle pins the same convention.
+    Each field's fences come from one quantile call over its rows, with
+    linearly interpolated quartiles at positions (n-1)*q (numpy's "linear"
+    method, which the brute-force oracle pins). The fence is a property of
+    the field's whole distribution, non-producers included. With a
+    degenerate all-equal distribution the fence equals the common value and
+    nobody is an outlier.
     """
-    if len(values) == 0:
-        raise ValueError("tukey_fence of empty sequence")
-    column = np.asarray(values, dtype=float).reshape(-1, 1)
-    q1, q3, iqr, threshold = (float(v[0]) for v in _fences(column, multiplier))
-    return TukeyFence(q1=q1, q3=q3, iqr=iqr, threshold=threshold)
+    threshold = np.empty((len(table.sds_codes), len(table.percentiles)))
+    bounds = table.field_start.tolist()
+    for f, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        if start == end:
+            raise ValueError(f"field {table.sds_codes[f]} has no professors")
+        q1, q3 = np.quantile(table.fhca[start:end], [0.25, 0.75], axis=0, method="linear")
+        threshold[f] = q3 + multiplier * (q3 - q1)
+    return threshold, table.fhca > threshold[table.field]
 
 
-def detect_top_scientists(field_scores: Sequence[ResearcherScore], percentiles: Sequence[float],
-                          multiplier: float = 1.5) -> dict[float, set[str]]:
-    """Researchers of one field whose score strictly exceeds the fence,
-    per percentile.
-
-    The fences of all percentiles come from one quantile call over the
-    (researcher x percentile) score matrix. field_scores must cover every
-    professor of the field: the fence is a property of the whole
-    distribution, non-producers included. With a degenerate all-equal
-    distribution the fence equals the common value and nobody is an
-    outlier.
-    """
-    if not field_scores:
-        return {p: set() for p in percentiles}
-    scores = np.array([[s.fhca_score[p] for p in percentiles] for s in field_scores],
-                      dtype=float)
-    threshold = _fences(scores, multiplier)[3]
-    ids = [s.researcher_id for s in field_scores]
-    return {p: {ids[i] for i in np.flatnonzero(scores[:, j] > threshold[j])}
-            for j, p in enumerate(percentiles)}
-
-
-def ts_output_means(scores_by_sds: Mapping[str, Sequence[ResearcherScore]],
-                    ts_by_sds: Mapping[str, Mapping[float, set[str]]],
-                    sds_to_uda: Mapping[str, str],
-                    percentiles: Sequence[float],
-                    use_uda: bool) -> dict[tuple[str, float], tuple[float, str]]:
+def ts_output_means(table: ScoreTable, is_ts: np.ndarray, sds_to_uda: Mapping[str, str],
+                    use_uda: bool) -> tuple[np.ndarray, np.ndarray]:
     """Mean fractional publication output of each field's top scientists,
-    with its provenance, per (sds, p).
+    and its provenance, per (field, percentile).
 
     A field without a top scientist at p takes the pooled mean of its
     discipline's top scientists (when use_uda), then the national pool;
-    (0.0, "no_ts_anywhere") when every pool is empty. Pools are extended
-    field by field in scores_by_sds order.
+    (0.0, "no_ts_anywhere") when every pool is empty. Each pool adds its
+    top scientists' outputs in row order.
     """
-    own: dict[tuple[str, float], list[float]] = {}
-    pooled_uda: dict[tuple[str, float], list[float]] = {}
-    pooled_national: dict[float, list[float]] = {p: [] for p in percentiles}
-    for sds, scores in scores_by_sds.items():
-        uda = sds_to_uda[sds]
-        for p in percentiles:
-            ts = ts_by_sds[sds][p]
-            outputs = own[sds, p] = [s.frac_pub_output for s in scores if s.researcher_id in ts]
-            pooled_uda.setdefault((uda, p), []).extend(outputs)
-            pooled_national[p].extend(outputs)
+    udas = sorted({sds_to_uda[sds] for sds in table.sds_codes})
+    uda_of_field = np.array([udas.index(sds_to_uda[sds]) for sds in table.sds_codes],
+                            dtype=np.intp)
+    field = table.field
+    ts_output = table.output[:, None] * is_ts  # 0.0 off the top scientists, and x + 0.0 == x
 
-    def mean(values: list[float]) -> Optional[float]:
-        return sum(values) / len(values) if values else None
+    def pooled_mean(group: np.ndarray, n_groups: int) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # an empty pool's mean is nan
+            return group_sums(group, ts_output, n_groups) / group_sums(group, is_ts, n_groups)
 
-    uda_mean = {key: mean(values) for key, values in pooled_uda.items()}
-    national_mean = {p: mean(values) for p, values in pooled_national.items()}
-    means = {}
-    for (sds, p), outputs in own.items():
-        chain = ((mean(outputs), RESCALE_FROM_FIELD),
-                 (uda_mean[sds_to_uda[sds], p] if use_uda else None, RESCALE_FROM_UDA),
-                 (national_mean[p], RESCALE_FROM_NATIONAL),
-                 (0.0, RESCALE_EXHAUSTED))
-        means[sds, p] = next(c for c in chain if c[0] is not None)
-    return means
+    mean = pooled_mean(field, len(table.sds_codes))
+    source = np.full(mean.shape, RESCALE_FROM_FIELD, dtype=object)
+    fallbacks = [(pooled_mean(np.zeros_like(field), 1), RESCALE_FROM_NATIONAL),
+                 (0.0, RESCALE_EXHAUSTED)]
+    if use_uda:
+        uda_mean = pooled_mean(uda_of_field[field], len(udas))[uda_of_field]
+        fallbacks.insert(0, (uda_mean, RESCALE_FROM_UDA))
+    for pool_mean, pool in fallbacks:  # each pool fills the means still empty
+        empty = np.isnan(mean)
+        mean = np.where(empty, pool_mean, mean)
+        source[empty] = pool
+    return mean, source
 
 
-def write_researcher_scores_csv(scores: Sequence[ResearcherScore],
-                                ts_ids_by_sds: Mapping[str, Mapping[float, frozenset[str]]],
+def write_researcher_scores_csv(table: ScoreTable, is_ts: Sequence[np.ndarray],
                                 path: Path) -> int:
-    """Export one row per (researcher, percentile) with the TS verdict."""
-    percentiles = sorted(scores[0].fhca_score) if scores else []
+    """Export one row per (researcher, percentile) with the TS verdict,
+    rows in table order; is_ts holds each field's (row x percentile)
+    verdicts, field by field."""
+    labels = [p_label(p) for p in table.percentiles]
+    sds = [table.sds_codes[f] for f in table.field.tolist()]
+    verdicts = [row for field_ts in is_ts for row in field_ts.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"])
-        n = 0
-        labels = {p: p_label(p) for p in percentiles}
-        for score in scores:
-            for p in percentiles:
-                is_ts = score.researcher_id in ts_ids_by_sds[score.sds][p]
-                writer.writerow([
-                    score.researcher_id, score.sds, labels[p],
-                    repr(score.fhca_score[p]), repr(score.frac_pub_output),
-                    str(is_ts).lower(),
-                ])
-                n += 1
-    return n
+        for researcher_id, field_sds, scores, output, ts in zip(
+                table.researcher_ids, sds, table.fhca.tolist(), table.output.tolist(), verdicts):
+            writer.writerows([researcher_id, field_sds, label, repr(score), repr(output),
+                              "true" if flag else "false"]
+                             for label, score, flag in zip(labels, scores, ts))
+    return len(table.researcher_ids) * len(labels)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fieldstrength.hca import CitationCell, CitationCells, build_cells
@@ -9,6 +10,7 @@ from fieldstrength.indicators import FieldScoreboard
 from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
 from fieldstrength.model import AnalysisConfig, CostModel, ResearcherRecord, Taxonomy
 from fieldstrength.pipeline import PipelineResult, run_pipeline
+from fieldstrength.scoring import ScoreTable
 from fieldstrength.synth import SynthParams, generate
 
 
@@ -71,12 +73,36 @@ def mk_board(sds: str, uda: str, fss_ts: dict[float, float], fss_fhca: dict[floa
         n_professors=n_professors,
         n_by_rank={"assistant": n_professors, "associate": 0, "full": 0},
         total_cost=total_cost,
-        ts_ids={p: frozenset() for p in percentiles},
+        ts_count={p: 0 for p in percentiles},
         fhca_total={p: 0.0 for p in percentiles},
         fhca_rescaled={p: 0.0 for p in percentiles},
         fss_ts=dict(fss_ts),
         fss_fhca=dict(fss_fhca),
         rescale_provenance=provenance or {p: "field" for p in percentiles},
+        is_ts=np.zeros((n_professors, len(percentiles)), dtype=bool),
+    )
+
+
+def mk_table(fhca: dict[str, list], percentiles, output: dict[str, list] | None = None,
+             ) -> ScoreTable:
+    """A ScoreTable of hand-set scores. fhca maps each SDS code to its
+    professors' rows of scores, one value per percentile; output (default
+    1.0) maps it to their outputs. Professor i of field S is "S-0000i"; every
+    professor costs 1.0 and is an assistant."""
+    sds_codes = sorted(fhca)
+    sizes = [len(fhca[sds]) for sds in sds_codes]
+    n = sum(sizes)
+    return ScoreTable(
+        researcher_ids=tuple(f"{sds}-{i:05d}" for sds in sds_codes for i in range(len(fhca[sds]))),
+        sds_codes=tuple(sds_codes),
+        field_start=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+        percentiles=tuple(percentiles),
+        fhca=np.array([row for sds in sds_codes for row in fhca[sds]],
+                      dtype=float).reshape(n, len(percentiles)),
+        output=(np.array([v for sds in sds_codes for v in output[sds]], dtype=float)
+                if output is not None else np.ones(n)),
+        cost=np.ones(n),
+        rank=np.zeros(n, dtype=np.intp),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import members, mk_board, mk_corpus, one_cell
+from conftest import members, mk_board, mk_corpus, mk_table, one_cell
 from fieldstrength.analytics import rank_indicator, spearman
 from fieldstrength.cli import main
 from fieldstrength.hca import build_cells, flag_hcas
@@ -27,11 +27,7 @@ from fieldstrength.model import AnalysisConfig, CostModel, cost_per_year
 from fieldstrength.oracles import oracle_quartiles, oracle_spearman, oracle_top_p
 from fieldstrength.pipeline import run_pipeline
 from fieldstrength.reporting import render
-from fieldstrength.scoring import (
-    detect_top_scientists,
-    score_researchers,
-    tukey_fence,
-)
+from fieldstrength.scoring import detect_top_scientists, score_researchers
 from fieldstrength.synth import SynthParams, generate
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -85,18 +81,23 @@ def test_criterion_2_oracle_equivalence():
             p = rng.choice([5.0, 10.0, round(rng.uniform(0.5, 99.5), 2)])
             assert flag_hcas(cells, [p])[p].flagged == oracle_top_p(members(*cells), p)
 
-        # Tukey quartiles: 1e-12
-        for _ in range(1000):
+        # Tukey quartiles: 1e-12, on 1000 fields of one table; the fence at
+        # multiplier 0 is q3
+        fields = {}
+        for i in range(1000):
             n = rng.randint(1, 500)
             if rng.random() < 0.5:
                 values = [float(rng.randint(0, 6)) for _ in range(n)]
             else:
                 values = [rng.uniform(-1e3, 1e3) for _ in range(n)]
-            fence = tukey_fence(values, 1.5)
-            q1, q3 = oracle_quartiles(values)
-            assert abs(fence.q1 - q1) <= 1e-12
-            assert abs(fence.q3 - q3) <= 1e-12
-            assert abs(fence.threshold - (q3 + 1.5 * (q3 - q1))) <= 1e-12
+            fields[f"F{i:04d}"] = [[v] for v in values]
+        table = mk_table(fields, [5.0])
+        q3s, _ = detect_top_scientists(table, 0.0)
+        fences, _ = detect_top_scientists(table, 1.5)
+        for f, sds in enumerate(table.sds_codes):
+            q1, q3 = oracle_quartiles([row[0] for row in fields[sds]])
+            assert abs(q3s[f, 0] - q3) <= 1e-12
+            assert abs(fences[f, 0] - (q3 + 1.5 * (q3 - q1))) <= 1e-12
 
         # Spearman: 1e-10, including tie-heavy and degenerate vectors
         for _ in range(1000):
@@ -133,19 +134,12 @@ def test_criterion_3_invariance_suite(default_corpus, default_result, tmp_path):
             cells = build_cells(corpus)
             assert flag_hcas(cells, [5.0])[5.0].flagged <= flag_hcas(cells, [10.0])[10.0].flagged
 
-        # (b) positive scaling of a field's scores leaves its TS set unchanged
-        by_sds = {}
-        for score in default_result.scores:
-            by_sds.setdefault(score.sds, []).append(score)
-        largest = max(by_sds.values(), key=len)
+        # (b) positive scaling of the scores leaves every field's TS set unchanged
+        table = default_result.scores
+        _, base_ts = detect_top_scientists(table, 1.5)
         for c in (0.25, 13.0):
-            for p in (5.0, 10.0):
-                scaled = [
-                    replace(s, fhca_score={q: c * v for q, v in s.fhca_score.items()})
-                    for s in largest
-                ]
-                assert detect_top_scientists(scaled, [p], 1.5)[p] == \
-                    detect_top_scientists(largest, [p], 1.5)[p]
+            _, scaled_ts = detect_top_scientists(replace(table, fhca=c * table.fhca), 1.5)
+            assert (scaled_ts == base_ts).all()
 
         # (c) uniform cost inflation by c = 2 (exact in floats): FSS x 1/2,
         # ranks, quadrant memberships and Spearman entries unchanged
@@ -196,7 +190,7 @@ def test_criterion_4_zero_path_end_to_end(tmp_path):
             assert not (result.flag_sets[p].flagged & roster)
         for board in result.boards:
             for p in (5.0, 10.0):
-                assert board.ts_count(p) == 0
+                assert board.ts_count[p] == 0
                 assert board.fss_ts[p] == 0.0
                 assert board.fss_fhca[p] == 0.0
         assert result.quadrant.strong_union == frozenset()
@@ -240,11 +234,11 @@ def test_criterion_5_rescaling_purpose():
         flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
         scores = score_researchers(corpus, flags, CostModel())
         boards = {b.sds: b for b in
-                  build_field_scoreboards(corpus, scores, flags, CostModel())}
+                  build_field_scoreboards(corpus, scores, CostModel())}
         a, b = boards["S1"], boards["S2"]
         assert a.total_cost == b.total_cost
         for p in (5.0, 10.0):
-            assert a.ts_count(p) >= 1, "field A needs a top scientist for the check to bite"
+            assert a.ts_count[p] >= 1, "field A needs a top scientist for the check to bite"
             assert a.fhca_total[p] > 0
             assert abs(b.fhca_total[p] - 2 * a.fhca_total[p]) / a.fhca_total[p] < 1e-12
             assert abs(a.fss_fhca[p] - b.fss_fhca[p]) / a.fss_fhca[p] < 1e-12

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import builtins
 import json
+import math
 import os
 import subprocess
 import sys
@@ -366,4 +368,29 @@ def test_run_output_does_not_depend_on_the_hash_seed(default_synth_dir, tmp_path
                         "--out", str(out)], check=True,
                        env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed))
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1] and len(trees[0]) == 23
+
+
+def test_output_does_not_depend_on_builtin_sum(default_synth_dir, tmp_path, monkeypatch):
+    # Python 3.12 made sum() of floats compensated, so a float total taken
+    # with sum() would differ in the last bits between interpreters; math.fsum
+    # (correctly rounded) stands in for the newer sum here
+    real_sum = builtins.sum
+
+    def fsum_sum(iterable, start=0):
+        items = list(iterable)
+        if any(isinstance(item, float) for item in items):
+            return math.fsum([start, *items])
+        return real_sum(items, start)
+
+    config = write_config(tmp_path, default_synth_dir)
+    trees = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(builtins, "sum", fsum_sum)
+        out = tmp_path / f"out_{patched}"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    monkeypatch.undo()
+    assert fsum_sum([0.1] * 10) != real_sum([0.1] * 10)  # the stand-in does change float sums
     assert trees[0] == trees[1] and len(trees[0]) == 23

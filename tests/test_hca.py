@@ -191,6 +191,6 @@ def test_fractional_value():
         corpus = mk_corpus([("r1", "S1", years)], [pub("x", 2012, 0, ["A"], n_authors)],
                            [("x", "r1")], {"S1": "U1"})
         flag_sets = flag_hcas(build_cells(corpus), [5.0])
-        [score] = score_researchers(corpus, flag_sets, CostModel())
-        assert score.frac_pub_output == share
-        assert score.fhca_score[5.0] == share  # the lone publication tops its cell
+        table = score_researchers(corpus, flag_sets, CostModel())
+        assert table.output.tolist() == [share]
+        assert table.fhca.tolist() == [[share]]  # the lone publication tops its cell

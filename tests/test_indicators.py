@@ -5,7 +5,7 @@ import pytest
 from conftest import mk_board, mk_corpus
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.indicators import (
-    aggregate_uda,
+    build_discipline_scoreboards,
     build_field_scoreboards,
     indicator_id,
     per_euro,
@@ -65,7 +65,7 @@ def build_boards(corpus, cost_model=None):
     cost_model = cost_model or CostModel()
     flags = flag_hcas(build_cells(corpus), corpus.config.sorted_percentiles)
     scores = score_researchers(corpus, flags, cost_model)
-    return build_field_scoreboards(corpus, scores, flags, cost_model)
+    return build_field_scoreboards(corpus, scores, cost_model)
 
 
 def test_field_scoreboard_consistency():
@@ -74,33 +74,33 @@ def test_field_scoreboard_consistency():
     for board in boards:
         assert board.total_cost == 8 * 3 * 70007.0
         for p in (5.0, 10.0):
-            assert (board.fss_ts[p] == 0.0) == (board.ts_count(p) == 0)
+            assert (board.fss_ts[p] == 0.0) == (board.ts_count[p] == 0)
             assert board.fss_ts[p] >= 0.0 and board.fss_fhca[p] >= 0.0
             assert board.fss_ts[p] == pytest.approx(
-                1e8 * board.ts_count(p) / board.total_cost
+                1e8 * board.ts_count[p] / board.total_cost
             )
 
 
 def test_scoreboard_zero_iff_no_ts(default_result):
     for board in default_result.boards:
         for p in (5.0, 10.0):
-            assert (board.fss_ts[p] == 0.0) == (board.ts_count(p) == 0)
+            assert (board.fss_ts[p] == 0.0) == (board.ts_count[p] == 0)
 
 
 def test_aggregate_single_field_equals_field():
     boards = build_boards(two_field_corpus())
-    row = aggregate_uda("U1", boards[:1], [5.0, 10.0])
+    [row], _ = build_discipline_scoreboards(boards[:1], [5.0, 10.0])
     board = boards[0]
     for p in (5.0, 10.0):
         assert row.fss_ts[p] == pytest.approx(board.fss_ts[p])
         assert row.fss_fhca[p] == pytest.approx(board.fss_fhca[p])
-        assert row.ts_count[p] == board.ts_count(p)
+        assert row.ts_count[p] == board.ts_count[p]
 
 
 def test_aggregate_equal_costs_is_plain_mean():
     a = mk_board("S1", "U1", {5.0: 4.0}, {5.0: 1.0}, total_cost=1e6)
     b = mk_board("S2", "U1", {5.0: 8.0}, {5.0: 3.0}, total_cost=1e6)
-    row = aggregate_uda("U1", [a, b], [5.0])
+    [row], _ = build_discipline_scoreboards([a, b], [5.0])
     assert row.fss_ts[5.0] == pytest.approx(6.0)
     assert row.fss_fhca[5.0] == pytest.approx(2.0)
 
@@ -117,7 +117,7 @@ def test_aggregate_is_convex_combination(default_result):
 def test_overall_ts_share(default_result):
     overall = default_result.discipline_overall
     for p in (5.0, 10.0):
-        total_ts = sum(b.ts_count(p) for b in default_result.boards)
+        total_ts = sum(b.ts_count[p] for b in default_result.boards)
         total_prof = sum(b.n_professors for b in default_result.boards)
         assert overall.ts_count[p] == total_ts
         assert overall.ts_share[p] == pytest.approx(100.0 * total_ts / total_prof)
@@ -125,7 +125,7 @@ def test_overall_ts_share(default_result):
 
 def test_aggregate_empty_uda_rejected():
     with pytest.raises(ValueError):
-        aggregate_uda("U1", [], [5.0])
+        build_discipline_scoreboards([], [5.0])
 
 
 def test_intensity_rescaling_cancels():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import pytest
 
 from fieldstrength.errors import ConfigurationError
 from fieldstrength.model import (
+    RANKS,
     AnalysisConfig,
     CostModel,
     ResearcherRecord,
@@ -13,7 +16,7 @@ from fieldstrength.model import (
     cost_per_year,
     normalization_factor,
     read_json_fields,
-    researcher_cost,
+    researcher_costs,
 )
 
 REFERENCE_COSTS = {"assistant": 70007.0, "associate": 76103.5, "full": 93343.5}
@@ -75,19 +78,17 @@ def test_cost_monotone_in_salary_and_capital():
 def test_researcher_cost_examples():
     cm = CostModel()
     five_years = ResearcherRecord("r1", "S1", {y: "assistant" for y in range(2012, 2017)})
-    assert researcher_cost(five_years, cm) == 350035.0
-
     mixed = ResearcherRecord(
         "r2", "S1",
         {2012: "assistant", 2013: "assistant", 2014: "assistant",
          2015: "associate", 2016: "associate"},
     )
-    assert researcher_cost(mixed, cm) == 362228.0
+    assert researcher_costs([five_years, mixed], cm).tolist() == [350035.0, 362228.0]
 
 
 def test_researcher_cost_no_years_is_an_error():
     with pytest.raises(ConfigurationError):
-        researcher_cost(ResearcherRecord("r0", "S1", {}), CostModel())
+        researcher_costs([ResearcherRecord("r0", "S1", {})], CostModel())
 
 
 def test_researcher_cost_additive_over_disjoint_years():
@@ -95,9 +96,25 @@ def test_researcher_cost_additive_over_disjoint_years():
     a = ResearcherRecord("ra", "S1", {2012: "assistant", 2013: "associate"})
     b = ResearcherRecord("rb", "S1", {2014: "full", 2015: "full", 2016: "assistant"})
     joined = ResearcherRecord("rc", "S1", {**a.rank_by_year, **b.rank_by_year})
-    assert researcher_cost(joined, cm) == pytest.approx(
-        researcher_cost(a, cm) + researcher_cost(b, cm), rel=1e-12
-    )
+    cost_a, cost_b, cost_joined = researcher_costs([a, b, joined], cm).tolist()
+    assert cost_joined == pytest.approx(cost_a + cost_b, rel=1e-12)
+
+
+def test_researcher_cost_adds_inexact_yearly_costs_in_year_order():
+    # none of these costs is a whole number of euro, so the order of the
+    # additions shows in the last bits of the totals
+    cm = CostModel(salary={"assistant": 54628.37, "associate": 66821.19, "full": 101301.83},
+                   capital=1234.567, research_time_share=0.37)
+    rng = random.Random(41)
+    records = []
+    for i in range(300):
+        years = rng.sample(range(2005, 2021), rng.randint(1, 16))  # not in year order
+        records.append(ResearcherRecord(f"r{i}", "S1", {y: rng.choice(RANKS) for y in years}))
+    for record, cost in zip(records, researcher_costs(records, cm).tolist()):
+        expected = functools.reduce(
+            operator.add,
+            (cost_per_year(rank, cm) for _, rank in sorted(record.rank_by_year.items())), 0)
+        assert cost == expected, record.researcher_id
 
 
 def test_cost_model_validation():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import mk_corpus
+from conftest import mk_corpus, mk_table
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.model import AnalysisConfig, CostModel
 from fieldstrength.oracles import oracle_quartiles
@@ -14,22 +15,12 @@ from fieldstrength.scoring import (
     RESCALE_FROM_FIELD,
     RESCALE_FROM_NATIONAL,
     RESCALE_FROM_UDA,
-    ResearcherScore,
     detect_top_scientists,
     score_researchers,
     ts_output_means,
-    tukey_fence,
 )
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
-
-
-def mk_score(rid, sds, fhca, output=None, cost=1.0):
-    if isinstance(fhca, (int, float)):
-        fhca = {5.0: float(fhca), 10.0: float(fhca)}
-    return ResearcherScore(researcher_id=rid, sds=sds, fhca_score=fhca,
-                           frac_pub_output=output if output is not None else max(fhca.values()),
-                           cost=cost)
 
 
 def scored_corpus():
@@ -47,54 +38,73 @@ def scored_corpus():
     return mk_corpus(researchers, pubs, links, {"S1": "U1"})
 
 
+def one_field(scores):
+    """Field S1 whose professors score the given values at p = 5."""
+    return mk_table({"S1": [[v] for v in scores]}, [5.0])
+
+
+def threshold_of(scores, multiplier: float) -> float:
+    """The fence threshold of one field with the given scores; at
+    multiplier 0 it is the field's q3."""
+    threshold, _ = detect_top_scientists(one_field(scores), multiplier)
+    return float(threshold[0, 0])
+
+
+def ts_ids(table, multiplier: float = 1.5) -> set[str]:
+    """The researchers that are top scientists at the table's first percentile."""
+    _, is_ts = detect_top_scientists(table, multiplier)
+    return {table.researcher_ids[i] for i in np.flatnonzero(is_ts[:, 0])}
+
+
 def test_score_researchers_fractional_sums():
     corpus = scored_corpus()
     flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
     assert flags[5.0].flagged >= {"hc1", "hc2"}
-    scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
+    table = score_researchers(corpus, flags, CostModel())
+    r1, r2 = table.researcher_ids.index("r1"), table.researcher_ids.index("r2")
 
-    assert scores["r1"].fhca_score[5.0] == pytest.approx(0.5 + 0.25)
-    assert scores["r1"].frac_pub_output == pytest.approx(0.5 + 0.25 + 0.2)
+    assert table.fhca[r1, 0] == pytest.approx(0.5 + 0.25)
+    assert table.output[r1] == pytest.approx(0.5 + 0.25 + 0.2)
     # co-author gains their own half; the pair together carries the whole article
-    assert scores["r2"].fhca_score[5.0] == pytest.approx(0.5)
-    assert scores["r1"].cost == 3 * 70007.0
+    assert table.fhca[r2, 0] == pytest.approx(0.5)
+    assert table.cost[r1] == 3 * 70007.0
 
 
 def test_zero_hca_researcher_scores_zero():
     corpus = scored_corpus()
     flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
-    scores = {s.researcher_id: s for s in score_researchers(corpus, flags, CostModel())}
-    assert scores["r2"].fhca_score[5.0] <= scores["r2"].fhca_score[10.0]
-    assert all(s.fhca_score[5.0] <= s.frac_pub_output for s in scores.values())
+    table = score_researchers(corpus, flags, CostModel())
+    assert table.percentiles == (5.0, 10.0)
+    assert (table.fhca[:, 0] <= table.fhca[:, 1]).all()
+    assert (table.fhca[:, 0] <= table.output).all()
 
 
 def test_tukey_fence_all_zero():
-    fence = tukey_fence([0.0, 0.0, 0.0, 0.0], 1.5)
-    assert fence.q1 == fence.q3 == fence.iqr == fence.threshold == 0.0
+    assert threshold_of([0.0, 0.0, 0.0, 0.0], 0.0) == threshold_of([0.0] * 4, 1.5) == 0.0
 
 
 def test_tukey_fence_interpolated_example():
     # nine values: quartile positions (9-1)*0.25 = 2 and (9-1)*0.75 = 6
-    fence = tukey_fence([1, 2, 3, 4, 5, 6, 7, 8, 100], 1.5)
-    assert fence.q1 == 3.0
-    assert fence.q3 == 7.0
-    assert fence.threshold == 13.0
-    assert 100 > fence.threshold
+    values = [1, 2, 3, 4, 5, 6, 7, 8, 100]
+    q3 = threshold_of(values, 0.0)
+    assert q3 == 7.0
+    assert 2 * q3 - threshold_of(values, 1.0) == 3.0  # q1
+    assert threshold_of(values, 1.5) == 13.0
+    assert 100 > threshold_of(values, 1.5)
 
 
 def test_tukey_fence_sparse_fields():
     # exactly 75% zeros: q3 interpolates a quarter of the way to the
     # first positive value (positions 74..75 straddle the boundary)
     values = [0.0] * 75 + [5.0] * 25
-    fence = tukey_fence(values, 1.5)
-    assert (fence.q1, fence.q3) == oracle_quartiles(values)
-    assert fence.q3 == pytest.approx(1.25)
+    q1, q3 = oracle_quartiles(values)
+    assert threshold_of(values, 0.0) == q3 == pytest.approx(1.25)
+    assert threshold_of(values, 1.5) == q3 + 1.5 * (q3 - q1)
     # strictly more than 75% zeros: the fence collapses to zero and any
     # positive scorer is an outlier
     values = [0.0] * 76 + [5.0] * 24
-    fence = tukey_fence(values, 1.5)
-    assert (fence.q1, fence.q3) == oracle_quartiles(values)
-    assert fence.threshold == 0.0
+    assert oracle_quartiles(values) == (0.0, 0.0)
+    assert threshold_of(values, 1.5) == 0.0
 
 
 def test_tukey_fence_matches_oracle_on_random_vectors():
@@ -105,85 +115,89 @@ def test_tukey_fence_matches_oracle_on_random_vectors():
             values = [rng.randint(0, 5) for _ in range(n)]  # heavy ties
         else:
             values = [rng.uniform(-100, 100) for _ in range(n)]
-        fence = tukey_fence(values, 1.5)
         q1, q3 = oracle_quartiles(values)
-        assert fence.q1 == pytest.approx(q1, abs=1e-12)
-        assert fence.q3 == pytest.approx(q3, abs=1e-12)
-        assert fence.threshold == pytest.approx(q3 + 1.5 * (q3 - q1), abs=1e-12)
+        assert threshold_of(values, 0.0) == pytest.approx(q3, abs=1e-12)
+        assert threshold_of(values, 1.5) == pytest.approx(q3 + 1.5 * (q3 - q1), abs=1e-12)
 
 
 def test_tukey_fence_empty_rejected():
-    with pytest.raises(ValueError):
-        tukey_fence([], 1.5)
+    # a field without professors has no distribution to fence
+    table = mk_table({"S1": [[1.0]], "S2": []}, [5.0])
+    with pytest.raises(ValueError, match="S2"):
+        detect_top_scientists(table, 1.5)
 
 
 def test_detect_top_scientists_strictness():
-    all_zero = [mk_score(f"r{i}", "S1", 0.0) for i in range(10)]
-    assert detect_top_scientists(all_zero, [5.0], 1.5)[5.0] == set()
-
-    uniform = [mk_score(f"r{i}", "S1", 2.5) for i in range(10)]
-    assert detect_top_scientists(uniform, [5.0], 1.5)[5.0] == set()
+    assert ts_ids(one_field([0.0] * 10)) == set()
+    assert ts_ids(one_field([2.5] * 10)) == set()
 
 
 def test_detect_top_scientists_sparse_field():
-    scores = [mk_score(f"r{i}", "S1", 0.0) for i in range(96)]
-    scores.append(mk_score("hero", "S1", 0.2))
-    assert detect_top_scientists(scores, [5.0], 1.5)[5.0] == {"hero"}
+    table = one_field([0.0] * 96 + [0.2])
+    assert ts_ids(table) == {table.researcher_ids[-1]}
 
 
 def test_positive_scaling_leaves_ts_set_unchanged():
     rng = random.Random(23)
-    scores = [mk_score(f"r{i}", "S1", rng.expovariate(2.0) if rng.random() < 0.4 else 0.0)
-              for i in range(120)]
-    base = detect_top_scientists(scores, [5.0], 1.5)[5.0]
+    table = one_field([rng.expovariate(2.0) if rng.random() < 0.4 else 0.0 for _ in range(120)])
+    base = ts_ids(table)
+    threshold, _ = detect_top_scientists(table, 1.5)
     for c in (0.1, 3.0, 1e6):
-        scaled = [
-            mk_score(s.researcher_id, s.sds, {p: c * v for p, v in s.fhca_score.items()})
-            for s in scores
-        ]
-        assert detect_top_scientists(scaled, [5.0], 1.5)[5.0] == base
-        fence = tukey_fence([s.fhca_score[5.0] for s in scores], 1.5)
-        scaled_fence = tukey_fence([c * s.fhca_score[5.0] for s in scores], 1.5)
-        assert scaled_fence.threshold == pytest.approx(c * fence.threshold, rel=1e-9)
+        scaled = replace(table, fhca=c * table.fhca)
+        assert ts_ids(scaled) == base
+        scaled_threshold, _ = detect_top_scientists(scaled, 1.5)
+        assert scaled_threshold[0, 0] == pytest.approx(c * threshold[0, 0], rel=1e-9)
+
+
+def test_each_field_fence_is_the_quantile_of_that_field_alone():
+    rng = random.Random(31)
+    sizes = {"S1": 7, "S2": 23}
+    scores = {sds: [[rng.choice([0.0, 0.25, 1 / 3, rng.uniform(0, 5)]) for _ in SWEEP[:3]]
+                    for _ in range(n)] for sds, n in sizes.items()}
+    table = mk_table(scores, SWEEP[:3])
+    threshold, is_ts = detect_top_scientists(table, 1.5)
+    for f, sds in enumerate(table.sds_codes):
+        alone = np.array(scores[sds])
+        q1, q3 = np.quantile(alone, [0.25, 0.75], axis=0)
+        assert threshold[f].tolist() == (q3 + 1.5 * (q3 - q1)).tolist()
+        rows = slice(table.field_start[f], table.field_start[f + 1])
+        assert (is_ts[rows] == (alone > q3 + 1.5 * (q3 - q1))).all()
 
 
 def _mean_of(field, ts, others=(), use_uda=True):
-    """ts_output_means of field S1 (discipline U1) with top scientists ts at
-    p=5, next to (sds, uda, output) fields of one top scientist each."""
-    scores_by_sds = {"S1": field}
-    ts_by_sds = {"S1": {5.0: ts}}
-    sds_to_uda = {"S1": "U1"}
+    """ts_output_means of field S1 (discipline U1) at p=5: its professors
+    have the outputs in field, and ts says which are top scientists. Next
+    to it lie the (sds, uda, output) fields of one top scientist each."""
+    outputs, flags, sds_to_uda = {"S1": list(field)}, {"S1": list(ts)}, {"S1": "U1"}
     for sds, uda, output in others:
-        scores_by_sds[sds] = [mk_score(f"{sds}-ts", sds, 1.0, output=output)]
-        ts_by_sds[sds] = {5.0: {f"{sds}-ts"}}
-        sds_to_uda[sds] = uda
-    return ts_output_means(scores_by_sds, ts_by_sds, sds_to_uda, [5.0], use_uda)["S1", 5.0]
+        outputs[sds], flags[sds], sds_to_uda[sds] = [output], [True], uda
+    table = mk_table({sds: [[0.0]] * len(v) for sds, v in outputs.items()}, [5.0], outputs)
+    is_ts = np.array([[flag] for sds in table.sds_codes for flag in flags[sds]], dtype=bool)
+    mean, source = ts_output_means(table, is_ts, sds_to_uda, use_uda)
+    return mean[0, 0], source[0, 0]  # S1 is the table's first field
 
 
 def test_avg_ts_output_direct():
-    field = [mk_score("r1", "S1", 1.0, output=3.4), mk_score("r2", "S1", 0.0, output=9.9)]
-    value, source = _mean_of(field, {"r1"})
+    value, source = _mean_of([3.4, 9.9], [True, False])
     assert (value, source) == (3.4, RESCALE_FROM_FIELD)
 
-    field.append(mk_score("r3", "S1", 1.0, output=2.0))
-    value, _ = _mean_of(field, {"r1", "r3"})
+    value, _ = _mean_of([3.4, 9.9, 2.0], [True, False, True])
     assert value == pytest.approx((3.4 + 2.0) / 2)
 
 
 def test_avg_ts_output_fallback_chain():
-    field = [mk_score("r1", "S1", 0.0, output=1.0)]
-    value, source = _mean_of(field, set(), [("S2", "U1", 2.5)])
+    value, source = _mean_of([1.0], [False], [("S2", "U1", 2.5)])
     assert (value, source) == (2.5, RESCALE_FROM_UDA)
 
-    value, source = _mean_of(field, set(), [("S3", "U2", 4.0)])
+    value, source = _mean_of([1.0], [False], [("S3", "U2", 4.0)])
     assert (value, source) == (4.0, RESCALE_FROM_NATIONAL)
 
     # national-only mode skips the discipline pool (national mean (2.5 + 5.5) / 2)
-    value, source = _mean_of(field, set(), [("S2", "U1", 2.5), ("S3", "U2", 5.5)],
+    value, source = _mean_of([1.0], [False], [("S2", "U1", 2.5), ("S3", "U2", 5.5)],
                              use_uda=False)
     assert (value, source) == (4.0, RESCALE_FROM_NATIONAL)
 
-    value, source = _mean_of(field, set())
+    value, source = _mean_of([1.0], [False])
     assert (value, source) == (0.0, RESCALE_EXHAUSTED)
 
 
@@ -198,8 +212,8 @@ def test_min_years_config_respected():
     cfg = AnalysisConfig(min_years=2)
     corpus = mk_corpus([("r1", "S1", {2012: "full", 2013: "full"})], [], [], {"S1": "U1"}, cfg)
     flags = flag_hcas(build_cells(corpus), [5.0, 10.0])
-    scores = score_researchers(corpus, flags, CostModel())
-    assert len(scores) == 1 and scores[0].frac_pub_output == 0.0
+    table = score_researchers(corpus, flags, CostModel())
+    assert table.researcher_ids == ("r1",) and table.output.tolist() == [0.0]
 
 
 SWEEP = [0.5 * i for i in range(1, 21)]
@@ -208,21 +222,15 @@ SWEEP = [0.5 * i for i in range(1, 21)]
 def test_batched_fences_equal_one_tukey_fence_per_percentile():
     rng = random.Random(23)
     for _ in range(60):
-        field = [
-            ResearcherScore(
-                researcher_id=f"r{i}", sds="S1",
-                fhca_score={p: rng.choice([0.0, 0.0, 0.25, 1 / 3, 0.5, rng.uniform(0, 5)])
-                            for p in SWEEP},
-                frac_pub_output=1.0, cost=1.0,
-            )
-            for i in range(rng.randint(1, 40))
-        ]
+        rows = [[rng.choice([0.0, 0.0, 0.25, 1 / 3, 0.5, rng.uniform(0, 5)]) for _ in SWEEP]
+                for _ in range(rng.randint(1, 40))]
         multiplier = rng.choice([0.0, 1.5, 3.0])
-        batched = detect_top_scientists(field, SWEEP, multiplier)
-        for p in SWEEP:
-            fence = tukey_fence([s.fhca_score[p] for s in field], multiplier)
-            assert batched[p] == {s.researcher_id for s in field
-                                  if s.fhca_score[p] > fence.threshold}
+        threshold, is_ts = detect_top_scientists(mk_table({"S1": rows}, SWEEP), multiplier)
+        for j, p in enumerate(SWEEP):
+            one_threshold, one_is_ts = detect_top_scientists(
+                mk_table({"S1": [[row[j]] for row in rows]}, [p]), multiplier)
+            assert threshold[0, j] == one_threshold[0, 0]
+            assert (is_ts[:, j] == one_is_ts[:, 0]).all()
 
 
 def test_fhca_scores_equal_a_naive_per_link_loop():
@@ -249,7 +257,12 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
                 if pub_id in flag_sets[p].flagged:
                     fhca[researcher_id][p] += share
 
-        for score in score_researchers(corpus, flag_sets, CostModel()):
-            assert score.fhca_score == fhca[score.researcher_id]
-            assert score.frac_pub_output == output[score.researcher_id]
-            assert all(type(v) is float for v in score.fhca_score.values())
+        table = score_researchers(corpus, flag_sets, CostModel())
+        sds_of_row = [table.sds_codes[f] for f in table.field.tolist()]
+        assert list(zip(sds_of_row, table.researcher_ids)) == sorted(
+            (sds, rid) for rid, sds, _ in researchers)
+        assert table.fhca.dtype == np.float64
+        for rid, scores, out in zip(table.researcher_ids, table.fhca.tolist(),
+                                    table.output.tolist()):
+            assert dict(zip(SWEEP, scores)) == fhca[rid]
+            assert out == output[rid]
