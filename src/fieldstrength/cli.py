@@ -104,7 +104,10 @@ def _config_hash(raw: dict[str, Any]) -> str:
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # streamed: json.dumps with indent first holds every chunk of the text in a list
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -64,10 +64,10 @@ class CitationCells:
 class HcaFlagSet:
     """Publications flagged as highly cited at one percentile threshold.
 
-    best_category records, for each flagged publication, the category in
-    which it achieved its best cell standing (smallest share of members
-    strictly above it; ties broken by category code). hit marks the
-    flagged rows of the corpus the cells came from.
+    best_category records, for each flagged publication in ascending
+    pub_id order, the category in which it achieved its best cell standing
+    (smallest share of members strictly above it; ties broken by category
+    code). hit marks the flagged rows of the corpus the cells came from.
     """
 
     p: float
@@ -167,14 +167,16 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> dict[float,
 
 
 def write_flags_csv(flag_sets: Mapping[float, HcaFlagSet], path: Path) -> int:
-    """Export flagged publications with the category of their best standing."""
-    rows = [(pub_id, p_label(p), flag_sets[p].best_category[pub_id])
-            for p in sorted(flag_sets) for pub_id in sorted(flag_sets[p].flagged)]
+    """Export flagged publications with the category of their best standing,
+    by percentile and then pub_id: best_category is in pub_id order."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["pub_id", "p", "category_of_best_rank"])
-        writer.writerows(rows)
-    return len(rows)
+        for p in sorted(flag_sets):
+            label = p_label(p)
+            writer.writerows((pub_id, label, category)
+                             for pub_id, category in flag_sets[p].best_category.items())
+    return sum(len(flag_set.best_category) for flag_set in flag_sets.values())
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,24 @@ def test_rows_before_a_bad_byte_are_validated(tmp_path, capsys):
     ]
 
 
+def test_oversized_number_or_field_is_a_validation_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    big = "1" + "0" * 25
+    paths = write_csvs(corpus, MINI_TAXONOMY, MINI_RESEARCHERS,
+                       ["p1,2013,7,2,A", f"p2,2013,{big},1,A", "p3,2013,7,1," + "A" * 140_000],
+                       MINI_AUTHORSHIPS)
+    config = str(write_config(tmp_path, corpus))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert main(["validate", "--config", config]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 errors",
+        f"  malformed_row: citations must be <= {2**63 - 1}, got {big} [{paths.publications}:3]",
+        "  malformed_row: field larger than field limit (131072); rest of file skipped "
+        f"[{paths.publications}:4]",
+    ]
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"inputs": {}, "capital": "caf\xe9"}')

@@ -256,6 +256,38 @@ def test_file_that_stops_early_is_not_used_to_check_references(tmp_path, name, d
         (ISSUE_MALFORMED_ROW, str(path), line)]
 
 
+@pytest.mark.parametrize("field", ["citations", "author_count"])
+def test_number_above_int64_is_malformed_row(tmp_path, field):
+    big = "1" + "0" * 25
+    row = f"big,2013,{big},1,A" if field == "citations" else f"big,2013,7,{big},A"
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load(tmp_path, publications=MINI_PUBLICATIONS + [row])
+    assert [(i.kind, i.message, i.line) for i in issues_of(excinfo)] == [
+        (ISSUE_MALFORMED_ROW, f"{field} must be <= {2**63 - 1}, got {big}", 3)]
+
+
+def test_largest_int64_counts_load(tmp_path):
+    largest = 2**63 - 1
+    corpus = load(tmp_path, publications=MINI_PUBLICATIONS + [f"big,2013,{largest},{largest},A"])
+    assert corpus.citations.max() == corpus.author_count.max() == largest
+
+
+@pytest.mark.parametrize("bad_byte_after", [False, True])
+def test_field_over_the_csv_limit_stops_the_file(tmp_path, bad_byte_after):
+    # the rows after it are not read, and authorships.csv is not checked against them
+    publications = MINI_PUBLICATIONS + ["long,2013,1,1," + "A" * 140_000, "p2,2013,x,1,A"]
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications,
+                       MINI_AUTHORSHIPS + ["p2,r1"])
+    if bad_byte_after:
+        with open(paths.publications, "ab") as handle:
+            handle.write(b"p3,2013,5,1,Caf\xe9\n")
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(paths, AnalysisConfig())
+    assert [(i.kind, i.message, i.file, i.line) for i in issues_of(excinfo)] == [
+        (ISSUE_MALFORMED_ROW, "field larger than field limit (131072); rest of file skipped",
+         str(paths.publications), 3)]
+
+
 def test_bad_header_rejected(tmp_path):
     paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS,
                        MINI_PUBLICATIONS, MINI_AUTHORSHIPS)
