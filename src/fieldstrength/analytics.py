@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .indicators import FieldScoreboard, indicator_id
+from .indicators import FieldTable, indicator_id
 
 log = logging.getLogger(__name__)
 
@@ -35,43 +34,29 @@ def fractional_ranks(values: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorRanking:
-    """One indicator's fields sorted best-first with fractional ranks.
-
-    The lookups below are built on first use and then kept, so that
-    pairwise correlations and average ranks do not rebuild them.
-    """
+    """One indicator's values and fractional ranks, both in the order of
+    sds_codes (ascending), and order, the field indices best first."""
 
     indicator_id: str
-    ranked: tuple[tuple[str, float, float], ...]  # (sds, value, rank)
-
-    @cached_property
-    def rank_by_sds(self) -> dict[str, float]:
-        return {sds: rank for sds, _, rank in self.ranked}
-
-    @cached_property
-    def value_by_sds(self) -> dict[str, float]:
-        return {sds: value for sds, value, _ in self.ranked}
-
-    @cached_property
-    def ranks_by_code(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """(SDS codes in ascending order, their ranks in that order)."""
-        codes = tuple(sorted(self.rank_by_sds))
-        return codes, np.array([self.rank_by_sds[sds] for sds in codes])
+    sds_codes: tuple[str, ...]
+    values: np.ndarray
+    ranks: np.ndarray
+    order: np.ndarray
 
 
-def rank_indicator(boards: Sequence[FieldScoreboard], family: str, p: float) -> IndicatorRanking:
+def rank_indicator(fields: FieldTable, family: str, p: float) -> IndicatorRanking:
     """Rank fields on one indicator (family "fss_ts" or "fss_fhca" at
     percentile p), best value first.
 
     Rank 1 is the best; tied values share the mean of the ranks they
-    span. Display order breaks ties by SDS code so output is stable.
+    span. The best-first order breaks ties by SDS code so output is stable.
+    A percentile the table does not hold raises KeyError.
     """
-    values = [getattr(board, family)[p] for board in boards]
+    values = dict(zip(fields.percentiles, getattr(fields, family).T))[p]
     # rank 1 = highest value, so rank descending
-    ranks = fractional_ranks([-value for value in values]).tolist()
-    entries = sorted(zip((board.sds for board in boards), values, ranks),
-                     key=lambda e: (-e[1], e[0]))
-    return IndicatorRanking(indicator_id=indicator_id(family, p), ranked=tuple(entries))
+    return IndicatorRanking(indicator_id=indicator_id(family, p), sds_codes=fields.sds_codes,
+                            values=values, ranks=fractional_ranks(-values),
+                            order=np.argsort(-values, kind="stable"))
 
 
 def spearman(x: IndicatorRanking, y: IndicatorRanking) -> Optional[float]:
@@ -80,15 +65,13 @@ def spearman(x: IndicatorRanking, y: IndicatorRanking) -> Optional[float]:
     Pearson on the fractional ranks, aligned by SDS. Undefined (None)
     when fewer than two fields or either rank vector has no variance.
     """
-    keys, a = x.ranks_by_code
-    y_keys, b = y.ranks_by_code
-    if keys != y_keys:
+    if x.sds_codes != y.sds_codes:
         raise ValueError("rankings cover different field sets")
-    if len(keys) < 2:
+    if len(x.sds_codes) < 2:
         return None
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
+    if np.ptp(x.ranks) == 0 or np.ptp(y.ranks) == 0:
         return None
-    return float(np.corrcoef(a, b)[0, 1])
+    return float(np.corrcoef(x.ranks, y.ranks)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -125,50 +108,40 @@ class QuadrantResult:
     ambiguous: frozenset[str]
 
 
-def quadrant_classify(boards: Sequence[FieldScoreboard],
-                      percentiles: Sequence[float]) -> QuadrantResult:
-    medians: dict[str, float] = {}
-    strong: set[str] = set()
-    weak: set[str] = set()
-    if not boards:
+def quadrant_classify(fields: FieldTable) -> QuadrantResult:
+    if not len(fields):
         return QuadrantResult(medians={}, strong_union=frozenset(),
                               weak_union=frozenset(), ambiguous=frozenset())
-    for p in percentiles:
-        ts_values = {b.sds: b.fss_ts[p] for b in boards}
-        fhca_values = {b.sds: b.fss_fhca[p] for b in boards}
-        ts_med = float(np.median(list(ts_values.values())))
-        fhca_med = float(np.median(list(fhca_values.values())))
+    medians: dict[str, float] = {}
+    strong = np.zeros(len(fields), dtype=bool)
+    weak = np.zeros(len(fields), dtype=bool)
+    for p, ts, fhca in zip(fields.percentiles, fields.fss_ts.T, fields.fss_fhca.T):
+        ts_med = float(np.median(ts))
+        fhca_med = float(np.median(fhca))
         medians[indicator_id("fss_ts", p)] = ts_med
         medians[indicator_id("fss_fhca", p)] = fhca_med
-        for b in boards:
-            if ts_values[b.sds] > ts_med and fhca_values[b.sds] > fhca_med:
-                strong.add(b.sds)
-            if ts_values[b.sds] < ts_med and fhca_values[b.sds] < fhca_med:
-                weak.add(b.sds)
-    ambiguous = strong & weak
+        strong |= (ts > ts_med) & (fhca > fhca_med)
+        weak |= (ts < ts_med) & (fhca < fhca_med)
+
+    def codes(mask: np.ndarray) -> frozenset[str]:
+        return frozenset(fields.sds_codes[f] for f in np.flatnonzero(mask).tolist())
+
+    ambiguous = codes(strong & weak)
     if ambiguous:
         log.info("fields strong at one percentile, weak at another: %s", sorted(ambiguous))
     return QuadrantResult(
         medians=medians,
-        strong_union=frozenset(strong - ambiguous),
-        weak_union=frozenset(weak - ambiguous),
-        ambiguous=frozenset(ambiguous),
+        strong_union=codes(strong & ~weak),
+        weak_union=codes(weak & ~strong),
+        ambiguous=ambiguous,
     )
 
 
 @dataclass(frozen=True)
-class AverageRankEntry:
-    sds: str
-    avg_rank: float
-    position: int
-    ranks: Mapping[str, float]
-    values: Mapping[str, float]
-
-
-@dataclass(frozen=True)
 class AverageRankResult:
-    entries: tuple[AverageRankEntry, ...]  # ascending by avg_rank (best first)
-    truncated: bool  # more than len(entries) best and worst fields were asked for
+    avg_rank: np.ndarray  # each field's mean rank, in SDS order
+    order: np.ndarray  # the field indices ascending by avg_rank (best first)
+    truncated: bool  # more than len(order) best and worst fields were asked for
 
 
 def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> AverageRankResult:
@@ -181,24 +154,13 @@ def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> Avera
     """
     if not rankings:
         raise ValueError("no rankings supplied")
-    field_sets = [set(r.rank_by_sds) for r in rankings]
-    if any(fs != field_sets[0] for fs in field_sets):
+    if any(r.sds_codes != rankings[0].sds_codes for r in rankings):
         raise ValueError("rankings cover different field sets")
-    sds_codes = sorted(field_sets[0])
-
-    entries = []
-    for sds in sds_codes:
-        ranks = {r.indicator_id: r.rank_by_sds[sds] for r in rankings}
-        values = {r.indicator_id: r.value_by_sds[sds] for r in rankings}
-        avg = sum(ranks.values()) / len(rankings)
-        entries.append((avg, sds, ranks, values))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    full = tuple(
-        AverageRankEntry(sds=sds, avg_rank=avg, position=i + 1, ranks=ranks, values=values)
-        for i, (avg, sds, ranks, values) in enumerate(entries)
-    )
-
-    truncated = k > len(full)
+    # half-integer ranks add exactly in any order
+    avg_rank = sum(r.ranks for r in rankings) / len(rankings)
+    n = len(avg_rank)
+    truncated = k > n
     if truncated:
-        log.warning("requested top/bottom %d of only %d fields; truncating", k, len(full))
-    return AverageRankResult(entries=full, truncated=truncated)
+        log.warning("requested top/bottom %d of only %d fields; truncating", k, n)
+    return AverageRankResult(avg_rank=avg_rank, order=np.argsort(avg_rank, kind="stable"),
+                             truncated=truncated)

@@ -137,19 +137,18 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     for fmt in formats:
         files.extend(render(result.bundle, fmt, out_dir))
 
-    percentiles = list(corpus.config.sorted_percentiles)
-    n = write_scoreboard_csv(result.boards, percentiles, out_dir / "scoreboard.csv")
+    n = write_scoreboard_csv(result.fields, out_dir / "scoreboard.csv")
     files.append({"path": "scoreboard.csv", "rows": n})
     if config.output.export_hca_flags:
         n = write_flags_csv(result.flag_sets, out_dir / "hca_flags.csv")
         files.append({"path": "hca_flags.csv", "rows": n})
     if config.output.export_researcher_scores:
-        n = write_researcher_scores_csv(result.scores, [b.is_ts for b in result.boards],
+        n = write_researcher_scores_csv(result.scores, result.fields.is_ts,
                                         out_dir / "researcher_scores.csv")
         files.append({"path": "researcher_scores.csv", "rows": n})
 
     _write_json(out_dir / "analytics.json", result.bundle.to_dict())
-    files.append({"path": "analytics.json", "rows": len(result.boards)})
+    files.append({"path": "analytics.json", "rows": len(result.fields)})
 
     manifest = {
         "version": __version__,
@@ -180,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    overrides: dict[str, Any] = {}
+    overrides: Any = {}
     if args.params:
         try:
             overrides = parse_json(Path(args.params).read_text(encoding="utf-8"))
@@ -188,22 +187,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise InputIOError(f"cannot read params {args.params}: {exc}") from exc
         except ValueError as exc:
             raise ConfigurationError(f"bad params JSON: {exc}") from exc
-    known = {f.name for f in dataclass_fields(SynthParams)}
-    unknown = sorted(set(overrides) - known)
+        if not isinstance(overrides, dict):
+            raise ConfigurationError(f"params {args.params} must be a JSON object")
+    unknown = sorted(set(overrides) - {f.name for f in dataclass_fields(SynthParams)})
     if unknown:
         raise ConfigurationError(f"unknown synth params: {unknown}")
-    for name in ("n_udas", "n_fields_per_uda", "hca_fraction", "pubs_per_professor_mean"):
+    for name in ("seed", "n_udas", "n_fields_per_uda", "hca_fraction", "pubs_per_professor_mean"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    for name in ("window", "professors_per_field", "categories_per_pub", "rank_mix"):
-        if name in overrides:
-            overrides[name] = tuple(overrides[name])
     try:
-        params = SynthParams(**overrides)
-    except (TypeError, ValueError) as exc:
+        params = read_json_fields(SynthParams, overrides)
+    except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"bad synth params: {exc}") from exc
     paths = generate(params, Path(args.out))
     for name, path in sorted(paths.items()):

@@ -13,9 +13,8 @@ Discipline rows aggregate member fields weighted by research expenditure.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,44 +35,62 @@ def indicator_id(family: str, p: float) -> str:
 
 
 @dataclass(frozen=True)
-class FieldScoreboard:
-    """Everything computed for one field (SDS). is_ts holds the TS verdict
-    of each of the field's professors (score-table rows) per percentile."""
+class FieldTable:
+    """The per-field scoreboard as columns, one row per field of the
+    ScoreTable, in SDS order.
 
-    sds: str
-    uda: str
-    n_professors: int
-    n_by_rank: Mapping[str, int]
-    total_cost: float
-    ts_count: Mapping[float, int]
-    fhca_total: Mapping[float, float]
-    fhca_rescaled: Mapping[float, float]
-    fss_ts: Mapping[float, float]
-    fss_fhca: Mapping[float, float]
-    rescale_provenance: Mapping[float, str]
-    is_ts: np.ndarray = field(compare=False, repr=False)
+    Row f is field sds_codes[f] of discipline uda[f]. n_by_rank[f] counts
+    its professors per RANKS entry and total_cost[f] is their cost. The
+    (field x percentile) matrices hold, at percentiles[j], the TS count,
+    the fractional HCA total, both indicators and the provenance of the
+    TS output mean that rescales fss_fhca. is_ts[i, j] is the TS verdict
+    of score-table row i at percentiles[j].
+    """
 
-    def fallback_flags(self) -> str:
-        flagged = [
-            f"{p_label(p)}:{src}"
-            for p, src in sorted(self.rescale_provenance.items())
-            if src != RESCALE_FROM_FIELD
-        ]
-        return ";".join(flagged)
+    sds_codes: tuple[str, ...]
+    uda: tuple[str, ...]
+    percentiles: tuple[float, ...]
+    n_by_rank: np.ndarray
+    total_cost: np.ndarray
+    ts_count: np.ndarray
+    fhca_total: np.ndarray
+    fss_ts: np.ndarray
+    fss_fhca: np.ndarray
+    provenance: np.ndarray
+    is_ts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sds_codes)
+
+    @property
+    def n_professors(self) -> np.ndarray:
+        return self.n_by_rank.sum(axis=1)
+
+    def fallback_flags(self) -> list[str]:
+        """Each field's percentiles rescaled from a fallback pool, as
+        "p:source" entries joined by ";"."""
+        return [";".join(f"{p_label(p)}:{source}" for p, source in zip(self.percentiles, row)
+                         if source != RESCALE_FROM_FIELD)
+                for row in self.provenance.tolist()]
 
 
 @dataclass(frozen=True)
-class DisciplineScoreboard:
-    """Expenditure-weighted aggregate of one discipline's fields."""
+class DisciplineTable:
+    """Expenditure-weighted aggregates of groups of fields, one row per
+    group: uda[g] names the group, and the (group x percentile) matrices
+    are in FieldTable's percentile order."""
 
-    uda: str
-    n_sds: int
-    n_professors: int
-    total_cost: float
-    ts_count: Mapping[float, int]
-    ts_share: Mapping[float, float]
-    fss_ts: Mapping[float, float]
-    fss_fhca: Mapping[float, float]
+    uda: tuple[str, ...]
+    n_sds: np.ndarray
+    n_professors: np.ndarray
+    total_cost: np.ndarray
+    ts_count: np.ndarray
+    ts_share: np.ndarray
+    fss_ts: np.ndarray
+    fss_fhca: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.uda)
 
 
 def per_euro(amount: np.ndarray, total_cost: np.ndarray, reporting_scale: float) -> np.ndarray:
@@ -85,8 +102,8 @@ def per_euro(amount: np.ndarray, total_cost: np.ndarray, reporting_scale: float)
 
 
 def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
-                            cost_model: CostModel) -> list[FieldScoreboard]:
-    """Compute the full per-field scoreboard, sorted by SDS code.
+                            cost_model: CostModel) -> FieldTable:
+    """Compute the full per-field scoreboard, rows in SDS order.
 
     Every count and total is one np.bincount over the table's rows, which
     adds each field's rows in (sds, researcher_id) order.
@@ -104,74 +121,55 @@ def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
                             minlength=n_fields * len(RANKS)).reshape(n_fields, len(RANKS))
     total_cost = group_sums(field_of_row, table.cost[:, None], n_fields)
     fhca_total = group_sums(field_of_row, table.fhca, n_fields)
-    ts_count = group_sums(field_of_row, is_ts, n_fields)
+    ts_count = group_sums(field_of_row, is_ts, n_fields).astype(np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):  # the masked means are 0.0
         fhca_rescaled = np.where((provenance == RESCALE_EXHAUSTED) | (fhca_total == 0.0),
                                  0.0, fhca_total / avg_out)
-    bounds = table.field_start.tolist()
-
-    def by_p(matrix: np.ndarray, f: int, kind: type = float) -> dict:
-        return dict(zip(table.percentiles, matrix[f].astype(kind).tolist()))
-
-    return [FieldScoreboard(
-        sds=sds, uda=corpus.taxonomy.uda_of(sds), n_professors=bounds[f + 1] - bounds[f],
-        n_by_rank=dict(zip(RANKS, n_by_rank[f].tolist())), total_cost=float(total_cost[f, 0]),
-        ts_count=by_p(ts_count, f, int), fhca_total=by_p(fhca_total, f),
-        fhca_rescaled=by_p(fhca_rescaled, f),
-        fss_ts=by_p(per_euro(ts_count, total_cost, scale), f),
-        fss_fhca=by_p(per_euro(fhca_rescaled, total_cost, scale), f),
-        rescale_provenance=by_p(provenance, f, str), is_ts=is_ts[bounds[f]:bounds[f + 1]])
-        for f, sds in enumerate(table.sds_codes)]
+    return FieldTable(
+        sds_codes=table.sds_codes, uda=tuple(map(corpus.taxonomy.uda_of, table.sds_codes)),
+        percentiles=table.percentiles, n_by_rank=n_by_rank, total_cost=total_cost[:, 0],
+        ts_count=ts_count, fhca_total=fhca_total,
+        fss_ts=per_euro(ts_count, total_cost, scale),
+        fss_fhca=per_euro(fhca_rescaled, total_cost, scale),
+        provenance=provenance, is_ts=is_ts)
 
 
-def build_discipline_scoreboards(boards: Sequence[FieldScoreboard],
-                                 percentiles: Sequence[float],
-                                 ) -> tuple[list[DisciplineScoreboard], DisciplineScoreboard]:
+def build_discipline_scoreboards(fields: FieldTable) -> tuple[DisciplineTable, DisciplineTable]:
     """Per-discipline rows (sorted by UDA code) plus the overall row.
 
     Each indicator is the mean of the member fields' values weighted by
-    field cost share, summed in board order: a convex combination, so it
+    field cost share, summed in field order: a convex combination, so it
     lies within the member range. Top-scientist counts are summed and
     reported as a share of the discipline's professors.
     """
-    if not boards:
+    if not len(fields):
         raise ValueError("no fields to aggregate")
-    udas = sorted({board.uda for board in boards})
-    uda_of_board = np.array([udas.index(board.uda) for board in boards], dtype=np.intp)
-    rows = _aggregate(udas, uda_of_board, boards, percentiles)
-    [overall] = _aggregate(["ALL"], np.zeros_like(uda_of_board), boards, percentiles)
-    return rows, overall
+    udas = sorted(set(fields.uda))
+    uda_of_field = np.array([udas.index(uda) for uda in fields.uda], dtype=np.intp)
+    return (_aggregate(tuple(udas), uda_of_field, fields),
+            _aggregate(("ALL",), np.zeros_like(uda_of_field), fields))
 
 
-def _aggregate(names: Sequence[str], group: np.ndarray, boards: Sequence[FieldScoreboard],
-               percentiles: Sequence[float]) -> list[DisciplineScoreboard]:
-    """One DisciplineScoreboard per name, over the boards of its group."""
-    def sums(values: list) -> np.ndarray:
-        return group_sums(group, np.array(values, dtype=float), len(names))
+def _aggregate(names: tuple[str, ...], group: np.ndarray, fields: FieldTable) -> DisciplineTable:
+    """One DisciplineTable row per name, over the fields of its group."""
+    def sums(values: np.ndarray) -> np.ndarray:
+        return group_sums(group, values, len(names))
 
-    def per_p(attr: str) -> list[list[float]]:
-        return [[getattr(b, attr)[p] for p in percentiles] for b in boards]
-
-    cost = np.array([[b.total_cost] for b in boards])
+    cost = fields.total_cost[:, None]
     total_cost = sums(cost)
     weight = cost / total_cost[group]
-    n_professors = sums([[b.n_professors] for b in boards])
-    ts_count = sums(per_p("ts_count"))
-    means = {"ts_share": 100.0 * ts_count / n_professors,
-             "fss_ts": sums(weight * per_p("fss_ts")),
-             "fss_fhca": sums(weight * per_p("fss_fhca"))}
-    return [DisciplineScoreboard(
-        uda=name, n_sds=int(np.count_nonzero(group == g)), n_professors=int(n_professors[g, 0]),
-        total_cost=float(total_cost[g, 0]),
-        ts_count=dict(zip(percentiles, ts_count[g].astype(int).tolist())),
-        **{attr: dict(zip(percentiles, matrix[g].tolist())) for attr, matrix in means.items()})
-        for g, name in enumerate(names)]
+    n_professors = sums(fields.n_professors[:, None])
+    ts_count = sums(fields.ts_count)
+    return DisciplineTable(
+        uda=names, n_sds=np.bincount(group, minlength=len(names)),
+        n_professors=n_professors[:, 0].astype(np.intp), total_cost=total_cost[:, 0],
+        ts_count=ts_count.astype(np.intp), ts_share=100.0 * ts_count / n_professors,
+        fss_ts=sums(weight * fields.fss_ts), fss_fhca=sums(weight * fields.fss_fhca))
 
 
-def write_scoreboard_csv(boards: Sequence[FieldScoreboard], percentiles: Sequence[float],
-                         path: Path) -> int:
+def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
     """Full-precision per-field scoreboard export."""
-    labels = [p_label(p) for p in percentiles]
+    labels = [p_label(p) for p in fields.percentiles]
     header = ["sds", "uda", "n_professors", "total_cost"]
     header += [f"ts_{pl}" for pl in labels]
     header += [f"fss_ts_{pl}" for pl in labels]
@@ -180,11 +178,10 @@ def write_scoreboard_csv(boards: Sequence[FieldScoreboard], percentiles: Sequenc
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for board in boards:
-            row = [board.sds, board.uda, board.n_professors, repr(board.total_cost)]
-            row += [board.ts_count[p] for p in percentiles]
-            row += [repr(board.fss_ts[p]) for p in percentiles]
-            row += [repr(board.fss_fhca[p]) for p in percentiles]
-            row.append(board.fallback_flags())
-            writer.writerow(row)
-    return len(boards)
+        for row in zip(fields.sds_codes, fields.uda, fields.n_professors.tolist(),
+                       fields.total_cost.tolist(), fields.ts_count.tolist(),
+                       fields.fss_ts.tolist(), fields.fss_fhca.tolist(), fields.fallback_flags()):
+            sds, uda, n_professors, total_cost, ts_count, fss_ts, fss_fhca, flags = row
+            writer.writerow([sds, uda, n_professors, repr(total_cost), *ts_count,
+                             *map(repr, fss_ts), *map(repr, fss_fhca), flags])
+    return len(fields)

@@ -311,10 +311,19 @@ def _rows_before_bad_byte(path: Path, header: list[str], issues: _Issues, stoppe
           stopped)
 
 
+def _int(text: str) -> int:
+    """An optional sign and ASCII digits as an int; ValueError for anything
+    else, such as the digit-group underscores and non-ASCII digits that
+    int() alone accepts."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_int(text: str, what: str, path: Path, line: int, issues: _Issues,
                minimum: Optional[int] = None, maximum: Optional[int] = None) -> Optional[int]:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         issues.add(ISSUE_MALFORMED_ROW, f"{what} is not an integer: {text!r}", path, line)
         return None
@@ -472,9 +481,11 @@ def _publication_rows(path: Path, window: range, issues: _Issues,
     for line, row in _read_rows(path, PUBLICATIONS_HEADER, issues, stopped):
         n_rows += 1
         pub_id, year_text, cit_text, auth_text, cats_text = map(str.strip, row)
+        numbers = year_text + cit_text + auth_text  # _int's test, once for the row
         try:
             year, citations, author_count = int(year_text), int(cit_text), int(auth_text)
-            numbers_ok = 0 <= citations <= _INT64_MAX and 1 <= author_count <= _INT64_MAX
+            numbers_ok = (numbers.isascii() and "_" not in numbers
+                          and 0 <= citations <= _INT64_MAX and 1 <= author_count <= _INT64_MAX)
         except ValueError:
             numbers_ok = False
         if not numbers_ok:  # report each bad number with its own message

@@ -239,11 +239,6 @@ def cost_per_year(rank: str, cost_model: CostModel) -> float:
     return cost_model.salary[rank] * cost_model.research_time_share + cost_model.capital
 
 
-def normalization_factor(rank: str, cost_model: CostModel) -> float:
-    """Yearly cost relative to an assistant professor's."""
-    return cost_per_year(rank, cost_model) / cost_per_year(RANK_ASSISTANT, cost_model)
-
-
 def researcher_costs(researchers: Sequence[ResearcherRecord], cost_model: CostModel) -> np.ndarray:
     """Total cost of each researcher over their active years, rank resolved
     per year: the yearly costs added one year at a time in year order (0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -159,19 +159,17 @@ def ts_output_means(table: ScoreTable, is_ts: np.ndarray, sds_to_uda: Mapping[st
     return mean, source
 
 
-def write_researcher_scores_csv(table: ScoreTable, is_ts: Sequence[np.ndarray],
-                                path: Path) -> int:
+def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path) -> int:
     """Export one row per (researcher, percentile) with the TS verdict,
-    rows in table order; is_ts holds each field's (row x percentile)
-    verdicts, field by field."""
+    rows in table order; is_ts holds the (row x percentile) verdicts."""
     labels = [p_label(p) for p in table.percentiles]
     sds = [table.sds_codes[f] for f in table.field.tolist()]
-    verdicts = [row for field_ts in is_ts for row in field_ts.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"])
-        for researcher_id, field_sds, scores, output, ts in zip(
-                table.researcher_ids, sds, table.fhca.tolist(), table.output.tolist(), verdicts):
+        columns = (table.researcher_ids, sds, table.fhca.tolist(), table.output.tolist(),
+                   is_ts.tolist())
+        for researcher_id, field_sds, scores, output, ts in zip(*columns):
             writer.writerows([researcher_id, field_sds, label, repr(score), repr(output),
                               "true" if flag else "false"]
                              for label, score, flag in zip(labels, scores, ts))

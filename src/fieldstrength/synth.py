@@ -48,20 +48,38 @@ class SynthParams:
     max_percentile: float = 10.0
 
     def __post_init__(self):
-        if self.n_udas < 1 or self.n_fields_per_uda < 1:
-            raise ValueError("need at least one discipline and one field")
-        lo, hi = self.professors_per_field
-        if not 1 <= lo <= hi:
-            raise ValueError("bad professors_per_field range")
-        lo, hi = self.categories_per_pub
-        if not 1 <= lo <= hi:
-            raise ValueError("bad categories_per_pub range")
-        if not 0.0 <= self.hca_fraction <= 1.0:
-            raise ValueError("hca_fraction must be in [0, 1]")
-        if not 0 < self.max_percentile < 100:
-            raise ValueError("max_percentile must be in (0, 100)")
-        if abs(sum(self.rank_mix) - 1.0) > 1e-9:
-            raise ValueError("rank_mix must sum to 1")
+        """Reject every value the generator cannot take, naming its key."""
+        def share(value: float) -> bool:
+            return 0.0 <= value <= 1.0
+
+        rules = [
+            ("seed", self.seed >= 0, ">= 0"),
+            ("n_udas", self.n_udas >= 1, ">= 1"),
+            ("n_fields_per_uda", self.n_fields_per_uda >= 1, ">= 1"),
+            ("professors_per_field", 1 <= self.professors_per_field[0]
+             <= self.professors_per_field[1], "[low, high] with 1 <= low <= high"),
+            ("window", self.window[0] <= self.window[1], "[start, end] with start <= end"),
+            ("min_years", self.min_years >= 1, ">= 1"),
+            ("pubs_per_professor_mean", self.pubs_per_professor_mean >= 0, ">= 0"),
+            ("citation_log_sigma", self.citation_log_sigma >= 0, ">= 0"),
+            ("n_categories", self.n_categories >= 1, ">= 1"),
+            ("categories_per_pub", 1 <= self.categories_per_pub[0] <= self.categories_per_pub[1],
+             "[low, high] with 1 <= low <= high"),
+            ("home_category_bias", share(self.home_category_bias), "in [0, 1]"),
+            ("coauthor_prob", share(self.coauthor_prob), "in [0, 1]"),
+            ("cross_field_coauthor_prob", share(self.cross_field_coauthor_prob), "in [0, 1]"),
+            ("extra_authors_mean", self.extra_authors_mean >= 0, ">= 0"),
+            ("rank_mix", min(self.rank_mix) >= 0 and abs(sum(self.rank_mix) - 1.0) <= 1e-9,
+             "three shares >= 0 that sum to 1"),
+            ("promotion_prob", share(self.promotion_prob), "in [0, 1]"),
+            ("full_window_prob", share(self.full_window_prob), "in [0, 1]"),
+            ("baseline_share", self.baseline_share >= 0, ">= 0"),
+            ("hca_fraction", share(self.hca_fraction), "in [0, 1]"),
+            ("max_percentile", 0 < self.max_percentile < 100, "in (0, 100)"),
+        ]
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fieldstrength.hca import CitationCell, CitationCells, build_cells
-from fieldstrength.indicators import FieldScoreboard
+from fieldstrength.indicators import FieldTable
 from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
 from fieldstrength.model import AnalysisConfig, CostModel, ResearcherRecord, Taxonomy
 from fieldstrength.pipeline import PipelineResult, run_pipeline
@@ -63,23 +63,34 @@ def one_cell(citations, year=2012, category="A") -> CitationCells:
     return mk_cells([(f"p{i}", year, c, 1, [category]) for i, c in enumerate(citations)])
 
 
-def mk_board(sds: str, uda: str, fss_ts: dict[float, float], fss_fhca: dict[float, float],
-             total_cost: float = 1e6, n_professors: int = 10,
-             provenance: dict[float, str] | None = None) -> FieldScoreboard:
-    percentiles = sorted(fss_ts)
-    return FieldScoreboard(
-        sds=sds,
-        uda=uda,
-        n_professors=n_professors,
-        n_by_rank={"assistant": n_professors, "associate": 0, "full": 0},
-        total_cost=total_cost,
-        ts_count={p: 0 for p in percentiles},
-        fhca_total={p: 0.0 for p in percentiles},
-        fhca_rescaled={p: 0.0 for p in percentiles},
-        fss_ts=dict(fss_ts),
-        fss_fhca=dict(fss_fhca),
-        rescale_provenance=provenance or {p: "field" for p in percentiles},
-        is_ts=np.zeros((n_professors, len(percentiles)), dtype=bool),
+def mk_fields(rows, uda: dict[str, str] | None = None,
+              total_cost: dict[str, float] | None = None,
+              provenance: dict[str, dict[float, str]] | None = None,
+              n_professors: int = 10) -> FieldTable:
+    """A FieldTable of hand-set indicators. rows holds (sds, fss_ts,
+    fss_fhca) with each indicator given as {p: value}, in any order; the
+    table sorts them by SDS. A field is in discipline U1 (or uda[sds]), costs
+    1e6 (or total_cost[sds]), has n_professors assistants and no top
+    scientist, and takes its TS output mean from the field itself (or
+    provenance[sds][p])."""
+    rows = sorted(rows, key=lambda row: row[0])
+    percentiles = tuple(sorted(rows[0][1]))
+    codes = [sds for sds, _, _ in rows]
+    n, shape = len(rows), (len(rows), len(percentiles))
+    provenance = provenance or {}
+    return FieldTable(
+        sds_codes=tuple(codes),
+        uda=tuple((uda or {}).get(sds, "U1") for sds in codes),
+        percentiles=percentiles,
+        n_by_rank=np.tile([n_professors, 0, 0], (n, 1)),
+        total_cost=np.array([(total_cost or {}).get(sds, 1e6) for sds in codes]),
+        ts_count=np.zeros(shape, dtype=np.intp),
+        fhca_total=np.zeros(shape),
+        fss_ts=np.array([[ts[p] for p in percentiles] for _, ts, _ in rows]),
+        fss_fhca=np.array([[fhca[p] for p in percentiles] for _, _, fhca in rows]),
+        provenance=np.array([[provenance.get(sds, {}).get(p, "field") for p in percentiles]
+                             for sds in codes], dtype=object),
+        is_ts=np.zeros((n * n_professors, len(percentiles)), dtype=bool),
     )
 
 

@@ -9,15 +9,17 @@ relative, byte identity for reruns.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import members, mk_board, mk_corpus, mk_table, one_cell
+from conftest import members, mk_corpus, mk_fields, mk_table, one_cell
 from fieldstrength.analytics import rank_indicator, spearman
 from fieldstrength.cli import main
 from fieldstrength.hca import build_cells, flag_hcas
@@ -108,12 +110,9 @@ def test_criterion_2_oracle_equivalence():
             else:
                 x = [rng.uniform(0, 1) for _ in range(n)]
                 y = [rng.uniform(0, 1) for _ in range(n)]
-            boards = [
-                mk_board(f"F{i:03d}", "U1", {5.0: x[i]}, {5.0: y[i]})
-                for i in range(n)
-            ]
-            got = spearman(rank_indicator(boards, "fss_ts", 5.0),
-                           rank_indicator(boards, "fss_fhca", 5.0))
+            fields = mk_fields([(f"F{i:03d}", {5.0: x[i]}, {5.0: y[i]}) for i in range(n)])
+            got = spearman(rank_indicator(fields, "fss_ts", 5.0),
+                           rank_indicator(fields, "fss_fhca", 5.0))
             expected = oracle_spearman(x, y)
             if expected is None:
                 assert got is None
@@ -149,34 +148,31 @@ def test_criterion_3_invariance_suite(default_corpus, default_result, tmp_path):
             capital=2.0 * CostModel().capital,
         )
         inflated = run_pipeline(default_corpus, inflated_cm, top_bottom_k=10)
-        for b_board, i_board in zip(base.boards, inflated.boards):
-            assert b_board.sds == i_board.sds
-            for p in (5.0, 10.0):
-                assert i_board.fss_ts[p] == b_board.fss_ts[p] / 2.0
-                assert i_board.fss_fhca[p] == b_board.fss_fhca[p] / 2.0
+        assert base.fields.sds_codes == inflated.fields.sds_codes
+        assert (inflated.fields.fss_ts == base.fields.fss_ts / 2.0).all()
+        assert (inflated.fields.fss_fhca == base.fields.fss_fhca / 2.0).all()
         for b_rank, i_rank in zip(base.rankings, inflated.rankings):
-            assert b_rank.rank_by_sds == i_rank.rank_by_sds
+            assert (b_rank.ranks == i_rank.ranks).all()
         assert base.quadrant.strong_union == inflated.quadrant.strong_union
         assert base.quadrant.weak_union == inflated.quadrant.weak_union
         assert base.correlations.values == inflated.correlations.values
 
         # reporting-scale invariance rides along: scale x 2 doubles every FSS
         doubled_scale = run_pipeline(default_corpus, CostModel(reporting_scale=2e8))
-        for b_board, s_board in zip(base.boards, doubled_scale.boards):
-            for p in (5.0, 10.0):
-                assert s_board.fss_ts[p] == 2.0 * b_board.fss_ts[p]
+        assert (doubled_scale.fields.fss_ts == 2.0 * base.fields.fss_ts).all()
         assert base.quadrant == doubled_scale.quadrant or (
             base.quadrant.strong_union == doubled_scale.quadrant.strong_union
             and base.quadrant.weak_union == doubled_scale.quadrant.weak_union
         )
 
         # (d) discipline aggregates are convex combinations of member fields
-        for row in base.discipline_rows:
-            members = [b for b in base.boards if b.uda == row.uda]
-            for p in (5.0, 10.0):
-                for attr in ("fss_ts", "fss_fhca"):
-                    values = [getattr(b, attr)[p] for b in members]
-                    assert min(values) - 1e-9 <= getattr(row, attr)[p] <= max(values) + 1e-9
+        uda = np.array(base.fields.uda)
+        for g, name in enumerate(base.discipline_rows.uda):
+            for attr in ("fss_ts", "fss_fhca"):
+                values = getattr(base.fields, attr)[uda == name]
+                row = getattr(base.discipline_rows, attr)[g]
+                assert (values.min(axis=0) - 1e-9 <= row).all()
+                assert (row <= values.max(axis=0) + 1e-9).all()
 
 
 def test_criterion_4_zero_path_end_to_end(tmp_path):
@@ -188,11 +184,9 @@ def test_criterion_4_zero_path_end_to_end(tmp_path):
         roster = set(corpus.authors_by_pub)
         for p in (5.0, 10.0):
             assert not (result.flag_sets[p].flagged & roster)
-        for board in result.boards:
-            for p in (5.0, 10.0):
-                assert board.ts_count[p] == 0
-                assert board.fss_ts[p] == 0.0
-                assert board.fss_fhca[p] == 0.0
+        assert (result.fields.ts_count == 0).all()
+        assert (result.fields.fss_ts == 0.0).all()
+        assert (result.fields.fss_fhca == 0.0).all()
         assert result.quadrant.strong_union == frozenset()
         assert result.quadrant.weak_union == frozenset()
         for line in result.correlations.values:
@@ -233,15 +227,17 @@ def test_criterion_5_rescaling_purpose():
         corpus = mk_corpus(researchers, pubs, links, {"S1": "U1", "S2": "U2"})
         flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
         scores = score_researchers(corpus, flags, CostModel())
-        boards = {b.sds: b for b in
-                  build_field_scoreboards(corpus, scores, CostModel())}
-        a, b = boards["S1"], boards["S2"]
-        assert a.total_cost == b.total_cost
-        for p in (5.0, 10.0):
-            assert a.ts_count[p] >= 1, "field A needs a top scientist for the check to bite"
-            assert a.fhca_total[p] > 0
-            assert abs(b.fhca_total[p] - 2 * a.fhca_total[p]) / a.fhca_total[p] < 1e-12
-            assert abs(a.fss_fhca[p] - b.fss_fhca[p]) / a.fss_fhca[p] < 1e-12
+        fields = build_field_scoreboards(corpus, scores, CostModel())
+        assert fields.sds_codes == ("S1", "S2")
+        a, b = 0, 1
+        assert fields.total_cost[a] == fields.total_cost[b]
+        for j in range(2):
+            assert fields.ts_count[a, j] >= 1, "field A needs a top scientist for the check to bite"
+            fhca_a, fhca_b = fields.fhca_total[a, j], fields.fhca_total[b, j]
+            assert fhca_a > 0
+            assert abs(fhca_b - 2 * fhca_a) / fhca_a < 1e-12
+            fss_a, fss_b = fields.fss_fhca[a, j], fields.fss_fhca[b, j]
+            assert abs(fss_a - fss_b) / fss_a < 1e-12
 
 
 def test_criterion_6_byte_identical_reruns(tmp_path):
@@ -285,7 +281,7 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
             assert row.hca_counts[5.0] <= row.hca_counts[10.0] <= row.n_publications
 
         # four-indicator scoreboard over all fields
-        assert len(result.boards) == 44
+        assert len(result.fields) == 44
         ids = [r.indicator_id for r in result.rankings]
         assert ids == ["fss_ts_5", "fss_ts_10", "fss_fhca_5", "fss_fhca_10"]
 
@@ -304,7 +300,58 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
 
         # top-k / bottom-k average-rank lists
         assert not result.avg_rank.truncated
-        assert result.avg_rank.entries[0].position == 1
-        assert result.avg_rank.entries[-1].position == 44
-        avg_values = [e.avg_rank for e in result.avg_rank.entries]
+        assert sorted(result.avg_rank.order.tolist()) == list(range(44))
+        avg_values = result.avg_rank.avg_rank[result.avg_rank.order].tolist()
         assert avg_values == sorted(avg_values)
+
+
+# sha256 of the synth-default run's output (seed 42, default config). A change
+# that alters output on purpose updates these and says so in CHANGES.md.
+# analytics.json is compared parsed, without spearman.matrix: its entries are
+# full-precision np.corrcoef bits, which may depend on the BLAS kernel.
+GOLDEN_DIGESTS = {
+    "scoreboard.csv": "d6da2aef0ee808ad6a7b33877af3b4e483d77ddbae8a02c0c3aa1da1d61535b2",
+    "researcher_scores.csv": "8e73e5de70177ade6632a633142ef7b0e9ba7e05ca0d4dc0fe87742ca08b8309",
+    "hca_flags.csv": "35027b5ffae0a356c0643f96cf5f047acadd595a4c7e0d2cf5a83fa3705951fa",
+    "reports/avg_rank.csv": "89badf84b0cb53f180ba9e83123fefe01ae36312c30852075e26dba6aabc7e94",
+    "reports/avg_rank.json": "aced521b31d9b57b8c5af08327404cd9110df814c51f4937ccb41a04d9a8501d",
+    "reports/avg_rank.md": "906081783073ef8b6beab8e0feaad1791cccb9df0ca8e1a38efe5bbf9f283740",
+    "reports/correlations.csv": "02df3fd434f2ade8a3edc5e0065f41cb23ff9835b3d0b1da964a3ee544e6e849",
+    "reports/correlations.json": "7fcbd08054b72f4b50b0d2be2fe702b566df4553cd83ae311997d3868328305f",
+    "reports/correlations.md": "93700bad250512678bd183451f964826538b11a4ce56edc5856f457c16bb760d",
+    "reports/disciplines.csv": "79b8bd3d7ce47162ee2c2958838ceb0b4660ad98dd5ed1127a74e15e3b4862a4",
+    "reports/disciplines.json": "b9e96c636b07e398105c276f9a1b4e929d9370e1de850cffc4b455d490cb54d5",
+    "reports/disciplines.md": "d7b6be0ed384f21c1097a27dcf40e553ed4ec16f8c3543b3e81d1205764224ba",
+    "reports/fields.csv": "fe2c5b98a4c02d70b09fffba828897d3c824b92fc462ecaa7a3a3cd37d1976c4",
+    "reports/fields.json": "c2641ee474eecfb6c6a4e415398c5ae978401d71c084b0821d8a54022d038b02",
+    "reports/fields.md": "ab71abe6684f7015530a7751ff05e59dabfee6cd0b0d11b58ee2178caa3f3c6c",
+    "reports/quadrants.csv": "4a566a99507b02496c55a4c296fc65fd116dc581b826319a753e18862683350f",
+    "reports/quadrants.json": "0d8b350961cec1e1b9204e6291b4da917186a71e454bac980eb80b16a0b3bbaa",
+    "reports/quadrants.md": "5f95815a63f5dca6231482cbb018e7359be49f04f9c2456c9da3b074a8da3fad",
+    "reports/summary.csv": "70089ff9143f3d7d3cd3c3a878cb264b0283908e07815d1da51a997a4d02d0da",
+    "reports/summary.json": "e87f5d8f8d327648645a4f5e5faf13444dcb6743679619f48b53a3ec6d75c00b",
+    "reports/summary.md": "5cdc03744efb2de27be6d7ce6ecb92b3bc2d7f5a2c7b8e586d672133a57e4e5f",
+    "analytics.json": "54fe60e7fd76d0a260ca81b662c39903fcc0d367518ca51853d202d6ec88662c",
+}
+
+
+def _golden_digests(out) -> dict[str, str]:
+    digests = {}
+    for name in ["scoreboard.csv", "researcher_scores.csv", "hca_flags.csv"] + sorted(
+            f"reports/{p.name}" for p in (out / "reports").iterdir()):
+        digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
+    del analytics["spearman"]["matrix"]
+    digests["analytics.json"] = hashlib.sha256(
+        json.dumps(analytics, sort_keys=True).encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_golden_output_digests(default_synth_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inputs": {
+        name: str(default_synth_dir / f"{name}.csv")
+        for name in ("taxonomy", "researchers", "publications", "authorships")}}),
+        encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert _golden_digests(tmp_path / "out") == GOLDEN_DIGESTS

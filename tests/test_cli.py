@@ -294,6 +294,32 @@ def test_non_finite_synth_param_rejected(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("params, flags, named", [
+    ({"window": 5}, [], "window"),
+    ({"window": [2016, 2012]}, [], "window"),
+    ({"seed": "x"}, [], "seed"),
+    ({"seed": -1}, [], "seed"),
+    (None, ["--seed", "-3"], "seed"),
+    ({"n_udas": 1.5}, [], "n_udas"),
+    ({"rank_mix": [1]}, [], "rank_mix"),
+    ({"n_categories": 0}, [], "n_categories"),
+    ({"min_years": 0}, [], "min_years"),
+    ({"pubs_per_professor_mean": -1}, [], "pubs_per_professor_mean"),
+    ({"citation_log_sigma": -1}, [], "citation_log_sigma"),
+    ([1, 2], [], "must be a JSON object"),
+])
+def test_bad_synth_param_is_config_error(tmp_path, capsys, params, flags, named):
+    argv = ["synth", "--out", str(tmp_path / "x"), *flags]
+    if params is not None:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        argv += ["--params", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_params_file_seed_survives_unless_flag_given(tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"seed": 7, "n_udas": 1, "n_fields_per_uda": 1,

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from conftest import mk_board, mk_corpus
+from conftest import mk_corpus, mk_fields
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.indicators import (
     build_discipline_scoreboards,
@@ -61,7 +64,7 @@ def two_field_corpus():
     return mk_corpus(researchers, pubs, links, {"S1": "U1", "S2": "U2"})
 
 
-def build_boards(corpus, cost_model=None):
+def build_fields(corpus, cost_model=None):
     cost_model = cost_model or CostModel()
     flags = flag_hcas(build_cells(corpus), corpus.config.sorted_percentiles)
     scores = score_researchers(corpus, flags, cost_model)
@@ -69,63 +72,67 @@ def build_boards(corpus, cost_model=None):
 
 
 def test_field_scoreboard_consistency():
-    boards = build_boards(two_field_corpus())
-    assert [b.sds for b in boards] == ["S1", "S2"]
-    for board in boards:
-        assert board.total_cost == 8 * 3 * 70007.0
-        for p in (5.0, 10.0):
-            assert (board.fss_ts[p] == 0.0) == (board.ts_count[p] == 0)
-            assert board.fss_ts[p] >= 0.0 and board.fss_fhca[p] >= 0.0
-            assert board.fss_ts[p] == pytest.approx(
-                1e8 * board.ts_count[p] / board.total_cost
-            )
+    fields = build_fields(two_field_corpus())
+    assert fields.sds_codes == ("S1", "S2")
+    assert (fields.total_cost == 8 * 3 * 70007.0).all()
+    assert ((fields.fss_ts == 0.0) == (fields.ts_count == 0)).all()
+    assert (fields.fss_ts >= 0.0).all() and (fields.fss_fhca >= 0.0).all()
+    assert fields.fss_ts == pytest.approx(1e8 * fields.ts_count / fields.total_cost[:, None])
 
 
 def test_scoreboard_zero_iff_no_ts(default_result):
-    for board in default_result.boards:
-        for p in (5.0, 10.0):
-            assert (board.fss_ts[p] == 0.0) == (board.ts_count[p] == 0)
+    fields = default_result.fields
+    assert ((fields.fss_ts == 0.0) == (fields.ts_count == 0)).all()
+
+
+def head(fields, n):
+    """The table of the first n fields alone."""
+    return replace(fields, **{name: getattr(fields, name)[:n] for name in (
+        "sds_codes", "uda", "n_by_rank", "total_cost", "ts_count", "fhca_total", "fss_ts",
+        "fss_fhca", "provenance")})
 
 
 def test_aggregate_single_field_equals_field():
-    boards = build_boards(two_field_corpus())
-    [row], _ = build_discipline_scoreboards(boards[:1], [5.0, 10.0])
-    board = boards[0]
-    for p in (5.0, 10.0):
-        assert row.fss_ts[p] == pytest.approx(board.fss_ts[p])
-        assert row.fss_fhca[p] == pytest.approx(board.fss_fhca[p])
-        assert row.ts_count[p] == board.ts_count[p]
+    fields = head(build_fields(two_field_corpus()), 1)
+    rows, _ = build_discipline_scoreboards(fields)
+    assert rows.uda == fields.uda
+    assert rows.fss_ts == pytest.approx(fields.fss_ts)
+    assert rows.fss_fhca == pytest.approx(fields.fss_fhca)
+    assert (rows.ts_count == fields.ts_count).all()
 
 
 def test_aggregate_equal_costs_is_plain_mean():
-    a = mk_board("S1", "U1", {5.0: 4.0}, {5.0: 1.0}, total_cost=1e6)
-    b = mk_board("S2", "U1", {5.0: 8.0}, {5.0: 3.0}, total_cost=1e6)
-    [row], _ = build_discipline_scoreboards([a, b], [5.0])
-    assert row.fss_ts[5.0] == pytest.approx(6.0)
-    assert row.fss_fhca[5.0] == pytest.approx(2.0)
+    fields = mk_fields([("S1", {5.0: 4.0}, {5.0: 1.0}), ("S2", {5.0: 8.0}, {5.0: 3.0})],
+                       total_cost={"S1": 1e6, "S2": 1e6})
+    rows, _ = build_discipline_scoreboards(fields)
+    assert rows.uda == ("U1",)
+    assert rows.fss_ts[0, 0] == pytest.approx(6.0)
+    assert rows.fss_fhca[0, 0] == pytest.approx(2.0)
 
 
 def test_aggregate_is_convex_combination(default_result):
-    for row in default_result.discipline_rows:
-        members = [b for b in default_result.boards if b.uda == row.uda]
-        for p in (5.0, 10.0):
-            for attr in ("fss_ts", "fss_fhca"):
-                values = [getattr(b, attr)[p] for b in members]
-                assert min(values) - 1e-9 <= getattr(row, attr)[p] <= max(values) + 1e-9
+    fields, rows = default_result.fields, default_result.discipline_rows
+    uda = np.array(fields.uda)
+    for g, name in enumerate(rows.uda):
+        for attr in ("fss_ts", "fss_fhca"):
+            values = getattr(fields, attr)[uda == name]
+            assert (values.min(axis=0) - 1e-9 <= getattr(rows, attr)[g]).all()
+            assert (getattr(rows, attr)[g] <= values.max(axis=0) + 1e-9).all()
 
 
 def test_overall_ts_share(default_result):
-    overall = default_result.discipline_overall
-    for p in (5.0, 10.0):
-        total_ts = sum(b.ts_count[p] for b in default_result.boards)
-        total_prof = sum(b.n_professors for b in default_result.boards)
-        assert overall.ts_count[p] == total_ts
-        assert overall.ts_share[p] == pytest.approx(100.0 * total_ts / total_prof)
+    overall, fields = default_result.discipline_overall, default_result.fields
+    assert overall.uda == ("ALL",)
+    for j in range(2):
+        total_ts = int(fields.ts_count[:, j].sum())
+        total_prof = int(fields.n_professors.sum())
+        assert overall.ts_count[0, j] == total_ts
+        assert overall.ts_share[0, j] == pytest.approx(100.0 * total_ts / total_prof)
 
 
 def test_aggregate_empty_uda_rejected():
     with pytest.raises(ValueError):
-        build_discipline_scoreboards([], [5.0])
+        build_discipline_scoreboards(head(mk_fields([("S1", {5.0: 1.0}, {5.0: 1.0})]), 0))
 
 
 def test_intensity_rescaling_cancels():
@@ -149,15 +156,17 @@ def test_intensity_rescaling_cancels():
                 pubs.append((pid, 2012, i, 4, [cat]))
                 links.append((pid, f"{tag}{i}"))
     corpus = mk_corpus(researchers, pubs, links, {"S1": "U1", "S2": "U2"})
-    boards = {b.sds: b for b in build_boards(corpus)}
-    for p in (5.0, 10.0):
-        a, b = boards["S1"], boards["S2"]
-        assert a.fhca_total[p] > 0
-        assert b.fhca_total[p] == pytest.approx(2 * a.fhca_total[p], rel=1e-12)
-        assert b.fss_fhca[p] == pytest.approx(a.fss_fhca[p], rel=1e-12)
+    fields = build_fields(corpus)
+    assert fields.sds_codes == ("S1", "S2")
+    a, b = 0, 1
+    assert (fields.fhca_total[a] > 0).all()
+    assert fields.fhca_total[b] == pytest.approx(2 * fields.fhca_total[a], rel=1e-12)
+    assert fields.fss_fhca[b] == pytest.approx(fields.fss_fhca[a], rel=1e-12)
 
 
 def test_fallback_flags_column():
-    board = mk_board("S1", "U1", {5.0: 0.0, 10.0: 1.0}, {5.0: 1.0, 10.0: 1.0},
-                     provenance={5.0: "uda_fallback", 10.0: "field"})
-    assert board.fallback_flags() == "5:uda_fallback"
+    fields = mk_fields([("S1", {5.0: 0.0, 10.0: 1.0}, {5.0: 1.0, 10.0: 1.0}),
+                        ("S2", {5.0: 0.0, 10.0: 1.0}, {5.0: 1.0, 10.0: 1.0})],
+                       provenance={"S1": {5.0: "uda_fallback", 10.0: "field"},
+                                   "S2": {5.0: "uda_fallback", 10.0: "national_fallback"}})
+    assert fields.fallback_flags() == ["5:uda_fallback", "5:uda_fallback;10:national_fallback"]

@@ -266,6 +266,24 @@ def test_number_above_int64_is_malformed_row(tmp_path, field):
         (ISSUE_MALFORMED_ROW, f"{field} must be <= {2**63 - 1}, got {big}", 3)]
 
 
+@pytest.mark.parametrize("value", ["2_012", "1_000", "\u0663", "\uff12"])
+@pytest.mark.parametrize("field", ["year", "citations", "author_count", "researcher year"])
+def test_number_that_is_not_ascii_digits_is_malformed_row(tmp_path, field, value):
+    # int() alone reads digit-group underscores and non-ASCII digits
+    if field == "researcher year":
+        files = {"researchers": MINI_RESEARCHERS + [f"r1,S1,{value},full"]}
+        what, path, line = "year", tmp_path / "researchers.csv", 5
+    else:
+        row = {"year": f"p2,{value},5,1,A", "citations": f"p2,2013,{value},1,A",
+               "author_count": f"p2,2013,5,{value},A"}[field]
+        files = {"publications": MINI_PUBLICATIONS + [row]}
+        what, path, line = field, tmp_path / "publications.csv", 3
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load(tmp_path, **files)
+    assert [(i.kind, i.message, i.file, i.line) for i in issues_of(excinfo)] == [
+        (ISSUE_MALFORMED_ROW, f"{what} is not an integer: {value!r}", str(path), line)]
+
+
 def test_largest_int64_counts_load(tmp_path):
     largest = 2**63 - 1
     corpus = load(tmp_path, publications=MINI_PUBLICATIONS + [f"big,2013,{largest},{largest},A"])

@@ -14,7 +14,6 @@ from fieldstrength.model import (
     ResearcherRecord,
     Taxonomy,
     cost_per_year,
-    normalization_factor,
     read_json_fields,
     researcher_costs,
 )
@@ -44,27 +43,6 @@ def test_cost_per_year_capital_only():
 def test_cost_per_year_unknown_rank():
     with pytest.raises(ConfigurationError):
         cost_per_year("emeritus", CostModel())
-
-
-def test_normalization_factor_reference():
-    cm = CostModel()
-    assert normalization_factor("assistant", cm) == 1.0
-    assert normalization_factor("associate", cm) == pytest.approx(76103.5 / 70007)
-    assert normalization_factor("associate", cm) == pytest.approx(1.0871, abs=1e-4)
-    # published table prints 1.23 for full professors; the cost ratio does not
-    assert normalization_factor("full", cm) == pytest.approx(93343.5 / 70007)
-    assert normalization_factor("full", cm) == pytest.approx(1.3334, abs=1e-4)
-
-
-def test_normalization_factor_assistant_is_one_for_any_model():
-    rng = random.Random(7)
-    for _ in range(50):
-        cm = CostModel(
-            salary={r: rng.uniform(1, 2e5) for r in ("assistant", "associate", "full")},
-            capital=rng.uniform(1, 1e5),
-            research_time_share=rng.uniform(0.01, 1.0),
-        )
-        assert normalization_factor("assistant", cm) == 1.0
 
 
 def test_cost_monotone_in_salary_and_capital():
