@@ -7,10 +7,13 @@ counted with a reason in the load report so that dropped + kept =
 parsed always holds.
 
 researchers.csv, publications.csv and authorships.csv are each read one
-of two ways, with the same result: the column path certifies a clean
-file with numpy array operations, and the row loop reads any file. Only
-the row loop records issues, so their text, lines and order do not
-depend on the path.
+of two ways, with the same result and the same issues: the column path
+splits a file with numpy array operations and decides only the rows that
+array tests single out in Python, and the row loop reads any file. The
+column path declines, and leaves the file to the row loop, only when it
+cannot split the file as csv.reader would; each row-level issue is
+worded by one _Issues method that both paths call, so its text, line and
+order do not depend on the path.
 """
 
 from __future__ import annotations
@@ -216,11 +219,58 @@ def _positions(order: Sequence[int], n: int) -> np.ndarray:
 
 
 class _Issues(list):
-    """The validation issues of one load, in the order they are found."""
+    """The validation issues of one load, in the order they are found. The
+    methods after add word the row-level issues that both the row loop and
+    the column path record."""
 
     def add(self, kind: str, message: str, path: Path, line: Optional[int] = None,
             key: Optional[str] = None) -> None:
         self.append(ValidationIssue(kind, message, str(path), line, key))
+
+    def bad_numbers(self, path: Path, line: int, texts: Sequence[str]) -> None:
+        """One issue for each of a publication row's year, citations and
+        author_count that is not a number within its bounds."""
+        for text, (what, minimum, maximum) in zip(texts, _PUBLICATION_NUMBERS):
+            _parse_int(text, what, path, line, self, minimum, maximum)
+
+    def unknown_rank(self, path: Path, line: int, rank: str) -> None:
+        self.add(ISSUE_MALFORMED_ROW, f"unknown rank {rank!r}", path, line)
+
+    def unknown_sds(self, path: Path, line: int, researcher_id: str, sds_code: str) -> None:
+        self.add(ISSUE_DANGLING_REFERENCE,
+                 f"researcher {researcher_id!r} references unknown sds {sds_code!r}", path, line,
+                 sds_code)
+
+    def two_fields(self, path: Path, line: int, researcher_id: str, first_sds: str,
+                   sds_code: str) -> None:
+        self.add(ISSUE_CONSTRAINT,
+                 f"researcher {researcher_id!r} listed in both {first_sds!r} and {sds_code!r}",
+                 path, line, researcher_id)
+
+    def duplicate_year(self, path: Path, line: int, researcher_id: str, year: int) -> None:
+        self.add(ISSUE_DUPLICATE_KEY,
+                 f"duplicate (researcher, year) key ({researcher_id!r}, {year})", path, line,
+                 researcher_id)
+
+    def duplicate_pub(self, path: Path, line: int, pub_id: str) -> None:
+        self.add(ISSUE_DUPLICATE_KEY, f"duplicate pub_id {pub_id!r}", path, line, pub_id)
+
+    def no_categories(self, path: Path, line: int, pub_id: str) -> None:
+        self.add(ISSUE_EMPTY_CATEGORIES, f"publication {pub_id!r} has no subject categories",
+                 path, line, pub_id)
+
+    def unknown_pub(self, path: Path, line: int, pub_id: str) -> None:
+        self.add(ISSUE_DANGLING_REFERENCE, f"authorship references unknown pub_id {pub_id!r}",
+                 path, line, pub_id)
+
+    def unknown_researcher(self, path: Path, line: int, researcher_id: str) -> None:
+        self.add(ISSUE_DANGLING_REFERENCE,
+                 f"authorship references unknown researcher_id {researcher_id!r}", path, line,
+                 researcher_id)
+
+    def duplicate_link(self, path: Path, line: int, pub_id: str, researcher_id: str) -> None:
+        self.add(ISSUE_DUPLICATE_KEY, f"duplicate authorship ({pub_id!r}, {researcher_id!r})",
+                 path, line, pub_id)
 
 
 def _stop(message: str, path: Path, line: int, issues: _Issues, stopped: set[Path]) -> None:
@@ -435,18 +485,14 @@ def _researcher_rows(path: Path, taxonomy: Optional[Taxonomy], window: range, is
         if year is None:
             continue
         if rank not in RANKS:
-            issues.add(ISSUE_MALFORMED_ROW, f"unknown rank {rank!r}", path, line)
+            issues.unknown_rank(path, line, rank)
             continue
         if taxonomy is not None and sds_code not in taxonomy.sds_to_uda:
-            issues.add(ISSUE_DANGLING_REFERENCE,
-                       f"researcher {researcher_id!r} references unknown sds {sds_code!r}",
-                       path, line, sds_code)
+            issues.unknown_sds(path, line, researcher_id, sds_code)
             continue
         prev_sds = researcher_sds.get(researcher_id)
         if prev_sds is not None and prev_sds != sds_code:
-            issues.add(ISSUE_CONSTRAINT,
-                       f"researcher {researcher_id!r} listed in both {prev_sds!r} and {sds_code!r}",
-                       path, line, researcher_id)
+            issues.two_fields(path, line, researcher_id, prev_sds, sds_code)
             continue
         researcher_sds[researcher_id] = sds_code
         if year not in window:
@@ -454,9 +500,7 @@ def _researcher_rows(path: Path, taxonomy: Optional[Taxonomy], window: range, is
             continue
         years = rank_rows.setdefault(researcher_id, {})
         if year in years:
-            issues.add(ISSUE_DUPLICATE_KEY,
-                       f"duplicate (researcher, year) key ({researcher_id!r}, {year})",
-                       path, line, researcher_id)
+            issues.duplicate_year(path, line, researcher_id, year)
             continue
         years[year] = rank
     return (_Researchers(
@@ -467,6 +511,9 @@ def _researcher_rows(path: Path, taxonomy: Optional[Taxonomy], window: range, is
 
 
 _INT64_MAX = 2**63 - 1  # citations and author counts are held as int64
+# publications.csv fields 1 to 3: each number's name and bounds
+_PUBLICATION_NUMBERS = (("year", None, None), ("citations", 0, _INT64_MAX),
+                        ("author_count", 1, _INT64_MAX))
 
 
 def _publication_rows(path: Path, window: range, issues: _Issues,
@@ -488,13 +535,11 @@ def _publication_rows(path: Path, window: range, issues: _Issues,
                           and 0 <= citations <= _INT64_MAX and 1 <= author_count <= _INT64_MAX)
         except ValueError:
             numbers_ok = False
-        if not numbers_ok:  # report each bad number with its own message
-            _parse_int(year_text, "year", path, line, issues)
-            _parse_int(cit_text, "citations", path, line, issues, 0, _INT64_MAX)
-            _parse_int(auth_text, "author_count", path, line, issues, 1, _INT64_MAX)
+        if not numbers_ok:
+            issues.bad_numbers(path, line, (year_text, cit_text, auth_text))
             continue
         if pub_id in pub_row:
-            issues.add(ISSUE_DUPLICATE_KEY, f"duplicate pub_id {pub_id!r}", path, line, pub_id)
+            issues.duplicate_pub(path, line, pub_id)
             continue
         pub_row[pub_id] = -1
         set_id = set_of_text.get(cats_text)
@@ -502,8 +547,7 @@ def _publication_rows(path: Path, window: range, issues: _Issues,
             set_id = set_of_text[cats_text] = len(category_sets)
             category_sets.append(_category_set(cats_text))
         if not category_sets[set_id]:
-            issues.add(ISSUE_EMPTY_CATEGORIES, f"publication {pub_id!r} has no subject categories",
-                       path, line, pub_id)
+            issues.no_categories(path, line, pub_id)
             continue
         if year not in window:
             out_of_window_pubs += 1
@@ -533,15 +577,12 @@ def _authorship_rows(paths: CorpusPaths, pub_lookup: _Ids, n_kept_pubs: int,
         pub_id, researcher_id = map(str.strip, row)
         row_of_pub = pub_row.get(pub_id)
         if row_of_pub is None and paths.publications not in stopped:
-            issues.add(ISSUE_DANGLING_REFERENCE, f"authorship references unknown pub_id {pub_id!r}",
-                       path, line, pub_id)
+            issues.unknown_pub(path, line, pub_id)
             continue
         researcher = researcher_index.get(researcher_id)
         if researcher is None:
             if paths.researchers not in stopped:
-                issues.add(ISSUE_DANGLING_REFERENCE,
-                           f"authorship references unknown researcher_id {researcher_id!r}",
-                           path, line, researcher_id)
+                issues.unknown_researcher(path, line, researcher_id)
                 continue
             researcher = researcher_index[researcher_id] = len(researcher_index)
         if row_of_pub is None or row_of_pub < 0:
@@ -549,8 +590,7 @@ def _authorship_rows(paths: CorpusPaths, pub_lookup: _Ids, n_kept_pubs: int,
             continue
         key = researcher * n_kept_pubs + row_of_pub
         if key in link_keys:
-            issues.add(ISSUE_DUPLICATE_KEY, f"duplicate authorship ({pub_id!r}, {researcher_id!r})",
-                       path, line, pub_id)
+            issues.duplicate_link(path, line, pub_id, researcher_id)
             continue
         link_keys.add(key)
         link_pub.append(row_of_pub)
@@ -559,12 +599,18 @@ def _authorship_rows(paths: CorpusPaths, pub_lookup: _Ids, n_kept_pubs: int,
 
 
 # The column path: a file is read once as bytes and split with array
-# operations. It either certifies that the row loop would record no issue
-# in the file and returns what the row loop would, or raises _Declined and
-# leaves the file to the row loop, which then lists the issues.
+# operations, which also single out every row that breaks a row-level rule
+# (a number the row loop rejects, an unknown rank, sds or id, a researcher
+# in two fields, a repeated key, an empty category list). Only those rows
+# are decided in Python, in line order, and their issues are recorded by
+# the same _Issues methods the row loop calls. A file the column path cannot
+# split as csv.reader would raises _Declined before any of its issues is
+# recorded, and the row loop reads it and every later file: the row loop's
+# lookups are dicts, and a file it stops changes how later files check
+# their references.
 
 class _Declined(Exception):
-    """The column path cannot certify a file; the row loop reads it."""
+    """The column path cannot split a file; the row loop reads it."""
 
 
 _MAX_DIGITS = 18  # a number of up to 18 digits is below 2**63
@@ -581,6 +627,7 @@ def _strippable(byte: np.ndarray) -> np.ndarray:
 class _Fields:
     """The data rows of one CSV file, split at every comma and LF: field k
     of row i is data[start[j]:start[j] + length[j]] with j = i * width + k.
+    Data row i is on line i + 2, as there are no blank lines.
 
     Declines unless csv.reader would split the file the same way and the
     row loop would strip no field: the exact header line, valid UTF-8, no
@@ -625,26 +672,47 @@ class _Fields:
         self.start, self.length = start, length
         self.rows = len(end) // width
 
-    def _bytes_at(self, k: int):
-        """For j = 0, 1, ...: the j-th byte of each field of column k, and
-        which fields have one."""
+    def text(self, row: int, k: int) -> str:
+        """Field k of data row `row`, decoded."""
+        j = row * self.width + k
+        start = int(self.start[j])
+        return self.data[start:start + int(self.length[j])].decode()
+
+    def _bytes_at(self, k: int, limit: Optional[int] = None):
+        """For j = 0, 1, ... below limit: the j-th byte of each field of
+        column k, and which fields have one."""
         start, length = self.start[k::self.width], self.length[k::self.width]
         last = len(self.byte) - 1
-        for j in range(int(length.max(initial=0))):
+        for j in range(min(int(length.max(initial=0)), limit or len(self.byte))):
             yield self.byte[np.minimum(start + j, last)], length > j
 
-    def numbers(self, k: int) -> np.ndarray:
-        """Column k as int64; declines unless every field is 1 to 18 ASCII
-        digits, which int() reads as the same number."""
-        if self.rows and self.length[k::self.width].max() > _MAX_DIGITS:
-            raise _Declined
+    def numbers(self, k: int, minimum: Optional[int] = None,
+                maximum: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Column k as int64, and which of its fields _parse_int accepts
+        within these bounds. Fields of 1 to 18 ASCII digits, which int()
+        reads as the same number, are read with array operations and any
+        other by _parse_int. Declines on an accepted number outside int64,
+        which only an unbounded column can hold."""
         value = np.zeros(self.rows, dtype=np.int64)
-        for byte, live in self._bytes_at(k):
+        not_digit = np.zeros(self.rows, dtype=bool)
+        for byte, live in self._bytes_at(k, _MAX_DIGITS):
             digit = byte - np.uint8(ord("0"))
-            if ((digit > 9) & live).any():
-                raise _Declined
+            not_digit |= (digit > 9) & live
             value = np.where(live, value * 10 + digit, value)
-        return value
+        plain = ~not_digit & (self.length[k::self.width] <= _MAX_DIGITS)
+        ok = plain.copy()
+        if minimum is not None:
+            ok &= value >= minimum
+        if maximum is not None:
+            ok &= value <= maximum
+        for row in np.flatnonzero(~plain).tolist():
+            # the rule only: the issue is recorded later, in line order
+            number = _parse_int(self.text(row, k), "", Path(), 0, _Issues(), minimum, maximum)
+            if number is not None:
+                if not -_INT64_MAX - 1 <= number <= _INT64_MAX:
+                    raise _Declined
+                value[row], ok[row] = number, True
+        return value, ok
 
     def keys(self, k: int, lower: bool = False) -> np.ndarray:
         """Column k as fixed-width bytes, ASCII-lowercased if lower.
@@ -673,44 +741,73 @@ class _Fields:
                 np.fromiter(map(index.__getitem__, fields), dtype=np.intp, count=len(fields)))
 
 
-def _find(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The position of each of ids in the ascending array keys; declines
-    if one is missing."""
+def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each of ids in the ascending array keys, and whether
+    it is there."""
     width = max(keys.itemsize, ids.itemsize)
     keys, ids = keys.astype(f"S{width}", copy=False), ids.astype(f"S{width}", copy=False)
     if not len(keys):
-        if len(ids):
-            raise _Declined
-        return np.zeros(0, dtype=np.intp)
+        return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
     position = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
-    if (keys[position] != ids).any():
-        raise _Declined
-    return position
+    return position, keys[position] == ids
+
+
+def _first_rows(*keys: np.ndarray) -> np.ndarray:
+    """The first row i of each distinct key (keys[0][i], keys[1][i], ...),
+    in key order."""
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0], kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ~np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+    return order[first]
 
 
 def _strings(keys: np.ndarray) -> list[str]:
     return keys.astype(np.str_).tolist()
 
 
-def _researcher_columns(path: Path, taxonomy: Taxonomy,
-                        window: range) -> tuple[_Researchers, _Ids]:
+def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
+                        issues: _Issues) -> tuple[_Researchers, _Ids]:
+    if taxonomy is None:
+        raise _Declined  # the taxonomy has issues, so the row loop checks no sds
     fields = _Fields(path, RESEARCHERS_HEADER)
-    year = fields.numbers(2)
-    rank = _find(_RANK_KEYS, fields.keys(3, lower=True))
+    year, year_ok = fields.numbers(2)
+    rank, rank_ok = _find(_RANK_KEYS, fields.keys(3, lower=True))
     codes = sorted(c for c in taxonomy.sds_to_uda if c.isascii() and "\0" not in c)
-    sds = _find(np.array(codes, dtype=np.bytes_), fields.keys(1))
-    ids, first, researcher = np.unique(fields.keys(0), return_index=True, return_inverse=True)
+    sds, sds_ok = _find(np.array(codes, dtype=np.bytes_), fields.keys(1))
+    valid = year_ok & rank_ok & sds_ok
+    # a researcher is listed, in the field of its first row, by the rows
+    # with a valid year, rank and sds
+    rows = np.flatnonzero(valid)
+    researcher = np.full(fields.rows, -1, dtype=np.intp)
+    ids, first, researcher[rows] = np.unique(fields.keys(0)[rows], return_index=True,
+                                             return_inverse=True)
+    sds_of = sds[rows[first]]
+    two_fields = np.zeros(fields.rows, dtype=bool)
+    two_fields[rows] = sds[rows] != sds_of[researcher[rows]]
+    rows = rows[~two_fields[rows]]
+    in_window = (year[rows] >= window.start) & (year[rows] < window.stop)
+    n_outside = len(rows) - np.count_nonzero(in_window)
+    rows = rows[in_window]
+    firsts = rows[_first_rows(researcher[rows], year[rows])]
+    repeat = np.zeros(fields.rows, dtype=bool)
+    repeat[rows] = True
+    repeat[firsts] = False
+    for row in np.flatnonzero(~valid | two_fields | repeat).tolist():
+        line = row + 2
+        researcher_id, sds_code = fields.text(row, 0), fields.text(row, 1)
+        if not year_ok[row]:
+            _parse_int(fields.text(row, 2), "year", path, line, issues)
+        elif not rank_ok[row]:
+            issues.unknown_rank(path, line, fields.text(row, 3).lower())
+        elif not sds_ok[row]:
+            issues.unknown_sds(path, line, researcher_id, sds_code)
+        elif two_fields[row]:
+            issues.two_fields(path, line, researcher_id, codes[sds_of[researcher[row]]], sds_code)
+        else:
+            issues.duplicate_year(path, line, researcher_id, int(year[row]))
     n_rows = fields.rows
     del fields
-    sds_of = sds[first]
-    if (sds != sds_of[researcher]).any():
-        raise _Declined  # a researcher in two fields
-    in_window = (year >= window.start) & (year < window.stop)
-    researcher, year, rank = researcher[in_window], year[in_window], rank[in_window]
-    order = np.lexsort((year, researcher))
-    researcher, year, rank = researcher[order], year[order], rank[order]
-    if ((researcher[1:] == researcher[:-1]) & (year[1:] == year[:-1])).any():
-        raise _Declined  # a duplicate (researcher, year) key
+    researcher, year, rank = researcher[firsts], year[firsts], rank[firsts]
     n_years = np.bincount(researcher, minlength=len(ids))
 
     def records() -> list[ResearcherRecord]:
@@ -719,51 +816,81 @@ def _researcher_columns(path: Path, taxonomy: Taxonomy,
                 for rid, s, n, end in zip(_strings(ids), sds_of.tolist(), n_years.tolist(),
                                           np.cumsum(n_years).tolist())]
 
-    return (_Researchers(n_rows, n_rows - len(year), records),
-            _Ids(keys=ids, values=np.arange(len(ids))))
+    return _Researchers(n_rows, n_outside, records), _Ids(keys=ids, values=np.arange(len(ids)))
 
 
-def _publication_columns(path: Path, window: range) -> tuple[_Publications, _Ids]:
+def _publication_columns(path: Path, window: range,
+                         issues: _Issues) -> tuple[_Publications, _Ids]:
     fields = _Fields(path, PUBLICATIONS_HEADER)
-    year, citations, author_count = fields.numbers(1), fields.numbers(2), fields.numbers(3)
-    if not author_count.all():
-        raise _Declined  # an author_count of 0
+    (year, year_ok), (citations, citations_ok), (author_count, author_count_ok) = (
+        fields.numbers(k, minimum, maximum)
+        for k, (_, minimum, maximum) in enumerate(_PUBLICATION_NUMBERS, 1))
+    numbers_ok = year_ok & citations_ok & author_count_ok
+    number_texts = {row: [fields.text(row, k) for k in (1, 2, 3)]
+                    for row in np.flatnonzero(~numbers_ok).tolist()}
     pub_ids = fields.keys(0)
     texts, set_of = fields.texts(4)
     n_rows = fields.rows
     del fields
     category_sets = list(map(_category_set, texts))
-    if not all(category_sets):
-        raise _Declined  # an empty category list
-    order = np.argsort(pub_ids, kind="stable")
-    pub_ids = pub_ids[order]
-    if (pub_ids[1:] == pub_ids[:-1]).any():
-        raise _Declined  # a duplicate pub_id
-    kept = (year[order] >= window.start) & (year[order] < window.stop)
-    rows = order[kept]
-    row_of = np.full(n_rows, -1, dtype=np.intp)
-    row_of[kept] = np.arange(len(rows))
-    return (_Publications(n_rows, n_rows - len(rows), _strings(pub_ids[kept]), year[rows],
-                          citations[rows], author_count[rows], category_sets, set_of[rows]),
+    no_categories = ~np.fromiter(map(bool, category_sets), dtype=bool,
+                                 count=len(category_sets))[set_of]
+    # a pub_id is taken by its first row with valid numbers
+    rows = np.flatnonzero(numbers_ok)
+    rows = rows[_first_rows(pub_ids[rows])]  # in pub_id order
+    unlisted = np.ones(n_rows, dtype=bool)  # the row loop's lookup takes no pub_id from it
+    unlisted[rows] = False
+    for row in np.flatnonzero(unlisted | no_categories).tolist():
+        line = row + 2
+        if not numbers_ok[row]:
+            issues.bad_numbers(path, line, number_texts[row])
+        elif unlisted[row]:
+            issues.duplicate_pub(path, line, pub_ids[row].decode())
+        else:
+            issues.no_categories(path, line, pub_ids[row].decode())
+    has_categories = ~no_categories[rows]
+    kept = has_categories & (year[rows] >= window.start) & (year[rows] < window.stop)
+    row_of = np.full(len(rows), -1, dtype=np.intp)
+    row_of[kept] = np.arange(np.count_nonzero(kept))
+    pub_ids, kept_rows = pub_ids[rows], rows[kept]
+    return (_Publications(n_rows, np.count_nonzero(has_categories & ~kept),
+                          _strings(pub_ids[kept]), year[kept_rows], citations[kept_rows],
+                          author_count[kept_rows], category_sets, set_of[kept_rows]),
             _Ids(keys=pub_ids, values=row_of))
 
 
 def _authorship_columns(path: Path, pub_lookup: _Ids, n_kept_pubs: int,
-                        researcher_lookup: _Ids) -> _Links:
-    if pub_lookup.keys is None or researcher_lookup.keys is None:
-        raise _Declined  # an earlier file was read by the row loop
+                        researcher_lookup: _Ids, issues: _Issues) -> _Links:
     fields = _Fields(path, AUTHORSHIPS_HEADER)
-    pub_keys, researcher_keys = fields.keys(0), fields.keys(1)
-    n_rows = fields.rows
+    pub_ids, researcher_ids, n_rows = fields.keys(0), fields.keys(1), fields.rows
     del fields
-    link_pub = pub_lookup.values[_find(pub_lookup.keys, pub_keys)]
-    link_researcher = researcher_lookup.values[_find(researcher_lookup.keys, researcher_keys)]
+    pub, pub_found = _find(pub_lookup.keys, pub_ids)
+    researcher, researcher_found = _find(researcher_lookup.keys, researcher_ids)
+    rows = np.flatnonzero(pub_found & researcher_found)
+    link_pub = pub_lookup.values[pub[rows]]
     kept = link_pub >= 0
-    link_pub, link_researcher = link_pub[kept], link_researcher[kept]
+    rows, link_pub = rows[kept], link_pub[kept]
+    link_researcher = researcher_lookup.values[researcher[rows]]
+    del pub, researcher
+    # a link is taken by its first row; np.sort finds out far faster than
+    # a stable argsort whether one repeats
     key = np.sort(link_researcher * n_kept_pubs + link_pub)
+    repeat = np.zeros(n_rows, dtype=bool)
+    firsts = slice(None)
     if (key[1:] == key[:-1]).any():
-        raise _Declined  # a duplicate link
-    return _Links(n_rows, n_rows - len(link_pub), link_pub, link_researcher)
+        firsts = _first_rows(link_researcher * n_kept_pubs + link_pub)
+        repeat[rows] = True
+        repeat[rows[firsts]] = False
+    for row in np.flatnonzero(~pub_found | ~researcher_found | repeat).tolist():
+        line = row + 2
+        pub_id, researcher_id = pub_ids[row].decode(), researcher_ids[row].decode()
+        if not pub_found[row]:
+            issues.unknown_pub(path, line, pub_id)
+        elif not researcher_found[row]:
+            issues.unknown_researcher(path, line, researcher_id)
+        else:
+            issues.duplicate_link(path, line, pub_id, researcher_id)
+    return _Links(n_rows, len(kept) - len(rows), link_pub[firsts], link_researcher[firsts])
 
 
 def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
@@ -791,37 +918,41 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
 def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     """load_corpus without the collector pause. Each of researchers.csv,
-    publications.csv and authorships.csv is read by the column path while
-    no issue has been found, and by the row loop when that declines it."""
+    publications.csv and authorships.csv is read by the column path, which
+    lists its row-level issues, until that declines a file: the row loop
+    reads that file and every later one."""
     issues = _Issues()
     stopped: set[Path] = set()
     report = LoadReport()
     window = config.years
+    declined = False
 
     def read(columns: Callable[[], T], rows: Callable[[], T]) -> T:
-        if not issues:
+        nonlocal declined
+        if not declined:
             try:
                 return columns()
             except _Declined:
-                pass  # the declined file's buffers are freed before the row loop starts
+                declined = True  # the declined file's buffers are freed before the row loop starts
         return rows()
 
     taxonomy = _load_taxonomy(paths.taxonomy, issues)
     researchers, researcher_lookup = read(
-        lambda: _researcher_columns(paths.researchers, taxonomy, window),
+        lambda: _researcher_columns(paths.researchers, taxonomy, window, issues),
         lambda: _researcher_rows(paths.researchers, taxonomy, window, issues, stopped))
     report.parsed["researcher_rows"] = researchers.rows
     report.drop("researcher_years_outside_window", researchers.outside_window)
 
     pubs, pub_lookup = read(
-        lambda: _publication_columns(paths.publications, window),
+        lambda: _publication_columns(paths.publications, window, issues),
         lambda: _publication_rows(paths.publications, window, issues, stopped))
     report.parsed["publications"] = pubs.rows
     report.drop("publications_outside_window", pubs.outside_window)
 
     n_kept_pubs = len(pubs.pub_ids)
     links = read(
-        lambda: _authorship_columns(paths.authorships, pub_lookup, n_kept_pubs, researcher_lookup),
+        lambda: _authorship_columns(paths.authorships, pub_lookup, n_kept_pubs, researcher_lookup,
+                                    issues),
         lambda: _authorship_rows(paths, pub_lookup, n_kept_pubs, researcher_lookup, issues,
                                  stopped))
     del pub_lookup, researcher_lookup

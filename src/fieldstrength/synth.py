@@ -93,8 +93,16 @@ class SynthTables:
 _RANK_LADDER = (RANK_ASSISTANT, RANK_ASSOCIATE, RANK_FULL)
 
 
+# Each citation draw is clipped to this ceiling, far below 2**63 - 1, so
+# that every corpus validates whatever citation_log_mean is, the baseline
+# injected just above a cell's top included. The clip draws nothing, so it
+# changes no corpus whose draws stay below the ceiling.
+_MAX_CITATIONS = 1e12
+
+
 def _sample_citations(rng: np.random.Generator, params: SynthParams) -> int:
-    return int(rng.lognormal(params.citation_log_mean, params.citation_log_sigma))
+    draw = rng.lognormal(params.citation_log_mean, params.citation_log_sigma)
+    return int(draw if draw < _MAX_CITATIONS else _MAX_CITATIONS)
 
 
 def generate_tables(params: SynthParams) -> SynthTables:

@@ -320,6 +320,19 @@ def test_bad_synth_param_is_config_error(tmp_path, capsys, params, flags, named)
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("log_mean", [100, 1000])
+def test_synth_with_huge_citation_mean_validates(tmp_path, capsys, log_mean):
+    # exp(100) is ~1e43 and exp(1000) overflows a float: each draw is clipped
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"citation_log_mean": log_mean, "n_udas": 2,
+                                  "n_fields_per_uda": 2, "professors_per_field": [4, 6],
+                                  "hca_fraction": 0.5}), encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--params", str(params)]) == 0
+    assert main(["validate", "--config", str(write_config(tmp_path, corpus))]) == 0
+    assert "0 errors" in capsys.readouterr().out
+
+
 def test_params_file_seed_survives_unless_flag_given(tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"seed": 7, "n_udas": 1, "n_fields_per_uda": 1,

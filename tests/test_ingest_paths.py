@@ -1,9 +1,11 @@
 """The two ways load_corpus reads researchers.csv, publications.csv and
-authorships.csv give the same result.
+authorships.csv give the same result: the same corpus, or the same issue
+list.
 
-The column path certifies a clean file with array operations; the row
-loop reads any file and lists its issues. load_corpus takes the column
-path where it can; row_loop below makes every column reader decline.
+The column path reads a file with array operations and lists its
+row-level issues; the row loop reads any file. load_corpus takes the
+column path where it can; row_loop below makes every column reader
+decline.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ FIELD_EDITS = {
     "19 digits": lambda f: "1" + "0" * 18,
     "2**63": lambda f: str(2**63),
     "unknown id": lambda f: "zz",
+    "n/a": lambda f: "n/a",
 }
 ROW_EDITS = ("duplicate row", "blank line")
 TEXT_EDITS = {
@@ -158,7 +161,7 @@ def test_column_path_equals_row_loop(edit, tables, i):
 
 
 def _refuse(*_args):
-    raise AssertionError("the row loop read a clean file")
+    raise AssertionError("a reader ran that the file should not need")
 
 
 @pytest.mark.parametrize("params", [
@@ -179,11 +182,83 @@ def test_column_path_reads_the_synthetic_corpora(tmp_path, monkeypatch, params):
     assert outcome(load_corpus, paths) == expected
 
 
-def test_later_files_skip_the_column_path_after_an_issue(tmp_path, monkeypatch):
-    paths = write_csvs(tmp_path, TAXONOMY, ["r1,S1,2012,full"], ["p1,2013,x,1,A"], ["p1,r1"])
-    monkeypatch.setattr(ingest, "_authorship_columns", _refuse)
-    with pytest.raises(CorpusValidationError):
-        load_corpus(paths, AnalysisConfig())
+def _set_field(row: str, k: int, value: str) -> str:
+    fields = row.split(",")
+    fields[k] = value
+    return ",".join(fields)
+
+
+def test_column_path_lists_row_level_issues(tmp_path, monkeypatch):
+    # corrupted as the invalid_10x benchmark corrupts its corpus, plus three
+    # cases where the first occurrence of a key decides an issue
+    paths = CorpusPaths(**generate(SynthParams(seed=5, n_udas=2, n_fields_per_uda=2,
+                                               professors_per_field=(5, 8)), tmp_path))
+    taxonomy, researchers, pubs, links = (
+        getattr(paths, name).read_text(encoding="utf-8").splitlines()
+        for name in ("taxonomy", *FILES))
+    for i in range(1, len(pubs), 7):
+        pubs[i] = _set_field(pubs[i], 2, "n/a")
+    for i in range(1, len(links), 11):
+        links[i] = _set_field(links[i], 1, f"X{i:07d}")
+    # a malformed first occurrence of a pub_id, then a good one: no duplicate
+    pubs.insert(2, _set_field(pubs[2], 2, "n/a"))
+    # duplicate links after dangling ones: a link of a malformed publication
+    # dangles each time, a repeated kept link is a duplicate
+    bad_pubs = {row.split(",")[0] for row in pubs[1:] if row.split(",")[2] == "n/a"}
+    dangling = next(row for row in links[1:] if row.split(",")[0] in bad_pubs)
+    kept = next(row for row in links[1:] if row.split(",")[0] not in bad_pubs
+                and not row.split(",")[1].startswith("X"))
+    links += [dangling, dangling, kept]
+    # a researcher whose first row has an unknown rank, in another field, and
+    # whose later row is in that other field
+    researcher_id, sds, _, _ = researchers[1].split(",")
+    other = next(row.split(",")[0] for row in taxonomy[1:] if row.split(",")[0] != sds)
+    researchers.insert(1, f"{researcher_id},{other},2013,emeritus")
+    researchers.append(f"{researcher_id},{other},2014,full")
+    # a row with a bad year and an unknown rank: only the year is an issue
+    researchers.append(f"{researcher_id},{sds},n/a,emeritus")
+    for name, rows in zip(FILES, (researchers, pubs, links)):
+        getattr(paths, name).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+
+    expected = outcome(row_loop, paths)
+    for name in ROW_READERS:
+        monkeypatch.setattr(ingest, name, _refuse)
+    issues = outcome(load_corpus, paths)
+    assert issues == expected
+    messages = [issue.message for issue in issues]
+    assert messages.count("unknown rank 'emeritus'") == 1
+    assert "year is not an integer: 'n/a'" in messages
+    assert f"researcher {researcher_id!r} listed in both {sds!r} and {other!r}" in messages
+    assert not any(message.startswith("duplicate pub_id") for message in messages)
+    unknown_pub = f"authorship references unknown pub_id {dangling.split(',')[0]!r}"
+    duplicate = f"duplicate authorship {tuple(kept.split(','))!r}"
+    assert messages[-3:] == [unknown_pub, unknown_pub, duplicate]
+    assert {issue.kind for issue in issues} == {"malformed_row", "dangling_reference",
+                                                 "constraint_violation", "duplicate_key"}
+
+
+PUBLICATIONS_HEAD = b"pub_id,year,citations,author_count,subject_categories\n"
+
+
+@pytest.mark.parametrize("publications, skipped, kinds", [
+    (PUBLICATIONS_HEAD + b"p1,2013,x,1,A\n", "_authorship_rows",
+     ["malformed_row", "dangling_reference"]),
+    (PUBLICATIONS_HEAD + b'"p1",2013,1,1,A\n', "_authorship_columns", None),
+    (b"", "_authorship_columns", ["malformed_row"]),
+], ids=["row-level issue", "declined", "stopped"])
+def test_only_a_declined_file_sends_later_files_to_the_row_loop(tmp_path, monkeypatch,
+                                                                publications, skipped, kinds):
+    # after a row-level issue in publications.csv, authorships.csv is still
+    # read by the column path and its dangling reference is listed; after a
+    # declined or stopped publications.csv, it is read by the row loop, which
+    # does not check references into a stopped file
+    paths = write_csvs(tmp_path, TAXONOMY, ["r1,S1,2012,full"], [], ["p1,r1"])
+    paths.publications.write_bytes(publications)
+    expected = outcome(row_loop, paths)
+    monkeypatch.setattr(ingest, skipped, _refuse)
+    result = outcome(load_corpus, paths)
+    assert result == expected
+    assert isinstance(result, dict) if kinds is None else [i.kind for i in result] == kinds
 
 
 @pytest.mark.parametrize("body", [
