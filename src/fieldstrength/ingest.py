@@ -6,14 +6,15 @@ below the minimum activity, rows outside the window); every drop is
 counted with a reason in the load report so that dropped + kept =
 parsed always holds.
 
-researchers.csv, publications.csv and authorships.csv are each read one
-of two ways, with the same result and the same issues: the column path
-splits a file with numpy array operations and decides only the rows that
-array tests single out in Python, and the row loop reads any file. The
-column path declines, and leaves the file to the row loop, only when it
-cannot split the file as csv.reader would; each row-level issue is
-worded by one _Issues method that both paths call, so its text, line and
-order do not depend on the path.
+researchers.csv, publications.csv and authorships.csv are each read by
+one reader of column rules, fed by one of two tokenizers that fill the
+same field columns. The byte split finds the fields of a clean file
+(unquoted, LF, no whitespace at a field's edge) with numpy; csv.reader
+reads any file the byte split declines, and records the file's own
+issues. Array tests then single out the rows that break a rule, and only
+those are decided in Python, in line order; each row-level issue is
+worded by one _Issues method. oracles.oracle_load states the same rules
+as a row loop, the reference the tests hold the readers to.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import csv
 import gc
 import io
 import logging
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, dropwhile
+from itertools import chain, dropwhile, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .errors import (
 from .model import RANKS, AnalysisConfig, ResearcherRecord, Taxonomy
 
 log = logging.getLogger(__name__)
-T = TypeVar("T")
 
 TAXONOMY_HEADER = ["sds_code", "sds_name", "uda_code", "uda_name"]
 RESEARCHERS_HEADER = ["researcher_id", "sds_code", "year", "rank"]
@@ -220,18 +221,16 @@ def _positions(order: Sequence[int], n: int) -> np.ndarray:
 
 class _Issues(list):
     """The validation issues of one load, in the order they are found. The
-    methods after add word the row-level issues that both the row loop and
-    the column path record."""
+    methods after in_line_order word the row-level issues, for the readers
+    and for oracles.oracle_load alike."""
 
     def add(self, kind: str, message: str, path: Path, line: Optional[int] = None,
             key: Optional[str] = None) -> None:
         self.append(ValidationIssue(kind, message, str(path), line, key))
 
-    def bad_numbers(self, path: Path, line: int, texts: Sequence[str]) -> None:
-        """One issue for each of a publication row's year, citations and
-        author_count that is not a number within its bounds."""
-        for text, (what, minimum, maximum) in zip(texts, _PUBLICATION_NUMBERS):
-            _parse_int(text, what, path, line, self, minimum, maximum)
+    def in_line_order(self, start: int) -> None:
+        """Sort the issues from index start on, all of one file, by line."""
+        self[start:] = sorted(self[start:], key=lambda issue: issue.line)
 
     def unknown_rank(self, path: Path, line: int, rank: str) -> None:
         self.add(ISSUE_MALFORMED_ROW, f"unknown rank {rank!r}", path, line)
@@ -271,6 +270,10 @@ class _Issues(list):
     def duplicate_link(self, path: Path, line: int, pub_id: str, researcher_id: str) -> None:
         self.add(ISSUE_DUPLICATE_KEY, f"duplicate authorship ({pub_id!r}, {researcher_id!r})",
                  path, line, pub_id)
+
+    def over_linked(self, path: Path, pub_id: str, author_count: int, n_links: int) -> None:
+        self.add(ISSUE_CONSTRAINT, f"publication {pub_id!r} has author_count {author_count} "
+                 f"but {n_links} roster authorships", path, key=pub_id)
 
 
 def _stop(message: str, path: Path, line: int, issues: _Issues, stopped: set[Path]) -> None:
@@ -414,100 +417,39 @@ def _load_taxonomy(path: Path, issues: _Issues) -> Optional[Taxonomy]:
     return Taxonomy(sds_to_uda=sds_to_uda, sds_names=sds_names, uda_names=uda_names)
 
 
-class _Ids:
-    """Ids mapped to ints. The row loop gives a dict. The column path gives
-    the ids as an ascending array of fixed-width ASCII bytes (keys) with
-    their values, and the dict is built from them only if a later file is
-    read by the row loop."""
-
-    def __init__(self, mapping: Optional[dict[str, int]] = None,
-                 keys: Optional[np.ndarray] = None, values: Optional[np.ndarray] = None):
-        self.keys, self.values = keys, values
-        if mapping is not None:
-            self.mapping = mapping
-
-    @cached_property
-    def mapping(self) -> dict[str, int]:
-        return dict(zip(_strings(self.keys), self.values.tolist()))
-
-
 @dataclass
 class _Researchers:
-    """researchers.csv as read; each reader also returns an _Ids of every
-    researcher_id's position in records()."""
+    """researchers.csv as read: the ids ascend, and records()[j] is ids[j]'s."""
 
     rows: int
     outside_window: int
+    ids: np.ndarray
     records: Callable[[], list[ResearcherRecord]]
+    stopped: bool  # not read to its end, so references into it are not checked
 
 
 @dataclass
 class _Publications:
-    """publications.csv as read: the kept rows as columns. Each reader also
-    returns an _Ids of every parsed pub_id's column row, -1 when it is not
-    kept."""
+    """publications.csv as read: the kept rows as columns."""
 
     rows: int
     outside_window: int
-    pub_ids: Sequence[str]
-    year: Sequence[int]
-    citations: Sequence[int]
-    author_count: Sequence[int]
+    pub_ids: list[str]
+    year: np.ndarray
+    citations: np.ndarray
+    author_count: np.ndarray
     category_sets: list[tuple[str, ...]]
-    category_set_of: Sequence[int]
+    category_set_of: np.ndarray
 
 
 @dataclass
-class _Links:
-    """authorships.csv as read: the kept (pub row, researcher index) links."""
+class _PubLookup:
+    """Each listed pub_id's column row, -1 when it is not kept: keys holds
+    the ids in ascending order, as keys. Only authorships.csv reads it."""
 
-    rows: int
-    to_dropped_pubs: int
-    link_pub: Sequence[int]
-    link_researcher: Sequence[int]
-
-
-# The row loop: each row is checked in file order and every problem becomes
-# an issue at its line.
-
-def _researcher_rows(path: Path, taxonomy: Optional[Taxonomy], window: range, issues: _Issues,
-                     stopped: set[Path]) -> tuple[_Researchers, _Ids]:
-    """researchers.csv: one row per (researcher, active year)."""
-    rank_rows: dict[str, dict[int, str]] = {}
-    researcher_sds: dict[str, str] = {}
-    out_of_window_years = 0
-    n_rows = 0
-    for line, row in _read_rows(path, RESEARCHERS_HEADER, issues, stopped):
-        n_rows += 1
-        researcher_id, sds_code, year_text, rank = map(str.strip, row)
-        rank = rank.lower()
-        year = _parse_int(year_text, "year", path, line, issues)
-        if year is None:
-            continue
-        if rank not in RANKS:
-            issues.unknown_rank(path, line, rank)
-            continue
-        if taxonomy is not None and sds_code not in taxonomy.sds_to_uda:
-            issues.unknown_sds(path, line, researcher_id, sds_code)
-            continue
-        prev_sds = researcher_sds.get(researcher_id)
-        if prev_sds is not None and prev_sds != sds_code:
-            issues.two_fields(path, line, researcher_id, prev_sds, sds_code)
-            continue
-        researcher_sds[researcher_id] = sds_code
-        if year not in window:
-            out_of_window_years += 1
-            continue
-        years = rank_rows.setdefault(researcher_id, {})
-        if year in years:
-            issues.duplicate_year(path, line, researcher_id, year)
-            continue
-        years[year] = rank
-    return (_Researchers(
-        n_rows, out_of_window_years,
-        lambda: [ResearcherRecord(rid, sds, dict(sorted(rank_rows.get(rid, {}).items())))
-                 for rid, sds in researcher_sds.items()]),
-        _Ids({rid: i for i, rid in enumerate(researcher_sds)}))
+    keys: np.ndarray
+    row_of: np.ndarray
+    stopped: bool  # as _Researchers.stopped
 
 
 _INT64_MAX = 2**63 - 1  # citations and author counts are held as int64
@@ -516,101 +458,8 @@ _PUBLICATION_NUMBERS = (("year", None, None), ("citations", 0, _INT64_MAX),
                         ("author_count", 1, _INT64_MAX))
 
 
-def _publication_rows(path: Path, window: range, issues: _Issues,
-                      stopped: set[Path]) -> tuple[_Publications, _Ids]:
-    """publications.csv, into columns; each distinct category list is parsed once."""
-    pub_row: dict[str, int] = {}  # each parsed pub_id to its column row, -1 when not kept
-    pub_ids, years, citation_counts, author_counts, category_set_of = [], [], [], [], []
-    category_sets: list[tuple[str, ...]] = []
-    set_of_text: dict[str, int] = {}  # each category list as written to its category_sets index
-    out_of_window_pubs = 0
-    n_rows = 0
-    for line, row in _read_rows(path, PUBLICATIONS_HEADER, issues, stopped):
-        n_rows += 1
-        pub_id, year_text, cit_text, auth_text, cats_text = map(str.strip, row)
-        numbers = year_text + cit_text + auth_text  # _int's test, once for the row
-        try:
-            year, citations, author_count = int(year_text), int(cit_text), int(auth_text)
-            numbers_ok = (numbers.isascii() and "_" not in numbers
-                          and 0 <= citations <= _INT64_MAX and 1 <= author_count <= _INT64_MAX)
-        except ValueError:
-            numbers_ok = False
-        if not numbers_ok:
-            issues.bad_numbers(path, line, (year_text, cit_text, auth_text))
-            continue
-        if pub_id in pub_row:
-            issues.duplicate_pub(path, line, pub_id)
-            continue
-        pub_row[pub_id] = -1
-        set_id = set_of_text.get(cats_text)
-        if set_id is None:
-            set_id = set_of_text[cats_text] = len(category_sets)
-            category_sets.append(_category_set(cats_text))
-        if not category_sets[set_id]:
-            issues.no_categories(path, line, pub_id)
-            continue
-        if year not in window:
-            out_of_window_pubs += 1
-            continue
-        pub_row[pub_id] = len(pub_ids)
-        pub_ids.append(pub_id)
-        years.append(year)
-        citation_counts.append(citations)
-        author_counts.append(author_count)
-        category_set_of.append(set_id)
-    return (_Publications(n_rows, out_of_window_pubs, pub_ids, years, citation_counts,
-                          author_counts, category_sets, category_set_of), _Ids(pub_row))
-
-
-def _authorship_rows(paths: CorpusPaths, pub_lookup: _Ids, n_kept_pubs: int,
-                     researcher_lookup: _Ids, issues: _Issues, stopped: set[Path]) -> _Links:
-    """authorships.csv, into (pub row, researcher index) pairs; a link is
-    kept only when its publication is, so only kept links can repeat."""
-    path = paths.authorships
-    pub_row, researcher_index = pub_lookup.mapping, researcher_lookup.mapping
-    link_keys: set[int] = set()  # researcher index * n_kept_pubs + pub row
-    link_pub, link_researcher = [], []
-    links_to_dropped_pubs = 0
-    n_rows = 0
-    for line, row in _read_rows(path, AUTHORSHIPS_HEADER, issues, stopped):
-        n_rows += 1
-        pub_id, researcher_id = map(str.strip, row)
-        row_of_pub = pub_row.get(pub_id)
-        if row_of_pub is None and paths.publications not in stopped:
-            issues.unknown_pub(path, line, pub_id)
-            continue
-        researcher = researcher_index.get(researcher_id)
-        if researcher is None:
-            if paths.researchers not in stopped:
-                issues.unknown_researcher(path, line, researcher_id)
-                continue
-            researcher = researcher_index[researcher_id] = len(researcher_index)
-        if row_of_pub is None or row_of_pub < 0:
-            links_to_dropped_pubs += 1
-            continue
-        key = researcher * n_kept_pubs + row_of_pub
-        if key in link_keys:
-            issues.duplicate_link(path, line, pub_id, researcher_id)
-            continue
-        link_keys.add(key)
-        link_pub.append(row_of_pub)
-        link_researcher.append(researcher)
-    return _Links(n_rows, links_to_dropped_pubs, link_pub, link_researcher)
-
-
-# The column path: a file is read once as bytes and split with array
-# operations, which also single out every row that breaks a row-level rule
-# (a number the row loop rejects, an unknown rank, sds or id, a researcher
-# in two fields, a repeated key, an empty category list). Only those rows
-# are decided in Python, in line order, and their issues are recorded by
-# the same _Issues methods the row loop calls. A file the column path cannot
-# split as csv.reader would raises _Declined before any of its issues is
-# recorded, and the row loop reads it and every later file: the row loop's
-# lookups are dicts, and a file it stops changes how later files check
-# their references.
-
 class _Declined(Exception):
-    """The column path cannot split a file; the row loop reads it."""
+    """The byte split cannot split a file as csv.reader would."""
 
 
 _MAX_DIGITS = 18  # a number of up to 18 digits is below 2**63
@@ -625,52 +474,15 @@ def _strippable(byte: np.ndarray) -> np.ndarray:
 
 
 class _Fields:
-    """The data rows of one CSV file, split at every comma and LF: field k
-    of row i is data[start[j]:start[j] + length[j]] with j = i * width + k.
-    Data row i is on line i + 2, as there are no blank lines.
+    """The data rows of one CSV file as UTF-8 field columns: field k of row
+    i is data[start[j]:start[j] + length[j]] with j = i * width + k, and row
+    i is on line lines[i]. stopped: the file was not read to its end."""
 
-    Declines unless csv.reader would split the file the same way and the
-    row loop would strip no field: the exact header line, valid UTF-8, no
-    quote, CR or NUL byte, width fields on every line, and every field
-    non-empty, within csv.field_size_limit() and without a strippable edge.
-    """
-
-    def __init__(self, path: Path, header: list[str]):
-        try:
-            data = path.read_bytes()
-        except OSError:
-            raise _Declined from None  # the row loop reports it
-        if not data.endswith(b"\n"):
-            data += b"\n"
-        head = ",".join(header).encode() + b"\n"
-        if not data.startswith(head) or b'"' in data or b"\r" in data or b"\0" in data:
-            raise _Declined
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError:
-                raise _Declined from None
-        byte = np.frombuffer(data, dtype=np.uint8)
-        is_end = byte == ord(",")
-        is_end |= byte == ord("\n")
-        is_end[:len(head)] = False
-        end = np.flatnonzero(is_end).astype(np.int32 if len(data) < 2**31 else np.intp)
-        del is_end
-        width = len(header)
-        line_end = byte[end] == ord("\n")
-        if len(end) % width or np.count_nonzero(line_end) * width != len(end) \
-                or not line_end[width - 1::width].all():
-            raise _Declined
-        start = np.empty_like(end)
-        start[:1] = len(head)
-        start[1:] = end[:-1] + 1
-        length = end - start
-        if len(end) and (length.min() < 1 or length.max() > csv.field_size_limit()
-                         or _strippable(byte[start]).any() or _strippable(byte[end - 1]).any()):
-            raise _Declined
-        self.data, self.byte, self.width = data, byte, width
+    def __init__(self, data: bytes, start: np.ndarray, length: np.ndarray, width: int,
+                 lines: Sequence[int], stopped: bool = False):
+        self.data, self.byte, self.width = data, np.frombuffer(data, dtype=np.uint8), width
         self.start, self.length = start, length
-        self.rows = len(end) // width
+        self.rows, self.lines, self.stopped = len(start) // width, lines, stopped
 
     def text(self, row: int, k: int) -> str:
         """Field k of data row `row`, decoded."""
@@ -691,15 +503,17 @@ class _Fields:
         """Column k as int64, and which of its fields _parse_int accepts
         within these bounds. Fields of 1 to 18 ASCII digits, which int()
         reads as the same number, are read with array operations and any
-        other by _parse_int. Declines on an accepted number outside int64,
-        which only an unbounded column can hold."""
+        other by _parse_int. An accepted number outside int64, which only an
+        unbounded column (a year) can hold, is held as the nearest int64:
+        outside the window."""
         value = np.zeros(self.rows, dtype=np.int64)
         not_digit = np.zeros(self.rows, dtype=bool)
         for byte, live in self._bytes_at(k, _MAX_DIGITS):
             digit = byte - np.uint8(ord("0"))
             not_digit |= (digit > 9) & live
             value = np.where(live, value * 10 + digit, value)
-        plain = ~not_digit & (self.length[k::self.width] <= _MAX_DIGITS)
+        length = self.length[k::self.width]
+        plain = ~not_digit & (length >= 1) & (length <= _MAX_DIGITS)
         ok = plain.copy()
         if minimum is not None:
             ok &= value >= minimum
@@ -709,22 +523,21 @@ class _Fields:
             # the rule only: the issue is recorded later, in line order
             number = _parse_int(self.text(row, k), "", Path(), 0, _Issues(), minimum, maximum)
             if number is not None:
-                if not -_INT64_MAX - 1 <= number <= _INT64_MAX:
-                    raise _Declined
-                value[row], ok[row] = number, True
+                value[row], ok[row] = min(max(number, -_INT64_MAX - 1), _INT64_MAX), True
         return value, ok
 
     def keys(self, k: int, lower: bool = False) -> np.ndarray:
-        """Column k as fixed-width bytes, ASCII-lowercased if lower.
-        Declines if a field is not ASCII, or if padding every field to the
-        longest would take more than twice the file's size."""
-        width = max(int(self.length[k::self.width].max(initial=0)), 1)
-        if self.rows * width > 2 * len(self.data):
-            raise _Declined
+        """Column k, ASCII-lowercased if lower, as an array that orders as
+        its bytes do, and so as the decoded strings do: fixed-width bytes,
+        or bytes objects where padding every field to the longest would
+        take more than twice the file's size or lose a trailing NUL."""
+        start, length = self.start[k::self.width], self.length[k::self.width]
+        width = max(int(length.max(initial=0)), 1)
+        if self.rows * width > 2 * len(self.data) or b"\0" in self.data:
+            keys = [self.data[i:j] for i, j in zip(start.tolist(), (start + length).tolist())]
+            return np.array([key.lower() for key in keys] if lower else keys, dtype=object)
         matrix = np.zeros((self.rows, width), dtype=np.uint8)
         for j, (byte, live) in enumerate(self._bytes_at(k)):
-            if (byte[live] >= 0x80).any():
-                raise _Declined
             if lower:
                 byte = byte + ((byte - np.uint8(ord("A"))) <= 25) * np.uint8(32)
             matrix[:, j] = np.where(live, byte, np.uint8(0))
@@ -741,11 +554,93 @@ class _Fields:
                 np.fromiter(map(index.__getitem__, fields), dtype=np.intp, count=len(fields)))
 
 
+def _split_bytes(path: Path, header: list[str]) -> _Fields:
+    """The byte split: the file read once as bytes and split at every comma
+    and LF with numpy. Data row i is on line i + 2, as there are no blank
+    lines.
+
+    Declines unless csv.reader would split the file the same way and
+    str.strip() would change no field: the exact header line, valid UTF-8,
+    no quote, CR or NUL byte, width fields on every line, and every field
+    non-empty, within csv.field_size_limit() and without a strippable edge.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        raise _Declined from None  # csv.reader reports it
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = ",".join(header).encode() + b"\n"
+    if not data.startswith(head) or b'"' in data or b"\r" in data or b"\0" in data:
+        raise _Declined
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Declined from None
+    byte = np.frombuffer(data, dtype=np.uint8)
+    is_end = byte == ord(",")
+    is_end |= byte == ord("\n")
+    is_end[:len(head)] = False
+    end = np.flatnonzero(is_end).astype(np.int32 if len(data) < 2**31 else np.intp)
+    del is_end
+    width = len(header)
+    line_end = byte[end] == ord("\n")
+    if len(end) % width or np.count_nonzero(line_end) * width != len(end) \
+            or not line_end[width - 1::width].all():
+        raise _Declined
+    start = np.empty_like(end)
+    start[:1] = len(head)
+    start[1:] = end[:-1] + 1
+    length = end - start
+    if len(end) and (length.min() < 1 or length.max() > csv.field_size_limit()
+                     or _strippable(byte[start]).any() or _strippable(byte[end - 1]).any()):
+        raise _Declined
+    return _Fields(data, start, length, width, range(2, len(end) // width + 2))
+
+
+def _split_csv(path: Path, header: list[str], issues: _Issues) -> _Fields:
+    """The csv tokenizer: any file, read by _read_rows, which records the
+    file's own issues. Each field is stripped with str.strip(). The rows
+    are encoded a chunk at a time, so that few field strings live at once."""
+    stopped: set[Path] = set()
+    rows = _read_rows(path, header, issues, stopped)
+    lines, pieces, lengths = array("q"), [], [np.zeros(0, dtype=np.intp)]
+    while chunk := list(islice(rows, 4096)):
+        lines.extend(map(itemgetter(0), chunk))
+        fields = list(map(str.strip, chain.from_iterable(map(itemgetter(1), chunk))))
+        pieces.append("".join(fields).encode())
+        lengths.append(np.fromiter(map(len, fields if pieces[-1].isascii()
+                                       else map(str.encode, fields)), dtype=np.intp))
+    length = np.concatenate(lengths)
+    return _Fields(b"".join(pieces), np.cumsum(length) - length, length, len(header), lines,
+                   bool(stopped))
+
+
+def _read(path: Path, header: list[str], issues: _Issues) -> _Fields:
+    """The fields of path by the byte split, or by csv.reader where the
+    byte split declines the file."""
+    try:
+        return _split_bytes(path, header)
+    except _Declined:
+        pass  # the declined file's buffers are freed before csv.reader starts
+    return _split_csv(path, header, issues)
+
+
+# The readers: array tests single out every row that breaks a row-level
+# rule (a number _parse_int rejects, an unknown rank, sds or id, a
+# researcher in two fields, a repeated key, an empty category list). Only
+# those rows are decided in Python, and the first check that fails is
+# recorded; a file's issues, the tokenizer's included, end in line order.
+
 def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The position of each of ids in the ascending array keys, and whether
     it is there."""
-    width = max(keys.itemsize, ids.itemsize)
-    keys, ids = keys.astype(f"S{width}", copy=False), ids.astype(f"S{width}", copy=False)
+    if keys.dtype == object or ids.dtype == object:
+        keys, ids = keys.astype(object), ids.astype(object)
+    else:
+        width = max(keys.itemsize, ids.itemsize)
+        keys, ids = keys.astype(f"S{width}", copy=False), ids.astype(f"S{width}", copy=False)
     if not len(keys):
         return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
     position = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
@@ -762,18 +657,24 @@ def _first_rows(*keys: np.ndarray) -> np.ndarray:
 
 
 def _strings(keys: np.ndarray) -> list[str]:
-    return keys.astype(np.str_).tolist()
+    return list(map(bytes.decode, keys.tolist()))
 
 
 def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
-                        issues: _Issues) -> tuple[_Researchers, _Ids]:
-    if taxonomy is None:
-        raise _Declined  # the taxonomy has issues, so the row loop checks no sds
-    fields = _Fields(path, RESEARCHERS_HEADER)
+                        issues: _Issues) -> _Researchers:
+    first_issue = len(issues)
+    fields = _read(path, RESEARCHERS_HEADER, issues)
     year, year_ok = fields.numbers(2)
+    # only U+212A lowers to an ASCII letter, k, which no rank name holds
     rank, rank_ok = _find(_RANK_KEYS, fields.keys(3, lower=True))
-    codes = sorted(c for c in taxonomy.sds_to_uda if c.isascii() and "\0" not in c)
-    sds, sds_ok = _find(np.array(codes, dtype=np.bytes_), fields.keys(1))
+    sds_keys = fields.keys(1)
+    if taxonomy is None:  # taxonomy.csv has issues: no sds is checked
+        known = np.unique(sds_keys)
+    else:
+        codes = [code.encode() for code in sorted(taxonomy.sds_to_uda)]
+        known = np.array(codes, dtype=object if any(b"\0" in c for c in codes) else np.bytes_)
+    sds, sds_ok = _find(known, sds_keys)
+    codes = _strings(known)
     valid = year_ok & rank_ok & sds_ok
     # a researcher is listed, in the field of its first row, by the rows
     # with a valid year, rank and sds
@@ -793,7 +694,7 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
     repeat[rows] = True
     repeat[firsts] = False
     for row in np.flatnonzero(~valid | two_fields | repeat).tolist():
-        line = row + 2
+        line = fields.lines[row]
         researcher_id, sds_code = fields.text(row, 0), fields.text(row, 1)
         if not year_ok[row]:
             _parse_int(fields.text(row, 2), "year", path, line, issues)
@@ -805,7 +706,8 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
             issues.two_fields(path, line, researcher_id, codes[sds_of[researcher[row]]], sds_code)
         else:
             issues.duplicate_year(path, line, researcher_id, int(year[row]))
-    n_rows = fields.rows
+    issues.in_line_order(first_issue)
+    n_rows, stopped = fields.rows, fields.stopped
     del fields
     researcher, year, rank = researcher[firsts], year[firsts], rank[firsts]
     n_years = np.bincount(researcher, minlength=len(ids))
@@ -816,12 +718,13 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
                 for rid, s, n, end in zip(_strings(ids), sds_of.tolist(), n_years.tolist(),
                                           np.cumsum(n_years).tolist())]
 
-    return _Researchers(n_rows, n_outside, records), _Ids(keys=ids, values=np.arange(len(ids)))
+    return _Researchers(n_rows, n_outside, ids, records, stopped)
 
 
 def _publication_columns(path: Path, window: range,
-                         issues: _Issues) -> tuple[_Publications, _Ids]:
-    fields = _Fields(path, PUBLICATIONS_HEADER)
+                         issues: _Issues) -> tuple[_Publications, _PubLookup]:
+    first_issue = len(issues)
+    fields = _read(path, PUBLICATIONS_HEADER, issues)
     (year, year_ok), (citations, citations_ok), (author_count, author_count_ok) = (
         fields.numbers(k, minimum, maximum)
         for k, (_, minimum, maximum) in enumerate(_PUBLICATION_NUMBERS, 1))
@@ -830,7 +733,7 @@ def _publication_columns(path: Path, window: range,
                     for row in np.flatnonzero(~numbers_ok).tolist()}
     pub_ids = fields.keys(0)
     texts, set_of = fields.texts(4)
-    n_rows = fields.rows
+    n_rows, lines, stopped = fields.rows, fields.lines, fields.stopped
     del fields
     category_sets = list(map(_category_set, texts))
     no_categories = ~np.fromiter(map(bool, category_sets), dtype=bool,
@@ -838,16 +741,18 @@ def _publication_columns(path: Path, window: range,
     # a pub_id is taken by its first row with valid numbers
     rows = np.flatnonzero(numbers_ok)
     rows = rows[_first_rows(pub_ids[rows])]  # in pub_id order
-    unlisted = np.ones(n_rows, dtype=bool)  # the row loop's lookup takes no pub_id from it
+    unlisted = np.ones(n_rows, dtype=bool)
     unlisted[rows] = False
     for row in np.flatnonzero(unlisted | no_categories).tolist():
-        line = row + 2
+        line = lines[row]
         if not numbers_ok[row]:
-            issues.bad_numbers(path, line, number_texts[row])
+            for text, (what, minimum, maximum) in zip(number_texts[row], _PUBLICATION_NUMBERS):
+                _parse_int(text, what, path, line, issues, minimum, maximum)
         elif unlisted[row]:
             issues.duplicate_pub(path, line, pub_ids[row].decode())
         else:
             issues.no_categories(path, line, pub_ids[row].decode())
+    issues.in_line_order(first_issue)
     has_categories = ~no_categories[rows]
     kept = has_categories & (year[rows] >= window.start) & (year[rows] < window.stop)
     row_of = np.full(len(rows), -1, dtype=np.intp)
@@ -856,21 +761,31 @@ def _publication_columns(path: Path, window: range,
     return (_Publications(n_rows, np.count_nonzero(has_categories & ~kept),
                           _strings(pub_ids[kept]), year[kept_rows], citations[kept_rows],
                           author_count[kept_rows], category_sets, set_of[kept_rows]),
-            _Ids(keys=pub_ids, values=row_of))
+            _PubLookup(pub_ids, row_of, stopped))
 
 
-def _authorship_columns(path: Path, pub_lookup: _Ids, n_kept_pubs: int,
-                        researcher_lookup: _Ids, issues: _Issues) -> _Links:
-    fields = _Fields(path, AUTHORSHIPS_HEADER)
-    pub_ids, researcher_ids, n_rows = fields.keys(0), fields.keys(1), fields.rows
+def _authorship_columns(path: Path, pubs: _PubLookup, n_kept_pubs: int,
+                        researchers: _Researchers,
+                        issues: _Issues) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """authorships.csv as read: its rows, those that name a dropped
+    publication, and the kept (pub row, researcher index) links."""
+    first_issue = len(issues)
+    fields = _read(path, AUTHORSHIPS_HEADER, issues)
+    pub_ids, researcher_ids = fields.keys(0), fields.keys(1)
+    n_rows, lines = fields.rows, fields.lines
     del fields
-    pub, pub_found = _find(pub_lookup.keys, pub_ids)
-    researcher, researcher_found = _find(researcher_lookup.keys, researcher_ids)
+    pub, pub_found = _find(pubs.keys, pub_ids)
+    researcher, researcher_found = _find(researchers.ids, researcher_ids)
+    if researchers.stopped:  # unknown ids get codes of their own, so their links can repeat
+        unknown = np.flatnonzero(~researcher_found)
+        researcher[unknown] = len(researchers.ids) + np.unique(researcher_ids[unknown],
+                                                               return_inverse=True)[1]
+        researcher_found[unknown] = True
     rows = np.flatnonzero(pub_found & researcher_found)
-    link_pub = pub_lookup.values[pub[rows]]
+    link_pub = pubs.row_of[pub[rows]]
     kept = link_pub >= 0
     rows, link_pub = rows[kept], link_pub[kept]
-    link_researcher = researcher_lookup.values[researcher[rows]]
+    link_researcher = researcher[rows]
     del pub, researcher
     # a link is taken by its first row; np.sort finds out far faster than
     # a stable argsort whether one repeats
@@ -881,16 +796,18 @@ def _authorship_columns(path: Path, pub_lookup: _Ids, n_kept_pubs: int,
         firsts = _first_rows(link_researcher * n_kept_pubs + link_pub)
         repeat[rows] = True
         repeat[rows[firsts]] = False
-    for row in np.flatnonzero(~pub_found | ~researcher_found | repeat).tolist():
-        line = row + 2
+    unknown_pub = ~pub_found & (not pubs.stopped)  # no reference into a stopped file is checked
+    for row in np.flatnonzero(unknown_pub | ~researcher_found | repeat).tolist():
+        line = lines[row]
         pub_id, researcher_id = pub_ids[row].decode(), researcher_ids[row].decode()
-        if not pub_found[row]:
+        if unknown_pub[row]:
             issues.unknown_pub(path, line, pub_id)
         elif not researcher_found[row]:
             issues.unknown_researcher(path, line, researcher_id)
         else:
             issues.duplicate_link(path, line, pub_id, researcher_id)
-    return _Links(n_rows, len(kept) - len(rows), link_pub[firsts], link_researcher[firsts])
+    issues.in_line_order(first_issue)
+    return n_rows, len(kept) - len(rows), link_pub[firsts], link_researcher[firsts]
 
 
 def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
@@ -917,55 +834,32 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
 
 def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
-    """load_corpus without the collector pause. Each of researchers.csv,
-    publications.csv and authorships.csv is read by the column path, which
-    lists its row-level issues, until that declines a file: the row loop
-    reads that file and every later one."""
+    """load_corpus without the collector pause; each big file picks its tokenizer."""
     issues = _Issues()
-    stopped: set[Path] = set()
     report = LoadReport()
     window = config.years
-    declined = False
-
-    def read(columns: Callable[[], T], rows: Callable[[], T]) -> T:
-        nonlocal declined
-        if not declined:
-            try:
-                return columns()
-            except _Declined:
-                declined = True  # the declined file's buffers are freed before the row loop starts
-        return rows()
 
     taxonomy = _load_taxonomy(paths.taxonomy, issues)
-    researchers, researcher_lookup = read(
-        lambda: _researcher_columns(paths.researchers, taxonomy, window, issues),
-        lambda: _researcher_rows(paths.researchers, taxonomy, window, issues, stopped))
+    researchers = _researcher_columns(paths.researchers, taxonomy, window, issues)
     report.parsed["researcher_rows"] = researchers.rows
     report.drop("researcher_years_outside_window", researchers.outside_window)
 
-    pubs, pub_lookup = read(
-        lambda: _publication_columns(paths.publications, window, issues),
-        lambda: _publication_rows(paths.publications, window, issues, stopped))
+    pubs, pub_lookup = _publication_columns(paths.publications, window, issues)
     report.parsed["publications"] = pubs.rows
     report.drop("publications_outside_window", pubs.outside_window)
 
-    n_kept_pubs = len(pubs.pub_ids)
-    links = read(
-        lambda: _authorship_columns(paths.authorships, pub_lookup, n_kept_pubs, researcher_lookup,
-                                    issues),
-        lambda: _authorship_rows(paths, pub_lookup, n_kept_pubs, researcher_lookup, issues,
-                                 stopped))
-    del pub_lookup, researcher_lookup
-    report.parsed["authorships"] = links.rows
-    report.drop("authorships_of_dropped_publications", links.to_dropped_pubs)
+    n_links, to_dropped_pubs, link_pub, link_researcher = _authorship_columns(
+        paths.authorships, pub_lookup, len(pubs.pub_ids), researchers, issues)
+    del pub_lookup
+    report.parsed["authorships"] = n_links
+    report.drop("authorships_of_dropped_publications", to_dropped_pubs)
 
     pub_ids, author_counts = pubs.pub_ids, pubs.author_count
-    links_per_pub = np.bincount(np.array(links.link_pub, dtype=np.intp), minlength=len(pub_ids))
-    over_linked = np.flatnonzero(np.array(author_counts, dtype=np.int64) < links_per_pub)
+    links_per_pub = np.bincount(link_pub, minlength=len(pub_ids))
+    over_linked = np.flatnonzero(author_counts < links_per_pub)
     for row in sorted(over_linked.tolist(), key=pub_ids.__getitem__):
-        issues.add(ISSUE_CONSTRAINT, f"publication {pub_ids[row]!r} has author_count "
-                   f"{author_counts[row]} but {links_per_pub[row]} roster authorships",
-                   paths.publications, key=pub_ids[row])
+        issues.over_linked(paths.publications, pub_ids[row], author_counts[row],
+                           links_per_pub[row])
 
     if issues:
         raise CorpusValidationError(issues)
@@ -973,7 +867,7 @@ def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
     corpus = build_corpus(taxonomy, researchers.records(), pub_ids, pubs.year, pubs.citations,
                           author_counts, pubs.category_sets, pubs.category_set_of,
-                          links.link_pub, links.link_researcher, config, report)
+                          link_pub, link_researcher, config, report)
     for key, value in sorted(report.dropped.items()):
         log.info("load_corpus dropped %d: %s", value, key)
     return corpus

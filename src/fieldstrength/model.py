@@ -121,6 +121,8 @@ class AnalysisConfig:
         start, end = self.window
         if start > end:
             raise ConfigurationError(f"window start {start} > end {end}")
+        if start <= -2**63 or end >= 2**63 - 1:  # a year beyond int64 is read as an end of it
+            raise ConfigurationError(f"window years must lie inside int64, got {start}..{end}")
         if not self.hca_percentiles:
             raise ConfigurationError("hca_percentiles must list at least one percentile")
         for p in self.hca_percentiles:

@@ -1,16 +1,25 @@
 """Brute-force reference implementations used to cross-check the engine.
 
-Everything here is deliberately naive: quadratic scans and textbook
-formulas, written without numpy so they cannot share bugs with the
-optimized code paths they verify. Used by the test suite and the
-acceptance runs only; never on the hot path.
+Everything here is deliberately naive: quadratic scans, textbook formulas
+and row loops, written without numpy so they cannot share bugs with the
+optimized code paths they verify. The load oracle reuses only the csv
+tokenizer (ingest._read_rows), the taxonomy loader, number and category
+parsing, the wording of ingest._Issues and build_corpus. Used by the test
+suite and the acceptance runs only; never on the hot path.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .errors import CorpusValidationError
+from .ingest import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RESEARCHERS_HEADER,
+                     _PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set, _Issues,
+                     _load_taxonomy, _parse_int, _read_rows, build_corpus)
+from .model import RANKS, AnalysisConfig, ResearcherRecord
 
 
 def oracle_top_p(members: Sequence[tuple[str, int]], p: float) -> set[str]:
@@ -87,3 +96,98 @@ def oracle_spearman(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     if var_x <= 0 or var_y <= 0:
         return None
     return (n * sxy - sx * sy) / math.sqrt(var_x * var_y)
+
+
+def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
+    """load_corpus as a row loop: each row checked in file order against
+    dicts of the rows before it, each problem an issue at its line. Returns
+    the same Corpus, or raises the same CorpusValidationError."""
+    issues, stopped, report = _Issues(), set(), LoadReport()
+    window = config.years
+    taxonomy = _load_taxonomy(paths.taxonomy, issues)
+
+    path, header, n_rows, outside = paths.researchers, RESEARCHERS_HEADER, 0, 0
+    researcher_sds: dict[str, str] = {}  # a researcher's field: that of its first valid row
+    rank_by_year: dict[str, dict[int, str]] = {}
+    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+        researcher_id, sds_code, year_text, rank = map(str.strip, row)
+        rank = rank.lower()
+        year = _parse_int(year_text, "year", path, line, issues)
+        if year is None:
+            continue
+        if rank not in RANKS:
+            issues.unknown_rank(path, line, rank)
+        elif taxonomy is not None and sds_code not in taxonomy.sds_to_uda:
+            issues.unknown_sds(path, line, researcher_id, sds_code)
+        elif researcher_sds.setdefault(researcher_id, sds_code) != sds_code:
+            issues.two_fields(path, line, researcher_id, researcher_sds[researcher_id], sds_code)
+        elif year not in window:
+            outside += 1
+        elif year in rank_by_year.setdefault(researcher_id, {}):
+            issues.duplicate_year(path, line, researcher_id, year)
+        else:
+            rank_by_year[researcher_id][year] = rank
+    report.parsed["researcher_rows"] = n_rows
+    report.drop("researcher_years_outside_window", outside)
+    researchers = [ResearcherRecord(rid, sds, dict(sorted(rank_by_year.get(rid, {}).items())))
+                   for rid, sds in researcher_sds.items()]
+    researcher_index = {rid: i for i, rid in enumerate(researcher_sds)}
+
+    path, header, n_rows, outside = paths.publications, PUBLICATIONS_HEADER, 0, 0
+    pub_row: dict[str, int] = {}  # each listed pub_id to its row in pubs, -1 when not kept
+    pubs: list[tuple] = []  # (pub_id, year, citations, author_count, index in category_sets)
+    category_sets: list[tuple[str, ...]] = []  # of every listed pub_id, as load_corpus keeps
+    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+        pub_id, *texts, categories = map(str.strip, row)
+        numbers = [_parse_int(text, what, path, line, issues, minimum, maximum)
+                   for text, (what, minimum, maximum) in zip(texts, _PUBLICATION_NUMBERS)]
+        if None in numbers:
+            continue
+        if pub_id in pub_row:
+            issues.duplicate_pub(path, line, pub_id)
+            continue
+        pub_row[pub_id] = -1
+        category_sets.append(_category_set(categories))
+        if not category_sets[-1]:
+            issues.no_categories(path, line, pub_id)
+        elif numbers[0] not in window:
+            outside += 1
+        else:
+            pub_row[pub_id] = len(pubs)
+            pubs.append((pub_id, *numbers, len(category_sets) - 1))
+    report.parsed["publications"] = n_rows
+    report.drop("publications_outside_window", outside)
+
+    path, header, n_rows, to_dropped_pubs = paths.authorships, AUTHORSHIPS_HEADER, 0, 0
+    links: dict[tuple[int, int], None] = {}  # (pub row, researcher index), in file order
+    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+        pub_id, researcher_id = map(str.strip, row)
+        pub = pub_row.get(pub_id)
+        if pub is None and paths.publications not in stopped:
+            issues.unknown_pub(path, line, pub_id)
+            continue
+        if researcher_id not in researcher_index:
+            if paths.researchers not in stopped:
+                issues.unknown_researcher(path, line, researcher_id)
+                continue
+            researcher_index[researcher_id] = len(researcher_index)
+        link = (pub, researcher_index[researcher_id])
+        if pub is None or pub < 0:
+            to_dropped_pubs += 1
+        elif link in links:
+            issues.duplicate_link(path, line, pub_id, researcher_id)
+        else:
+            links[link] = None
+    report.parsed["authorships"] = n_rows
+    report.drop("authorships_of_dropped_publications", to_dropped_pubs)
+
+    links_per_pub = Counter(pub for pub, _ in links)
+    for pub in sorted(links_per_pub, key=lambda pub: pubs[pub][0]):
+        if pubs[pub][3] < links_per_pub[pub]:
+            issues.over_linked(paths.publications, pubs[pub][0], pubs[pub][3], links_per_pub[pub])
+    if issues:
+        raise CorpusValidationError(issues)
+    pub_ids, years, citations, author_counts, set_of = ([pub[k] for pub in pubs] for k in range(5))
+    return build_corpus(taxonomy, researchers, pub_ids, years, citations, author_counts,
+                        category_sets, set_of, [pub for pub, _ in links], [r for _, r in links],
+                        config, report)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fieldstrength.hca import CitationCell, CitationCells, build_cells
 from fieldstrength.indicators import FieldTable
@@ -12,6 +13,11 @@ from fieldstrength.model import AnalysisConfig, CostModel, ResearcherRecord, Tax
 from fieldstrength.pipeline import PipelineResult, run_pipeline
 from fieldstrength.scoring import ScoreTable
 from fieldstrength.synth import SynthParams, generate
+
+# few examples per property by default, to keep the suite quick; CI also
+# runs the ingest properties with --hypothesis-profile=ci
+settings.register_profile("default", max_examples=8)
+settings.register_profile("ci", max_examples=50)
 
 
 def mk_taxonomy(sds_to_uda: dict[str, str]) -> Taxonomy:

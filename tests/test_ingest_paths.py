@@ -1,11 +1,10 @@
-"""The two ways load_corpus reads researchers.csv, publications.csv and
-authorships.csv give the same result: the same corpus, or the same issue
-list.
+"""load_corpus gives what oracles.oracle_load gives: the same corpus, or
+the same issue list.
 
-The column path reads a file with array operations and lists its
-row-level issues; the row loop reads any file. load_corpus takes the
-column path where it can; row_loop below makes every column reader
-decline.
+load_corpus reads researchers.csv, publications.csv and authorships.csv
+with column rules, after splitting each file by bytes or, where the byte
+split declines it, with csv.reader. oracle_load is the row loop: each row
+checked in file order against dicts.
 """
 
 from __future__ import annotations
@@ -23,22 +22,8 @@ from fieldstrength import ingest
 from fieldstrength.errors import CorpusValidationError
 from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import RANKS, AnalysisConfig
+from fieldstrength.oracles import oracle_load
 from fieldstrength.synth import SynthParams, generate
-
-COLUMN_READERS = ("_researcher_columns", "_publication_columns", "_authorship_columns")
-ROW_READERS = ("_researcher_rows", "_publication_rows", "_authorship_rows")
-
-
-def _decline(*_args):
-    raise ingest._Declined
-
-
-def row_loop(paths: CorpusPaths, config: AnalysisConfig):
-    """load_corpus with every file read by the row loop."""
-    with pytest.MonkeyPatch.context() as patch:
-        for name in COLUMN_READERS:
-            patch.setattr(ingest, name, _decline)
-        return load_corpus(paths, config)
 
 
 def outcome(load, paths: CorpusPaths):
@@ -60,7 +45,7 @@ TAXONOMY = ["S1,Field one,U1,Discipline one", "S2,Field two,U1,Discipline one",
 FILES = ("researchers", "publications", "authorships")
 YEARS = st.integers(2010, 2018)
 
-# edits that make the column path decline, or the row loop find an issue
+# edits that make the byte split decline, or the rules find an issue
 FIELD_EDITS = {
     "quote": lambda f: f'"{f}"',
     "pad with spaces": lambda f: f" {f} ",
@@ -76,8 +61,12 @@ FIELD_EDITS = {
     "2**63": lambda f: str(2**63),
     "unknown id": lambda f: "zz",
     "n/a": lambda f: "n/a",
+    "empty": lambda f: "",
+    "not UTF-8": lambda f: f + "\udcff",  # written as the byte 0xff
+    "over the field limit": lambda f: f.ljust(131_073, "x"),
+    "trailing NUL": lambda f: f + "\x00",
 }
-ROW_EDITS = ("duplicate row", "blank line")
+ROW_EDITS = ("duplicate row", "blank line", "extra field", "unterminated quote")
 TEXT_EDITS = {
     "CRLF": lambda text: text.replace("\n", "\r\n"),
     "BOM": lambda text: "\ufeff" + text,
@@ -132,36 +121,45 @@ def edited(rows: list[str], edit: str, i: int, k: int) -> list[str]:
         return rows[:i] + [rows[i]] + rows[i:]
     if edit == "blank line":
         return rows[:i] + [""] + rows[i:]
+    if edit in ("extra field", "unterminated quote"):
+        row = rows[i] + ",x" if edit == "extra field" else '"' + rows[i]
+        return rows[:i] + [row] + rows[i + 1:]
     fields = rows[i].split(",")
     fields[k] = FIELD_EDITS[edit](fields[k])
     return rows[:i] + [",".join(fields)] + rows[i + 1:]
 
 
 WIDTH = {"researchers": 4, "publications": 5, "authorships": 2}
+HEADERS = {"researchers": ingest.RESEARCHERS_HEADER, "publications": ingest.PUBLICATIONS_HEADER,
+           "authorships": ingest.AUTHORSHIPS_HEADER}
 
 
-@pytest.mark.parametrize("edit", ["none", *FIELD_EDITS, *ROW_EDITS, *TEXT_EDITS])
-@settings(max_examples=8, deadline=None)
+@pytest.mark.parametrize("edit", ["none", "taxonomy in error", *FIELD_EDITS, *ROW_EDITS,
+                                  *TEXT_EDITS])
+@settings(deadline=None)
 @given(tables=corpora(), i=st.integers(0, 100))
 def test_column_path_equals_row_loop(edit, tables, i):
-    # the edit goes to row i of each file in turn, and to each of its fields
+    # the edit goes to row i of each file in turn, and to each of its fields;
+    # a taxonomy in error (a repeated sds_code) leaves every sds unchecked
     places = [(name, k) for name in FILES
               for k in (range(WIDTH[name]) if edit in FIELD_EDITS else [0])]
+    taxonomy = TAXONOMY + TAXONOMY[:1] if edit == "taxonomy in error" else TAXONOMY
     with tempfile.TemporaryDirectory() as tmp:
-        for name, k in places if edit != "none" else [(None, 0)]:
-            rows = dict(tables)
-            if name is not None and edit not in TEXT_EDITS:
-                rows[name] = edited(rows[name], edit, i, k)
-            paths = write_csvs(Path(tmp), TAXONOMY, rows["researchers"], rows["publications"],
-                               rows["authorships"])
-            if edit in TEXT_EDITS:
-                path = getattr(paths, name)
-                path.write_bytes(TEXT_EDITS[edit](path.read_text(encoding="utf-8")).encode())
-            assert outcome(load_corpus, paths) == outcome(row_loop, paths), (name, k)
+        paths = write_csvs(Path(tmp), taxonomy, [], [], [])
+        for name, k in places if edit not in ("none", "taxonomy in error") else [(None, 0)]:
+            for file in FILES:
+                rows = tables[file]
+                if file == name and edit not in TEXT_EDITS:
+                    rows = edited(rows, edit, i, k)
+                text = "".join(f"{row}\n" for row in [",".join(HEADERS[file]), *rows])
+                if file == name and edit in TEXT_EDITS:
+                    text = TEXT_EDITS[edit](text)
+                getattr(paths, file).write_bytes(text.encode("utf-8", "surrogateescape"))
+            assert outcome(load_corpus, paths) == outcome(oracle_load, paths), (name, k)
 
 
 def _refuse(*_args):
-    raise AssertionError("a reader ran that the file should not need")
+    raise AssertionError("the csv tokenizer ran on a file the byte split should read")
 
 
 @pytest.mark.parametrize("params", [
@@ -176,9 +174,8 @@ def _refuse(*_args):
 ], ids=["default", "seed101", "seed202", "seed4", "seed6"])
 def test_column_path_reads_the_synthetic_corpora(tmp_path, monkeypatch, params):
     paths = CorpusPaths(**generate(SynthParams(**params), tmp_path))
-    expected = outcome(row_loop, paths)
-    for name in ROW_READERS:
-        monkeypatch.setattr(ingest, name, _refuse)
+    expected = outcome(oracle_load, paths)
+    monkeypatch.setattr(ingest, "_split_csv", _refuse)
     assert outcome(load_corpus, paths) == expected
 
 
@@ -220,9 +217,8 @@ def test_column_path_lists_row_level_issues(tmp_path, monkeypatch):
     for name, rows in zip(FILES, (researchers, pubs, links)):
         getattr(paths, name).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
 
-    expected = outcome(row_loop, paths)
-    for name in ROW_READERS:
-        monkeypatch.setattr(ingest, name, _refuse)
+    expected = outcome(oracle_load, paths)
+    monkeypatch.setattr(ingest, "_split_csv", _refuse)
     issues = outcome(load_corpus, paths)
     assert issues == expected
     messages = [issue.message for issue in issues]
@@ -240,25 +236,24 @@ def test_column_path_lists_row_level_issues(tmp_path, monkeypatch):
 PUBLICATIONS_HEAD = b"pub_id,year,citations,author_count,subject_categories\n"
 
 
-@pytest.mark.parametrize("publications, skipped, kinds", [
-    (PUBLICATIONS_HEAD + b"p1,2013,x,1,A\n", "_authorship_rows",
-     ["malformed_row", "dangling_reference"]),
-    (PUBLICATIONS_HEAD + b'"p1",2013,1,1,A\n', "_authorship_columns", None),
-    (b"", "_authorship_columns", ["malformed_row"]),
-], ids=["row-level issue", "declined", "stopped"])
-def test_only_a_declined_file_sends_later_files_to_the_row_loop(tmp_path, monkeypatch,
-                                                                publications, skipped, kinds):
-    # after a row-level issue in publications.csv, authorships.csv is still
-    # read by the column path and its dangling reference is listed; after a
-    # declined or stopped publications.csv, it is read by the row loop, which
-    # does not check references into a stopped file
+@pytest.mark.parametrize("publications, kinds", [
+    (PUBLICATIONS_HEAD + b"p1,2013,x,1,A\n", ["malformed_row", "dangling_reference"]),
+    (PUBLICATIONS_HEAD + b'"p2",2013,1,1,A\r\n', ["dangling_reference"]),
+    (b"", ["malformed_row"]),
+], ids=["row-level issue", "quoted", "stopped"])
+def test_each_file_picks_its_tokenizer(tmp_path, monkeypatch, publications, kinds):
+    # whatever tokenizer reads publications.csv, a clean authorships.csv is
+    # byte-split; its dangling pub_id is listed unless publications.csv
+    # stopped (here: empty), as no reference into a stopped file is checked
     paths = write_csvs(tmp_path, TAXONOMY, ["r1,S1,2012,full"], [], ["p1,r1"])
     paths.publications.write_bytes(publications)
-    expected = outcome(row_loop, paths)
-    monkeypatch.setattr(ingest, skipped, _refuse)
+    expected = outcome(oracle_load, paths)
+    split_csv = ingest._split_csv
+    monkeypatch.setattr(ingest, "_split_csv", lambda path, *args: (
+        _refuse() if path == paths.authorships else split_csv(path, *args)))
     result = outcome(load_corpus, paths)
     assert result == expected
-    assert isinstance(result, dict) if kinds is None else [i.kind for i in result] == kinds
+    assert [issue.kind for issue in result] == kinds
 
 
 @pytest.mark.parametrize("body", [
@@ -271,22 +266,35 @@ def test_only_a_declined_file_sends_later_files_to_the_row_loop(tmp_path, monkey
     b"p1,r1\xc2\xa0\n",
     b"p1,r\xff1\n",
     b"p1," + b"r" * 131_073 + b"\n",
-    b"p1,r\xc3\xa91\n",
-    b"p1,r1\n" * 100 + b"p2," + b"r" * 5_000 + b"\n",
 ], ids=["shifted rows", "blank line", "CRLF", "quote", "NUL", "space", "no-break space",
-        "not UTF-8", "over the csv field limit", "non-ASCII id",
-        "padded ids over twice the file"])
+        "not UTF-8", "over the csv field limit"])
 def test_column_path_declines(tmp_path, body):
     path = tmp_path / "authorships.csv"
     path.write_bytes(b"pub_id,researcher_id\n" + body)
     with pytest.raises(ingest._Declined):
-        ingest._Fields(path, ingest.AUTHORSHIPS_HEADER).keys(1)
+        ingest._split_bytes(path, ingest.AUTHORSHIPS_HEADER)
+
+
+@pytest.mark.parametrize("body, ids", [
+    (b"p1,r\xc3\xa92\np2,r\xc3\xa91\np3,r2\n", ["ré2", "ré1", "r2"]),
+    (b"p1,r1\n" * 100 + b"p2," + b"r" * 5_000 + b"\n", ["r1"] * 100 + ["r" * 5_000]),
+    (b'p1,"r1\x00"\np2,r1\n', ["r1\x00", "r1"]),
+], ids=["non-ASCII id", "padded ids over twice the file", "trailing NUL"])
+def test_keys_hold_any_id(tmp_path, body, ids):
+    # keys order and compare as the ids do, in fixed-width bytes or, where
+    # padding would take too much memory or lose a trailing NUL, bytes objects
+    path = tmp_path / "authorships.csv"
+    path.write_bytes(b"pub_id,researcher_id\n" + body)
+    keys = ingest._read(path, ingest.AUTHORSHIPS_HEADER, ingest._Issues()).keys(1)
+    assert [key.decode() for key in keys.tolist()] == ids
+    assert np.argsort(keys, kind="stable").tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+    assert len(np.unique(keys)) == len(set(ids))
 
 
 def test_column_path_splits_fields(tmp_path):
     path = tmp_path / "authorships.csv"
     path.write_bytes("pub_id,researcher_id\np1,r1\np22,ré\x0b2".encode("utf-8"))
-    fields = ingest._Fields(path, ingest.AUTHORSHIPS_HEADER)
+    fields = ingest._split_bytes(path, ingest.AUTHORSHIPS_HEADER)
     assert fields.rows == 2
     assert fields.keys(0).tolist() == [b"p1", b"p22"]
     assert fields.texts(1)[0] == ["r1", "ré\x0b2"]

@@ -111,6 +111,8 @@ def test_cost_model_validation():
 def test_analysis_config_validation():
     with pytest.raises(ConfigurationError):
         AnalysisConfig(window=(2016, 2012))
+    with pytest.raises(ConfigurationError, match="inside int64"):
+        AnalysisConfig(window=(2012, 2**63 - 1))
     with pytest.raises(ConfigurationError):
         AnalysisConfig(hca_percentiles=(0,))
     with pytest.raises(ConfigurationError):
