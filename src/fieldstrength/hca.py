@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -210,11 +209,10 @@ def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> Sum
     """
     percentiles = corpus.config.sorted_percentiles
     taxonomy = corpus.taxonomy
-    researcher_udas = [taxonomy.uda_of(r.sds) for r in corpus.researchers.values()]
-    udas = sorted(set(researcher_udas))
-    code = {uda: i for i, uda in enumerate(udas)}
-    researcher_uda = np.array([code[uda] for uda in researcher_udas], dtype=np.int64)
-    n_sds = Counter(taxonomy.uda_of(sds) for sds in {r.sds for r in corpus.researchers.values()})
+    field_udas = [taxonomy.uda_of(sds) for sds in corpus.sds_codes]
+    udas = sorted(set(field_udas))
+    field_uda = np.array([udas.index(uda) for uda in field_udas], dtype=np.int64)
+    researcher_uda = np.repeat(field_uda, np.diff(corpus.field_start))
 
     def per_uda(codes: np.ndarray) -> list[int]:
         return np.bincount(codes, minlength=len(udas)).tolist()
@@ -222,11 +220,11 @@ def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> Sum
     stride = max(len(corpus.pub_ids), 1)
     pairs = np.sort(researcher_uda[corpus.link_researcher] * stride + corpus.link_pub)
     pair_uda, pair_pub = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], stride)
-    columns = zip(udas, per_uda(researcher_uda), per_uda(pair_uda),
+    columns = zip(udas, per_uda(field_uda), per_uda(researcher_uda), per_uda(pair_uda),
                   *(per_uda(pair_uda[flag_sets[p].hit[pair_pub]]) for p in percentiles))
-    rows = tuple(SummaryRow(uda, taxonomy.uda_names[uda], n_sds[uda], n_professors, n_publications,
+    rows = tuple(SummaryRow(uda, taxonomy.uda_names[uda], n_sds, n_professors, n_publications,
                             dict(zip(percentiles, hca_counts)))
-                 for uda, n_professors, n_publications, *hca_counts in columns)
+                 for uda, n_sds, n_professors, n_publications, *hca_counts in columns)
     roster = corpus.has_roster_author
     overall = SummaryRow("ALL", "Overall", sum(r.n_sds for r in rows),
                          sum(r.n_professors for r in rows), int(roster.sum()),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain, dropwhile, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import (
     InputIOError,
     ValidationIssue,
 )
-from .model import RANKS, AnalysisConfig, ResearcherRecord, Taxonomy
+from .model import RANKS, AnalysisConfig, Taxonomy
 
 log = logging.getLogger(__name__)
 
@@ -83,15 +83,22 @@ class Corpus:
     author_count[i]; rows are in ascending pub_id order. Its subject
     categories are categories[c] for the codes c in
     category_code[category_start[i]:category_start[i + 1]]; categories is
-    sorted, so codes order as the category strings do. Researcher row j is
-    the j-th entry of researchers, in ascending researcher_id order. Kept
-    authorship k links publication row link_pub[k] to researcher row
-    link_researcher[k]; the links are sorted, so in ascending (pub_id,
-    researcher_id) order.
+    sorted, so codes order as the category strings do. Roster row j is
+    researcher_ids[j], in (sds, researcher_id) order; field f is
+    sds_codes[f] and holds rows field_start[f]:field_start[f + 1]. rank[j, t]
+    is the index into RANKS of row j's rank in active_years[t], -1 if it was
+    not active then; active_years ascends and holds only the years in which
+    some row is active. Kept authorship k links publication row link_pub[k]
+    to roster row link_researcher[k]; the links are sorted by (pub row,
+    roster row).
     """
 
     taxonomy: Taxonomy
-    researchers: Mapping[str, ResearcherRecord]
+    researcher_ids: tuple[str, ...]
+    sds_codes: tuple[str, ...]
+    field_start: np.ndarray
+    active_years: np.ndarray
+    rank: np.ndarray
     pub_ids: tuple[str, ...]
     year: np.ndarray
     citations: np.ndarray
@@ -118,11 +125,11 @@ class Corpus:
 
     @property
     def authors_by_pub(self) -> dict[str, tuple[str, ...]]:
-        return _group(self.pub_ids, self.link_pub, list(self.researchers), self.link_researcher)
+        return _group(self.pub_ids, self.link_pub, self.researcher_ids, self.link_researcher)
 
     @property
     def pubs_by_researcher(self) -> dict[str, tuple[str, ...]]:
-        return _group(list(self.researchers), self.link_researcher, self.pub_ids, self.link_pub)
+        return _group(self.researcher_ids, self.link_researcher, self.pub_ids, self.link_pub)
 
     @property
     def baseline_only_pubs(self) -> frozenset[str]:
@@ -138,7 +145,9 @@ def _group(key_ids, keys, value_ids, values) -> dict[str, tuple[str, ...]]:
     return {key: tuple(group) for key, group in out.items()}
 
 
-def build_corpus(taxonomy: Taxonomy, researchers: Sequence[ResearcherRecord],
+def build_corpus(taxonomy: Taxonomy, researcher_ids: Sequence[str],
+                 researcher_sds: Sequence[str], active_researcher: Sequence[int],
+                 active_year: Sequence[int], active_rank: Sequence[int],
                  pub_ids: Sequence[str], year: Sequence[int], citations: Sequence[int],
                  author_count: Sequence[int], category_sets: Sequence[tuple[str, ...]],
                  category_set_of: Sequence[int], link_pub: Sequence[int],
@@ -146,23 +155,27 @@ def build_corpus(taxonomy: Taxonomy, researchers: Sequence[ResearcherRecord],
                  report: LoadReport) -> Corpus:
     """The Corpus of validated tables given in any row order.
 
-    Publication i is pub_ids[i] with year[i], citations[i], author_count[i]
-    and the categories category_sets[category_set_of[i]], a non-empty tuple
-    of distinct strings. Each link is a distinct (index into pub_ids, index
-    into researchers) pair. Researchers active fewer than config.min_years
+    Researcher i is researcher_ids[i] of field researcher_sds[i]; active row
+    k gives researcher active_researcher[k]'s rank RANKS[active_rank[k]] in
+    the window year active_year[k], once per (researcher, year). Publication
+    i is pub_ids[i] with year[i], citations[i], author_count[i] and the
+    categories category_sets[category_set_of[i]], a non-empty tuple of
+    distinct strings. Each link is a distinct (index into pub_ids, index
+    into researcher_ids) pair. Researchers active fewer than config.min_years
     years are dropped with their links, and so, with
     config.roster_only_baseline, are the publications then left without a
-    roster author; report counts each drop. Rows are sorted by id and the
-    links by their rows.
+    roster author; report counts each drop. Publications are sorted by id,
+    the roster by (sds, researcher_id) and the links by their rows.
     """
-    researcher_order = sorted((i for i, r in enumerate(researchers)
-                               if len(r.rank_by_year) >= config.min_years),
-                              key=lambda i: researchers[i].researcher_id)
-    report.parsed["researchers"] = len(researchers)
-    report.kept["researchers"] = len(researcher_order)
-    report.drop("researchers_below_min_years", len(researchers) - len(researcher_order))
-    link_researcher = _positions(researcher_order, len(researchers))[
-        np.asarray(link_researcher, dtype=np.intp)]
+    active_researcher = np.asarray(active_researcher, dtype=np.intp)
+    n_years = np.bincount(active_researcher, minlength=len(researcher_ids))
+    roster = sorted(np.flatnonzero(n_years >= config.min_years).tolist(),
+                    key=lambda i: (researcher_sds[i], researcher_ids[i]))
+    report.parsed["researchers"] = len(researcher_ids)
+    report.kept["researchers"] = len(roster)
+    report.drop("researchers_below_min_years", len(researcher_ids) - len(roster))
+    roster_row = _positions(roster, len(researcher_ids))
+    link_researcher = roster_row[np.asarray(link_researcher, dtype=np.intp)]
     kept = link_researcher >= 0
     link_pub, link_researcher = np.asarray(link_pub, dtype=np.intp)[kept], link_researcher[kept]
     report.drop("authorships_of_dropped_researchers", len(kept) - len(link_pub))
@@ -195,9 +208,24 @@ def build_corpus(taxonomy: Taxonomy, researchers: Sequence[ResearcherRecord],
     gather = np.repeat(set_start[set_of] - category_start[:-1], sizes)
     gather += np.arange(category_start[-1])
 
+    # the rank matrix has a column only for the years a kept researcher is active
+    active_row = roster_row[active_researcher]
+    on_roster = active_row >= 0
+    active_years, column = np.unique(np.asarray(active_year, dtype=np.int64)[on_roster],
+                                     return_inverse=True)
+    rank = np.full((len(roster), len(active_years)), -1, dtype=np.int8)
+    rank[active_row[on_roster], column] = np.asarray(active_rank, dtype=np.int8)[on_roster]
+    # the roster is in sds order, so each code's first row starts its field
+    sds_codes, field_start = np.unique(np.array([researcher_sds[i] for i in roster], dtype=object),
+                                       return_index=True)
+
     return Corpus(
         taxonomy=taxonomy,
-        researchers={researchers[i].researcher_id: researchers[i] for i in researcher_order},
+        researcher_ids=tuple(map(researcher_ids.__getitem__, roster)),
+        sds_codes=tuple(sds_codes),
+        field_start=np.append(field_start, len(roster)),
+        active_years=active_years,
+        rank=rank,
         pub_ids=tuple(map(pub_ids.__getitem__, pub_order)),
         year=np.asarray(year, dtype=np.int64)[pub_rows],
         citations=np.asarray(citations, dtype=np.int64)[pub_rows],
@@ -419,12 +447,16 @@ def _load_taxonomy(path: Path, issues: _Issues) -> Optional[Taxonomy]:
 
 @dataclass
 class _Researchers:
-    """researchers.csv as read: the ids ascend, and records()[j] is ids[j]'s."""
+    """researchers.csv as read: the ids ascend, sds holds the field of each,
+    and the active (researcher, year, rank) rows are as build_corpus takes them."""
 
     rows: int
     outside_window: int
     ids: np.ndarray
-    records: Callable[[], list[ResearcherRecord]]
+    sds: list[str]
+    researcher: np.ndarray
+    year: np.ndarray
+    rank: np.ndarray
     stopped: bool  # not read to its end, so references into it are not checked
 
 
@@ -463,8 +495,8 @@ class _Declined(Exception):
 
 
 _MAX_DIGITS = 18  # a number of up to 18 digits is below 2**63
-_RANK_NAMES = sorted(RANKS)
-_RANK_KEYS = np.array(_RANK_NAMES, dtype=np.bytes_)
+# sorted for _find; RANKS is too, so a key's position is its rank's index in RANKS
+_RANK_KEYS = np.array(sorted(RANKS), dtype=np.bytes_)
 
 
 def _strippable(byte: np.ndarray) -> np.ndarray:
@@ -707,18 +739,8 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
         else:
             issues.duplicate_year(path, line, researcher_id, int(year[row]))
     issues.in_line_order(first_issue)
-    n_rows, stopped = fields.rows, fields.stopped
-    del fields
-    researcher, year, rank = researcher[firsts], year[firsts], rank[firsts]
-    n_years = np.bincount(researcher, minlength=len(ids))
-
-    def records() -> list[ResearcherRecord]:
-        years, ranks = year.tolist(), [_RANK_NAMES[r] for r in rank.tolist()]
-        return [ResearcherRecord(rid, codes[s], dict(zip(years[end - n:end], ranks[end - n:end])))
-                for rid, s, n, end in zip(_strings(ids), sds_of.tolist(), n_years.tolist(),
-                                          np.cumsum(n_years).tolist())]
-
-    return _Researchers(n_rows, n_outside, ids, records, stopped)
+    return _Researchers(fields.rows, n_outside, ids, [codes[s] for s in sds_of.tolist()],
+                        researcher[firsts], year[firsts], rank[firsts], fields.stopped)
 
 
 def _publication_columns(path: Path, window: range,
@@ -820,7 +842,7 @@ def load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     so that its one issue does not cascade.
 
     The load builds no reference cycles, only strings, ints, tuples, lists,
-    dicts, arrays and researcher records, so the cyclic garbage collector
+    dicts and arrays, so the cyclic garbage collector
     is paused while it runs: otherwise it rescans the growing heap over and
     over. The caller's collector state is restored on return and on error.
     """
@@ -865,9 +887,10 @@ def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
         raise CorpusValidationError(issues)
     assert taxonomy is not None
 
-    corpus = build_corpus(taxonomy, researchers.records(), pub_ids, pubs.year, pubs.citations,
-                          author_counts, pubs.category_sets, pubs.category_set_of,
-                          link_pub, link_researcher, config, report)
+    corpus = build_corpus(taxonomy, _strings(researchers.ids), researchers.sds,
+                          researchers.researcher, researchers.year, researchers.rank, pub_ids,
+                          pubs.year, pubs.citations, author_counts, pubs.category_sets,
+                          pubs.category_set_of, link_pub, link_researcher, config, report)
     for key, value in sorted(report.dropped.items()):
         log.info("load_corpus dropped %d: %s", value, key)
     return corpus

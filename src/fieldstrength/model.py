@@ -1,4 +1,4 @@
-"""Domain types: field taxonomy, researcher records, cost model, run settings.
+"""Domain types: field taxonomy, cost model, run settings.
 
 Money is carried at full precision everywhere; rounding to integer euro
 is a rendering concern and happens only in the report layer.
@@ -10,7 +10,7 @@ import collections.abc
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,25 +45,8 @@ class Taxonomy:
         if orphans:
             raise ConfigurationError(f"taxonomy references unknown discipline codes: {orphans}")
 
-    @property
-    def sds_codes(self) -> list[str]:
-        return sorted(self.sds_to_uda)
-
     def uda_of(self, sds: str) -> str:
         return self.sds_to_uda[sds]
-
-
-@dataclass(frozen=True)
-class ResearcherRecord:
-    """One professor: field, per-year rank, and active years in the window."""
-
-    researcher_id: str
-    sds: str
-    rank_by_year: Mapping[int, str]
-
-    @property
-    def latest_rank(self) -> str:
-        return self.rank_by_year[max(self.rank_by_year)]
 
 
 @dataclass(frozen=True)
@@ -241,16 +224,13 @@ def cost_per_year(rank: str, cost_model: CostModel) -> float:
     return cost_model.salary[rank] * cost_model.research_time_share + cost_model.capital
 
 
-def researcher_costs(researchers: Sequence[ResearcherRecord], cost_model: CostModel) -> np.ndarray:
-    """Total cost of each researcher over their active years, rank resolved
-    per year: the yearly costs added one year at a time in year order (0.0
-    for an inactive year), as a left-to-right sum would on every Python."""
-    for researcher in researchers:
-        if not researcher.rank_by_year:
-            raise ConfigurationError(f"researcher {researcher.researcher_id} has no active years")
-    yearly = {rank: cost_per_year(rank, cost_model) for rank in RANKS}
-    total = np.zeros(len(researchers))
-    for year in sorted({year for r in researchers for year in r.rank_by_year}):
-        total += [yearly[r.rank_by_year[year]] if year in r.rank_by_year else 0.0
-                  for r in researchers]
+def researcher_costs(rank: np.ndarray, cost_model: CostModel) -> np.ndarray:
+    """Total cost of each row of a (researcher x year) matrix of indices
+    into RANKS, -1 for an inactive year: the yearly costs added one year
+    column at a time in order, 0.0 for an inactive year, as a left-to-right
+    sum would on every Python."""
+    yearly = np.array([cost_per_year(r, cost_model) for r in RANKS] + [0.0])  # -1 reads 0.0
+    total = np.zeros(len(rank))
+    for column in rank.T:
+        total += yearly[column]
     return total

@@ -19,7 +19,7 @@ from .errors import CorpusValidationError
 from .ingest import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RESEARCHERS_HEADER,
                      _PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set, _Issues,
                      _load_taxonomy, _parse_int, _read_rows, build_corpus)
-from .model import RANKS, AnalysisConfig, ResearcherRecord
+from .model import RANKS, AnalysisConfig
 
 
 def oracle_top_p(members: Sequence[tuple[str, int]], p: float) -> set[str]:
@@ -108,7 +108,7 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
     path, header, n_rows, outside = paths.researchers, RESEARCHERS_HEADER, 0, 0
     researcher_sds: dict[str, str] = {}  # a researcher's field: that of its first valid row
-    rank_by_year: dict[str, dict[int, str]] = {}
+    rank_in: dict[str, dict[int, str]] = {}
     for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
         researcher_id, sds_code, year_text, rank = map(str.strip, row)
         rank = rank.lower()
@@ -123,15 +123,15 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
             issues.two_fields(path, line, researcher_id, researcher_sds[researcher_id], sds_code)
         elif year not in window:
             outside += 1
-        elif year in rank_by_year.setdefault(researcher_id, {}):
+        elif year in rank_in.setdefault(researcher_id, {}):
             issues.duplicate_year(path, line, researcher_id, year)
         else:
-            rank_by_year[researcher_id][year] = rank
+            rank_in[researcher_id][year] = rank
     report.parsed["researcher_rows"] = n_rows
     report.drop("researcher_years_outside_window", outside)
-    researchers = [ResearcherRecord(rid, sds, dict(sorted(rank_by_year.get(rid, {}).items())))
-                   for rid, sds in researcher_sds.items()]
     researcher_index = {rid: i for i, rid in enumerate(researcher_sds)}
+    active = [(researcher_index[rid], year, RANKS.index(rank))  # (researcher, year, rank code)
+              for rid, ranks in rank_in.items() for year, rank in ranks.items()]
 
     path, header, n_rows, outside = paths.publications, PUBLICATIONS_HEADER, 0, 0
     pub_row: dict[str, int] = {}  # each listed pub_id to its row in pubs, -1 when not kept
@@ -188,6 +188,7 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     if issues:
         raise CorpusValidationError(issues)
     pub_ids, years, citations, author_counts, set_of = ([pub[k] for pub in pubs] for k in range(5))
-    return build_corpus(taxonomy, researchers, pub_ids, years, citations, author_counts,
-                        category_sets, set_of, [pub for pub, _ in links], [r for _, r in links],
-                        config, report)
+    return build_corpus(taxonomy, list(researcher_sds), list(researcher_sds.values()),
+                        *([row[k] for row in active] for k in range(3)), pub_ids, years, citations,
+                        author_counts, category_sets, set_of, [pub for pub, _ in links],
+                        [r for _, r in links], config, report)

@@ -70,7 +70,7 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     avg_rank = average_rank_extremes(rankings, top_bottom_k)
 
     counts = {
-        "researchers": len(corpus.researchers),
+        "researchers": len(corpus.researcher_ids),
         "publications": len(corpus.pub_ids),
         "baseline_only_publications": len(corpus.pub_ids) - summary.overall.n_publications,
         "authorships": len(corpus.link_pub),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .hca import HcaFlagSet
 from .ingest import Corpus
-from .model import RANKS, CostModel, p_label, researcher_costs
+from .model import CostModel, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -31,14 +31,14 @@ RESCALE_EXHAUSTED = "no_ts_anywhere"
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Every roster researcher's scores as columns, one row per researcher
-    in (sds, researcher_id) order.
+    """Every roster researcher's scores as columns, one row per roster row
+    of the corpus, so in (sds, researcher_id) order.
 
-    Field f is sds_codes[f] (sorted, each with at least one professor) and
-    holds rows field_start[f]:field_start[f + 1]. fhca[i, j] is row i's
-    fractional HCA score at percentiles[j]; output[i] its total fractional
-    output, cost[i] its cost over the active years, and rank[i] the index
-    into RANKS of its latest rank.
+    researcher_ids, sds_codes and field_start are the corpus's own: field f
+    is sds_codes[f] and holds rows field_start[f]:field_start[f + 1].
+    fhca[i, j] is row i's fractional HCA score at percentiles[j]; output[i]
+    its total fractional output, cost[i] its cost over the active years,
+    and rank[i] the index into RANKS of its rank in its last active year.
     """
 
     researcher_ids: tuple[str, ...]
@@ -60,7 +60,7 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
                       cost_model: CostModel) -> ScoreTable:
     """Fractional HCA score per percentile plus total fractional output,
     cost and latest rank, for every roster researcher (zero scorers
-    included).
+    included), in the corpus's roster order.
 
     Every score is one np.bincount of 1/author_count over the authorship
     links, which come sorted by pub_id: bincount adds in input order, so
@@ -68,28 +68,25 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
     percentile.
     """
     percentiles = tuple(sorted(flag_sets))
-    records = list(corpus.researchers.values())
-    sds_codes = sorted({r.sds for r in records})
-    code = {sds: f for f, sds in enumerate(sds_codes)}
-    field = np.array([code[r.sds] for r in records], dtype=np.intp)
-    order = np.argsort(field, kind="stable")  # researcher rows are in researcher_id order
-    records = [records[i] for i in order.tolist()]
     share = 1.0 / corpus.author_count[corpus.link_pub]
+    rank = corpus.rank
+    # each row's latest rank is the one in its last active year column
+    last_active = np.where(rank >= 0, np.arange(rank.shape[1]), -1).max(axis=1, initial=-1)
 
     def per_researcher(weights: np.ndarray) -> np.ndarray:
         return np.bincount(corpus.link_researcher, weights=weights,
-                           minlength=len(records))[order]
+                           minlength=len(corpus.researcher_ids))
 
     return ScoreTable(
-        researcher_ids=tuple(r.researcher_id for r in records),
-        sds_codes=tuple(sds_codes),
-        field_start=np.concatenate(([0], np.cumsum(np.bincount(field, minlength=len(sds_codes))))),
+        researcher_ids=corpus.researcher_ids,
+        sds_codes=corpus.sds_codes,
+        field_start=corpus.field_start,
         percentiles=percentiles,
         fhca=np.column_stack([per_researcher(share * flag_sets[p].hit[corpus.link_pub])
                               for p in percentiles]),
         output=per_researcher(share),
-        cost=researcher_costs(records, cost_model),
-        rank=np.array([RANKS.index(r.latest_rank) for r in records], dtype=np.intp),
+        cost=researcher_costs(rank, cost_model),
+        rank=rank[np.arange(len(rank)), last_active],
     )
 
 

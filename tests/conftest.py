@@ -9,7 +9,7 @@ from hypothesis import settings
 from fieldstrength.hca import CitationCell, CitationCells, build_cells
 from fieldstrength.indicators import FieldTable
 from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
-from fieldstrength.model import AnalysisConfig, CostModel, ResearcherRecord, Taxonomy
+from fieldstrength.model import RANKS, AnalysisConfig, CostModel, Taxonomy
 from fieldstrength.pipeline import PipelineResult, run_pipeline
 from fieldstrength.scoring import ScoreTable
 from fieldstrength.synth import SynthParams, generate
@@ -37,10 +37,15 @@ def mk_corpus(researchers, pubs, links, sds_to_uda, config=None) -> Corpus:
     """
     pub_index = {pub[0]: i for i, pub in enumerate(pubs)}
     researcher_index = {researcher[0]: i for i, researcher in enumerate(researchers)}
+    active = [(i, year, RANKS.index(rank)) for i, (_, _, ranks) in enumerate(researchers)
+              for year, rank in dict(ranks).items()]
     return build_corpus(
         mk_taxonomy(sds_to_uda),
-        [ResearcherRecord(researcher_id=rid, sds=sds, rank_by_year=dict(ranks))
-         for rid, sds, ranks in researchers],
+        researcher_ids=[researcher[0] for researcher in researchers],
+        researcher_sds=[researcher[1] for researcher in researchers],
+        active_researcher=[row[0] for row in active],
+        active_year=[row[1] for row in active],
+        active_rank=[row[2] for row in active],
         pub_ids=[pub[0] for pub in pubs],
         year=[pub[1] for pub in pubs],
         citations=[pub[2] for pub in pubs],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from fieldstrength.indicators import (
     indicator_id,
     per_euro,
 )
-from fieldstrength.model import CostModel, p_label
+from fieldstrength.model import RANKS, CostModel, cost_per_year, p_label
 from fieldstrength.scoring import score_researchers
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -170,3 +172,24 @@ def test_fallback_flags_column():
                        provenance={"S1": {5.0: "uda_fallback", 10.0: "field"},
                                    "S2": {5.0: "uda_fallback", 10.0: "national_fallback"}})
     assert fields.fallback_flags() == ["5:uda_fallback", "5:uda_fallback;10:national_fallback"]
+
+
+def test_rank_and_cost_come_from_each_researchers_own_active_years():
+    # r1 is not active in 2014; r3's last year, 2014, is before the roster's last, 2016
+    researchers = [("r1", "S1", {2012: "full", 2013: "full", 2015: "associate"}),
+                   ("r2", "S1", {2014: "full", 2015: "full", 2016: "full"}),
+                   ("r3", "S1", {2012: "full", 2013: "full", 2014: "assistant"})]
+    corpus = mk_corpus(researchers, [("p1", 2014, 3, 1, ["A"])], [("p1", "r2")], {"S1": "U1"})
+    full, associate, assistant = (RANKS.index(rank) for rank in ("full", "associate", "assistant"))
+    assert corpus.active_years.tolist() == [2012, 2013, 2014, 2015, 2016]
+    assert corpus.rank.tolist() == [[full, full, -1, associate, -1],
+                                    [-1, -1, full, full, full],
+                                    [full, full, assistant, -1, -1]]
+    cost_model = CostModel()
+    table = score_researchers(corpus, flag_hcas(build_cells(corpus), [10.0]), cost_model)
+    assert [RANKS[r] for r in table.rank.tolist()] == ["associate", "full", "assistant"]
+    assert table.cost.tolist() == [
+        functools.reduce(operator.add, (cost_per_year(rank, cost_model)
+                                        for _, rank in sorted(ranks.items())), 0)
+        for _, _, ranks in researchers]
+    assert build_field_scoreboards(corpus, table, cost_model).n_by_rank.tolist() == [[1, 1, 1]]

@@ -47,12 +47,21 @@ def issues_of(excinfo) -> list:
 
 def test_minimal_corpus(mini_paths):
     corpus = load_corpus(mini_paths, AnalysisConfig())
-    assert len(corpus.researchers) == 1
+    assert corpus.researcher_ids == ("r1",)
     assert corpus.pub_ids == ("p1",)
     assert len(corpus.authorships) == 1
-    assert corpus.researchers["r1"].rank_by_year == {
-        2012: "assistant", 2013: "assistant", 2014: "associate"
-    }
+    assert corpus.active_years.tolist() == [2012, 2013, 2014]
+    assert corpus.rank.tolist() == [[RANKS.index(rank)
+                                     for rank in ("assistant", "assistant", "associate")]]
+
+
+def test_rank_names_load_as_their_index_into_ranks(tmp_path):
+    # the reader finds a rank among the sorted rank names; each must load as its RANKS index
+    names = ("full", "associate", "assistant", "Full")
+    corpus = load(tmp_path, researchers=[f"r1,S1,{2012 + i},{name}"
+                                         for i, name in enumerate(names)])
+    assert corpus.rank.dtype == np.int8
+    assert corpus.rank.tolist() == [[RANKS.index(name.lower()) for name in names]]
 
 
 def test_researcher_below_min_years_dropped(tmp_path):
@@ -61,7 +70,7 @@ def test_researcher_below_min_years_dropped(tmp_path):
         researchers=MINI_RESEARCHERS + ["r2,S1,2012,full", "r2,S1,2013,full"],
         authorships=MINI_AUTHORSHIPS + ["p1,r2"],
     )
-    assert "r2" not in corpus.researchers
+    assert "r2" not in corpus.researcher_ids
     assert corpus.report.dropped["researchers_below_min_years"] == 1
     assert corpus.report.dropped["authorships_of_dropped_researchers"] == 1
     assert corpus.report.parsed["researchers"] == 2
@@ -157,6 +166,16 @@ def test_validation_collects_all_errors_before_failing(tmp_path):
         )
     kinds = {i.kind for i in issues_of(excinfo)}
     assert kinds == {ISSUE_MALFORMED_ROW, ISSUE_EMPTY_CATEGORIES, ISSUE_DANGLING_REFERENCE}
+
+
+def test_researcher_without_active_years_is_not_on_the_roster(tmp_path):
+    # even at min_years 1: r2's only row lies outside the window, so every
+    # roster row has an active year and a cost
+    corpus = load(tmp_path, researchers=MINI_RESEARCHERS + ["r2,S1,2005,full"],
+                  config=AnalysisConfig(min_years=1))
+    assert corpus.researcher_ids == ("r1",)
+    assert corpus.report.dropped["researchers_below_min_years"] == 1
+    assert (corpus.rank >= 0).any(axis=1).all()
 
 
 def test_out_of_window_rows_dropped_with_reason(tmp_path):
@@ -333,12 +352,12 @@ def test_load_is_order_insensitive(tmp_path):
         rng.shuffle(rows)
     corpus_b = load(dir_b, taxonomy, researchers, publications, authorships)
 
-    assert corpus_a.researchers == corpus_b.researchers
-    assert list(corpus_a.researchers) == list(corpus_b.researchers)
+    assert corpus_a.researcher_ids == corpus_b.researcher_ids == ("r1", "r2")
+    assert corpus_a.sds_codes == corpus_b.sds_codes == ("S1", "S2")
     assert corpus_a.pub_ids == corpus_b.pub_ids == ("p1", "p2")
     assert corpus_a.categories == corpus_b.categories == ("A", "B")
-    for column in ("year", "citations", "author_count", "category_start", "category_code",
-                   "link_pub", "link_researcher"):
+    for column in ("field_start", "active_years", "rank", "year", "citations", "author_count",
+                   "category_start", "category_code", "link_pub", "link_researcher"):
         assert np.array_equal(getattr(corpus_a, column), getattr(corpus_b, column)), column
     assert corpus_a.authors_by_pub == {"p1": ("r1", "r2"), "p2": ("r2",)}
 

@@ -34,8 +34,6 @@ def outcome(load, paths: CorpusPaths):
         return exc.issues
     values = {name: (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
               for name, value in vars(corpus).items()}
-    values["researchers"] = [(key, record, list(record.rank_by_year.items()))
-                             for key, record in corpus.researchers.items()]
     values["report"] = vars(corpus.report)
     return values
 

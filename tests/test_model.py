@@ -4,6 +4,7 @@ import functools
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from fieldstrength.errors import ConfigurationError
@@ -11,7 +12,6 @@ from fieldstrength.model import (
     RANKS,
     AnalysisConfig,
     CostModel,
-    ResearcherRecord,
     Taxonomy,
     cost_per_year,
     read_json_fields,
@@ -19,6 +19,14 @@ from fieldstrength.model import (
 )
 
 REFERENCE_COSTS = {"assistant": 70007.0, "associate": 76103.5, "full": 93343.5}
+RANK_LETTERS = {"a": RANKS.index("assistant"), "s": RANKS.index("associate"),
+                "f": RANKS.index("full"), ".": -1}
+
+
+def rank_matrix(*rows: str) -> np.ndarray:
+    """A (researcher x year) rank matrix, one letter per year: a(ssistant),
+    (as)s(ociate), f(ull), or . for an inactive year."""
+    return np.array([[RANK_LETTERS[letter] for letter in row] for row in rows], dtype=np.int8)
 
 
 def test_cost_per_year_reference_values():
@@ -55,26 +63,15 @@ def test_cost_monotone_in_salary_and_capital():
 
 def test_researcher_cost_examples():
     cm = CostModel()
-    five_years = ResearcherRecord("r1", "S1", {y: "assistant" for y in range(2012, 2017)})
-    mixed = ResearcherRecord(
-        "r2", "S1",
-        {2012: "assistant", 2013: "assistant", 2014: "assistant",
-         2015: "associate", 2016: "associate"},
-    )
-    assert researcher_costs([five_years, mixed], cm).tolist() == [350035.0, 362228.0]
-
-
-def test_researcher_cost_no_years_is_an_error():
-    with pytest.raises(ConfigurationError):
-        researcher_costs([ResearcherRecord("r0", "S1", {})], CostModel())
+    # five years as assistant; three as assistant and two as associate
+    assert researcher_costs(rank_matrix("aaaaa", "aaass"), cm).tolist() == [350035.0, 362228.0]
 
 
 def test_researcher_cost_additive_over_disjoint_years():
     cm = CostModel()
-    a = ResearcherRecord("ra", "S1", {2012: "assistant", 2013: "associate"})
-    b = ResearcherRecord("rb", "S1", {2014: "full", 2015: "full", 2016: "assistant"})
-    joined = ResearcherRecord("rc", "S1", {**a.rank_by_year, **b.rank_by_year})
-    cost_a, cost_b, cost_joined = researcher_costs([a, b, joined], cm).tolist()
+    # 2012-2016: a is active in 2012-2013, b in 2014-2016, joined in all five
+    cost_a, cost_b, cost_joined = researcher_costs(rank_matrix("as...", "..ffa", "asffa"),
+                                                   cm).tolist()
     assert cost_joined == pytest.approx(cost_a + cost_b, rel=1e-12)
 
 
@@ -84,15 +81,15 @@ def test_researcher_cost_adds_inexact_yearly_costs_in_year_order():
     cm = CostModel(salary={"assistant": 54628.37, "associate": 66821.19, "full": 101301.83},
                    capital=1234.567, research_time_share=0.37)
     rng = random.Random(41)
-    records = []
-    for i in range(300):
-        years = rng.sample(range(2005, 2021), rng.randint(1, 16))  # not in year order
-        records.append(ResearcherRecord(f"r{i}", "S1", {y: rng.choice(RANKS) for y in years}))
-    for record, cost in zip(records, researcher_costs(records, cm).tolist()):
+    years = range(2005, 2021)
+    rank = np.full((300, len(years)), -1, dtype=np.int8)
+    for row in rank:
+        for year in rng.sample(years, rng.randint(1, 16)):  # not in year order
+            row[year - years.start] = rng.randrange(len(RANKS))
+    for i, cost in enumerate(researcher_costs(rank, cm).tolist()):
         expected = functools.reduce(
-            operator.add,
-            (cost_per_year(rank, cm) for _, rank in sorted(record.rank_by_year.items())), 0)
-        assert cost == expected, record.researcher_id
+            operator.add, (cost_per_year(RANKS[r], cm) for r in rank[i].tolist() if r >= 0), 0)
+        assert cost == expected, i
 
 
 def test_cost_model_validation():

@@ -248,8 +248,8 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
         flag_sets = flag_hcas(build_cells(corpus), SWEEP)
 
         author_count = {pub[0]: pub[3] for pub in pubs}
-        fhca = {r: dict.fromkeys(SWEEP, 0.0) for r in corpus.researchers}
-        output = dict.fromkeys(corpus.researchers, 0.0)
+        fhca = {r: dict.fromkeys(SWEEP, 0.0) for r in corpus.researcher_ids}
+        output = dict.fromkeys(corpus.researcher_ids, 0.0)
         for pub_id, researcher_id in sorted(links):  # ascending pub_id
             share = 1.0 / author_count[pub_id]
             output[researcher_id] += share

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import one_cell
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.ingest import CorpusPaths, load_corpus
-from fieldstrength.model import AnalysisConfig
+from fieldstrength.model import AnalysisConfig, CostModel
 from fieldstrength.oracles import (
     oracle_quantile,
     oracle_quartiles,
     oracle_spearman,
     oracle_top_p,
 )
+from fieldstrength.pipeline import run_pipeline
 from fieldstrength.synth import SynthParams, generate, generate_tables
 
 
@@ -45,9 +47,21 @@ def test_default_corpus_shape(default_corpus):
     # 11 disciplines x 4 fields x 20..40 professors
     assert len(default_corpus.taxonomy.uda_names) == 11
     assert len(default_corpus.taxonomy.sds_to_uda) == 44
-    assert 800 <= len(default_corpus.researchers) <= 1800
+    assert 800 <= len(default_corpus.researcher_ids) <= 1800
     assert 10_000 <= len(default_corpus.pub_ids) <= 40_000
     assert not default_corpus.report.dropped.get("researchers_below_min_years")
+
+
+def test_wide_window_keeps_costs_and_counts(default_synth_dir, default_result):
+    # the rank matrix has a column per year in which someone is active, not
+    # one per window year: a window of 2**63 years loads like the default one
+    corpus = load_corpus(corpus_paths(default_synth_dir),
+                         AnalysisConfig(window=(-2**62, 2**62)))
+    result = run_pipeline(corpus, CostModel(), top_bottom_k=10)
+    assert corpus.active_years.tolist() == default_result.corpus.active_years.tolist()
+    assert np.array_equal(result.scores.cost, default_result.scores.cost)
+    assert np.array_equal(result.fields.total_cost, default_result.fields.total_cost)
+    assert result.counts == default_result.counts
 
 
 def test_single_field_params(tmp_path):
@@ -55,8 +69,8 @@ def test_single_field_params(tmp_path):
                          professors_per_field=(4, 6), pubs_per_professor_mean=3.0)
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
-    assert corpus.taxonomy.sds_codes == ["D01/01"]
-    assert {r.sds for r in corpus.researchers.values()} == {"D01/01"}
+    assert list(corpus.taxonomy.sds_to_uda) == ["D01/01"]
+    assert corpus.sds_codes == ("D01/01",)
 
 
 def test_sole_authorship_degenerates_to_full_counting(tmp_path):
