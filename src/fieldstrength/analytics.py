@@ -59,21 +59,6 @@ def rank_indicator(fields: FieldTable, family: str, p: float) -> IndicatorRankin
                             order=np.argsort(-values, kind="stable"))
 
 
-def spearman(x: IndicatorRanking, y: IndicatorRanking) -> Optional[float]:
-    """Spearman correlation between two indicator rankings.
-
-    Pearson on the fractional ranks, aligned by SDS. Undefined (None)
-    when fewer than two fields or either rank vector has no variance.
-    """
-    if x.sds_codes != y.sds_codes:
-        raise ValueError("rankings cover different field sets")
-    if len(x.sds_codes) < 2:
-        return None
-    if np.ptp(x.ranks) == 0 or np.ptp(y.ranks) == 0:
-        return None
-    return float(np.corrcoef(x.ranks, y.ranks)[0, 1])
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     indicator_ids: tuple[str, ...]
@@ -82,12 +67,27 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(rankings: Sequence[IndicatorRanking]) -> CorrelationMatrix:
-    ids = tuple(r.indicator_id for r in rankings)
-    values = tuple(
-        tuple(spearman(a, b) for b in rankings)
-        for a in rankings
-    )
-    return CorrelationMatrix(indicator_ids=ids, values=values)
+    """Spearman correlation of every pair of indicator rankings (Pearson on
+    the fractional ranks, aligned by SDS) from one np.corrcoef over the rank
+    rows. An entry is None when there are fewer than two fields or either
+    ranking has no rank variance; such rows never reach corrcoef.
+
+    Each entry has the bits of np.corrcoef of its two rows alone: fractional
+    ranks are multiples of 0.5, so their mean (n+1)/2, the centred ranks and
+    their products (multiples of 0.25) are exact, and while n**3 <= 2**53
+    (n up to about 200k fields) so is every partial sum of products, in any
+    BLAS summation order; what corrcoef does next is elementwise.
+    """
+    if len({r.sds_codes for r in rankings}) > 1:
+        raise ValueError("rankings cover different field sets")
+    values = np.full((len(rankings), len(rankings)), None, dtype=object)
+    defined = [i for i, r in enumerate(rankings) if len(r.ranks) >= 2 and np.ptp(r.ranks) > 0]
+    if defined:
+        rows = np.array([rankings[i].ranks for i in defined])
+        # the repeated first row keeps a lone row from coming back as corrcoef's scalar 1.0
+        values[np.ix_(defined, defined)] = np.corrcoef(rows, rows[:1])[:-1, :-1]
+    return CorrelationMatrix(indicator_ids=tuple(r.indicator_id for r in rankings),
+                             values=tuple(map(tuple, values.tolist())))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .ingest import Corpus
-from .model import p_label
+from .model import discipline_codes, p_label
 
 
 class CitationCell(NamedTuple):
@@ -209,9 +209,7 @@ def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> Sum
     """
     percentiles = corpus.config.sorted_percentiles
     taxonomy = corpus.taxonomy
-    field_udas = [taxonomy.uda_of(sds) for sds in corpus.sds_codes]
-    udas = sorted(set(field_udas))
-    field_uda = np.array([udas.index(uda) for uda in field_udas], dtype=np.int64)
+    udas, field_uda = discipline_codes([taxonomy.sds_to_uda[sds] for sds in corpus.sds_codes])
     researcher_uda = np.repeat(field_uda, np.diff(corpus.field_start))
 
     def per_uda(codes: np.ndarray) -> list[int]:

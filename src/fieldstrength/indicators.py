@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import Corpus
-from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
+from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, discipline_codes, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
@@ -69,7 +69,8 @@ class FieldTable:
     def fallback_flags(self) -> list[str]:
         """Each field's percentiles rescaled from a fallback pool, as
         "p:source" entries joined by ";"."""
-        return [";".join(f"{p_label(p)}:{source}" for p, source in zip(self.percentiles, row)
+        labels = [p_label(p) for p in self.percentiles]
+        return [";".join(f"{label}:{source}" for label, source in zip(labels, row)
                          if source != RESCALE_FROM_FIELD)
                 for row in self.provenance.tolist()]
 
@@ -112,11 +113,10 @@ def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
     field_of_row = table.field
     n_fields = len(table.sds_codes)
 
+    uda = tuple(corpus.taxonomy.sds_to_uda[sds] for sds in table.sds_codes)
     _, is_ts = detect_top_scientists(table, corpus.config.ts_fence_multiplier)
     avg_out, provenance = ts_output_means(
-        table, is_ts, corpus.taxonomy.sds_to_uda,
-        use_uda=corpus.config.rescale_fallback == FALLBACK_UDA_THEN_NATIONAL,
-    )
+        table, is_ts, uda, use_uda=corpus.config.rescale_fallback == FALLBACK_UDA_THEN_NATIONAL)
     n_by_rank = np.bincount(field_of_row * len(RANKS) + table.rank,
                             minlength=n_fields * len(RANKS)).reshape(n_fields, len(RANKS))
     total_cost = group_sums(field_of_row, table.cost[:, None], n_fields)
@@ -126,7 +126,7 @@ def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
         fhca_rescaled = np.where((provenance == RESCALE_EXHAUSTED) | (fhca_total == 0.0),
                                  0.0, fhca_total / avg_out)
     return FieldTable(
-        sds_codes=table.sds_codes, uda=tuple(map(corpus.taxonomy.uda_of, table.sds_codes)),
+        sds_codes=table.sds_codes, uda=uda,
         percentiles=table.percentiles, n_by_rank=n_by_rank, total_cost=total_cost[:, 0],
         ts_count=ts_count, fhca_total=fhca_total,
         fss_ts=per_euro(ts_count, total_cost, scale),
@@ -144,9 +144,8 @@ def build_discipline_scoreboards(fields: FieldTable) -> tuple[DisciplineTable, D
     """
     if not len(fields):
         raise ValueError("no fields to aggregate")
-    udas = sorted(set(fields.uda))
-    uda_of_field = np.array([udas.index(uda) for uda in fields.uda], dtype=np.intp)
-    return (_aggregate(tuple(udas), uda_of_field, fields),
+    udas, uda_of_field = discipline_codes(fields.uda)
+    return (_aggregate(udas, uda_of_field, fields),
             _aggregate(("ALL",), np.zeros_like(uda_of_field), fields))
 
 

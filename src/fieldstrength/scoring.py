@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .hca import HcaFlagSet
 from .ingest import Corpus
-from .model import CostModel, p_label, researcher_costs
+from .model import CostModel, discipline_codes, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -122,19 +122,17 @@ def detect_top_scientists(table: ScoreTable,
     return threshold, table.fhca > threshold[table.field]
 
 
-def ts_output_means(table: ScoreTable, is_ts: np.ndarray, sds_to_uda: Mapping[str, str],
+def ts_output_means(table: ScoreTable, is_ts: np.ndarray, uda: Sequence[str],
                     use_uda: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Mean fractional publication output of each field's top scientists,
-    and its provenance, per (field, percentile).
+    """Mean fractional publication output of the top scientists of each
+    field f (in discipline uda[f]) and its provenance, per (field, percentile).
 
     A field without a top scientist at p takes the pooled mean of its
     discipline's top scientists (when use_uda), then the national pool;
     (0.0, "no_ts_anywhere") when every pool is empty. Each pool adds its
     top scientists' outputs in row order.
     """
-    udas = sorted({sds_to_uda[sds] for sds in table.sds_codes})
-    uda_of_field = np.array([udas.index(sds_to_uda[sds]) for sds in table.sds_codes],
-                            dtype=np.intp)
+    udas, uda_of_field = discipline_codes(uda)
     field = table.field
     ts_output = table.output[:, None] * is_ts  # 0.0 off the top scientists, and x + 0.0 == x
 
@@ -156,18 +154,35 @@ def ts_output_means(table: ScoreTable, is_ts: np.ndarray, sds_to_uda: Mapping[st
     return mean, source
 
 
-def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path) -> int:
+class _Line:
+    write = staticmethod(str)  # a csv.writer target: writerow returns the line it writes
+
+
+def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path,
+                                block: int = 256) -> int:
     """Export one row per (researcher, percentile) with the TS verdict,
-    rows in table order; is_ts holds the (row x percentile) verdicts."""
-    labels = [p_label(p) for p in table.percentiles]
+    rows in table order; is_ts holds the (row x percentile) verdicts.
+
+    Written by column, a block of researchers at a time, in the bytes of a
+    csv.writer row per (researcher, percentile): csv.writer quotes each
+    "id,sds," prefix, and each distinct float bit pattern of a block gets one repr.
+    """
+    quote = csv.writer(_Line(), lineterminator="\n").writerow
+    labels = np.array([f"{p_label(p)}," for p in table.percentiles], dtype=object)
+    verdicts = np.array(["false\n", "true\n"], dtype=object)
     sds = [table.sds_codes[f] for f in table.field.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"])
-        columns = (table.researcher_ids, sds, table.fhca.tolist(), table.output.tolist(),
-                   is_ts.tolist())
-        for researcher_id, field_sds, scores, output, ts in zip(*columns):
-            writer.writerows([researcher_id, field_sds, label, repr(score), repr(output),
-                              "true" if flag else "false"]
-                             for label, score, flag in zip(labels, scores, ts))
-    return len(table.researcher_ids) * len(labels)
+        handle.write(quote(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
+        for start in range(0, len(sds), block):
+            rows = slice(start, start + block)
+            prefix = [quote((researcher_id, sds_code, ""))[:-1]
+                      for researcher_id, sds_code in zip(table.researcher_ids[rows], sds[rows])]
+            floats = np.concatenate((table.fhca[rows].ravel(), table.output[rows]))
+            bits, code = np.unique(floats.view(np.int64), return_inverse=True)
+            text = np.array([f"{v!r}," for v in bits.view(np.float64).tolist()], dtype=object)[code]
+            m = len(prefix)
+            columns = (np.array(prefix, dtype=object)[:, None], labels,
+                       text[:-m].reshape(m, len(labels)), text[-m:, None],
+                       verdicts[is_ts[rows].astype(np.intp)])
+            handle.write("".join(np.stack(np.broadcast_arrays(*columns), axis=-1).ravel().tolist()))
+    return len(sds) * len(labels)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import members, mk_corpus, mk_fields, mk_table, one_cell
-from fieldstrength.analytics import rank_indicator, spearman
+from fieldstrength.analytics import correlation_matrix, rank_indicator
 from fieldstrength.cli import main
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.indicators import build_field_scoreboards
@@ -111,8 +111,8 @@ def test_criterion_2_oracle_equivalence():
                 x = [rng.uniform(0, 1) for _ in range(n)]
                 y = [rng.uniform(0, 1) for _ in range(n)]
             fields = mk_fields([(f"F{i:03d}", {5.0: x[i]}, {5.0: y[i]}) for i in range(n)])
-            got = spearman(rank_indicator(fields, "fss_ts", 5.0),
-                           rank_indicator(fields, "fss_fhca", 5.0))
+            got = correlation_matrix([rank_indicator(fields, "fss_ts", 5.0),
+                                      rank_indicator(fields, "fss_fhca", 5.0)]).values[0][1]
             expected = oracle_spearman(x, y)
             if expected is None:
                 assert got is None

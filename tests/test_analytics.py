@@ -15,7 +15,6 @@ from fieldstrength.analytics import (
     fractional_ranks,
     quadrant_classify,
     rank_indicator,
-    spearman,
 )
 from fieldstrength.oracles import oracle_fractional_ranks, oracle_spearman
 
@@ -27,6 +26,11 @@ def fields_from_values(values: dict[str, float], indicator_p: float = 5.0):
 def ranking_from_values(values: list[float]) -> IndicatorRanking:
     fields = mk_fields([(f"F{i:03d}", {5.0: v}, {5.0: v}) for i, v in enumerate(values)])
     return rank_indicator(fields, "fss_ts", 5.0)
+
+
+def spearman(x: IndicatorRanking, y: IndicatorRanking):
+    """The Spearman correlation of two rankings, read off their correlation matrix."""
+    return correlation_matrix([x, y]).values[0][1]
 
 
 def best_first(ranking: IndicatorRanking) -> list[tuple[str, float]]:
@@ -90,15 +94,45 @@ def test_spearman_frozen_examples():
 def test_spearman_undefined_cases():
     x = ranking_from_values([2, 2, 2])
     y = ranking_from_values([1, 2, 3])
-    assert spearman(x, y) is None
-    assert spearman(ranking_from_values([1]), ranking_from_values([2])) is None
+    assert correlation_matrix([x, y]).values == ((None, None), (None, 1.0))
+    assert correlation_matrix([ranking_from_values([1]), ranking_from_values([2])]).values == (
+        (None, None), (None, None))
 
 
 def test_spearman_mismatched_fields_rejected():
     x = ranking_from_values([1, 2])
     y = rank_indicator(fields_from_values({"OTHER": 1.0}), "fss_ts", 5.0)
     with pytest.raises(ValueError):
-        spearman(x, y)
+        correlation_matrix([x, y])
+
+
+def ranking_of_ranks(indicator: str, ranks: np.ndarray) -> IndicatorRanking:
+    codes = tuple(f"F{i:03d}" for i in range(len(ranks)))
+    return IndicatorRanking(indicator_id=indicator, sds_codes=codes, values=-ranks,
+                            ranks=ranks, order=np.argsort(ranks, kind="stable"))
+
+
+def test_correlation_matrix_bits_equal_pairwise_corrcoef():
+    """Every entry of the one-call matrix has the bits of np.corrcoef of its
+    two rank rows alone, and is None exactly where a row is constant or there
+    are fewer than 2 fields; RuntimeWarning is an error, so constant rows
+    never reach corrcoef."""
+    rng = random.Random(59)
+    sizes = [0, 1, 2, 3, 400] + [rng.randint(2, 400) for _ in range(40)]
+    for n in sizes:
+        rankings = []
+        for k in range(rng.randint(1, 6)):
+            top = rng.choice([0, 1, 2, 5, 50, 10**6])  # 0 makes a constant row
+            values = [float(rng.randint(0, top)) for _ in range(n)]
+            rankings.append(ranking_of_ranks(f"i{k}", fractional_ranks(values)))
+        values = correlation_matrix(rankings).values
+        for x, line in zip(rankings, values):
+            for y, got in zip(rankings, line):
+                if n < 2 or np.ptp(x.ranks) == 0 or np.ptp(y.ranks) == 0:
+                    assert got is None
+                else:
+                    assert type(got) is float
+                    assert got.hex() == float(np.corrcoef(x.ranks, y.ranks)[0, 1]).hex()
 
 
 def test_spearman_matches_oracle_on_random_vectors():

@@ -14,6 +14,7 @@ from fieldstrength.model import (
     CostModel,
     Taxonomy,
     cost_per_year,
+    discipline_codes,
     read_json_fields,
     researcher_costs,
 )
@@ -140,3 +141,10 @@ def test_read_json_fields_rejects_non_finite_numbers(cls, key, value):
 def test_taxonomy_rejects_orphan_uda():
     with pytest.raises(ConfigurationError):
         Taxonomy(sds_to_uda={"S1": "U9"}, sds_names={"S1": "x"}, uda_names={"U1": "y"})
+
+
+def test_discipline_codes_sort_as_str():
+    udas, code = discipline_codes(("U2", "U10", "U1\0", "U1", "U2"))
+    assert udas == ("U1", "U1\0", "U10", "U2")
+    assert code.tolist() == [3, 2, 1, 0, 3]
+    assert discipline_codes(())[0] == ()

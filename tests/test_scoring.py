@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import mk_corpus, mk_table
 from fieldstrength.hca import build_cells, flag_hcas
-from fieldstrength.model import AnalysisConfig, CostModel
+from fieldstrength.model import AnalysisConfig, CostModel, p_label
 from fieldstrength.oracles import oracle_quartiles
 from fieldstrength.scoring import (
     RESCALE_EXHAUSTED,
@@ -18,6 +19,7 @@ from fieldstrength.scoring import (
     detect_top_scientists,
     score_researchers,
     ts_output_means,
+    write_researcher_scores_csv,
 )
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -173,7 +175,8 @@ def _mean_of(field, ts, others=(), use_uda=True):
         outputs[sds], flags[sds], sds_to_uda[sds] = [output], [True], uda
     table = mk_table({sds: [[0.0]] * len(v) for sds, v in outputs.items()}, [5.0], outputs)
     is_ts = np.array([[flag] for sds in table.sds_codes for flag in flags[sds]], dtype=bool)
-    mean, source = ts_output_means(table, is_ts, sds_to_uda, use_uda)
+    mean, source = ts_output_means(table, is_ts, [sds_to_uda[sds] for sds in table.sds_codes],
+                                   use_uda)
     return mean[0, 0], source[0, 0]  # S1 is the table's first field
 
 
@@ -266,3 +269,45 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
                                     table.output.tolist()):
             assert dict(zip(SWEEP, scores)) == fhca[rid]
             assert out == output[rid]
+
+
+def row_writer_researcher_scores_csv(table, is_ts, path) -> None:
+    """The reference: one csv.writer row per (researcher, percentile), with
+    repr of each float."""
+    labels = [p_label(p) for p in table.percentiles]
+    sds = [table.sds_codes[f] for f in table.field.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"])
+        columns = (table.researcher_ids, sds, table.fhca.tolist(), table.output.tolist(),
+                   is_ts.tolist())
+        for researcher_id, field_sds, scores, output, ts in zip(*columns):
+            writer.writerows([researcher_id, field_sds, label, repr(score), repr(output),
+                              "true" if flag else "false"]
+                             for label, score, flag in zip(labels, scores, ts))
+
+
+def test_researcher_scores_csv_matches_the_row_writer(tmp_path):
+    """Ids and SDS codes with a comma, a double quote and a non-ASCII letter,
+    tied and inexact scores and both zeros: the column writer writes the row
+    writer's bytes at any block size, and every score reads back to its bits."""
+    rng = random.Random(61)
+    scores = [1 / 3 + 1 / 3, 1 / 3 + 1 / 3, 0.1 + 0.2, 0.3, 0.0, -0.0, 5e-324, 1e300, 1.0]
+    percentiles = [2.5, 5.0, 10.0]
+    fhca = {sds: [rng.choices(scores, k=len(percentiles)) for _ in range(rng.randint(1, 5))]
+            for sds in ('A,"é', 'B "q"', "C", "Ω,1")}
+    table = mk_table(fhca, percentiles,
+                     {sds: rng.choices(scores, k=len(rows)) for sds, rows in fhca.items()})
+    n = len(table.researcher_ids)
+    is_ts = np.array([[rng.random() < 0.3 for _ in percentiles] for _ in range(n)])
+    row_writer_researcher_scores_csv(table, is_ts, tmp_path / "rows.csv")
+    expected = (tmp_path / "rows.csv").read_bytes()
+    path = tmp_path / "columns.csv"
+    for block in (1, 2, 3, 256):
+        assert write_researcher_scores_csv(table, is_ts, path, block) == n * len(percentiles)
+        assert path.read_bytes() == expected
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[0] for row in rows[::len(percentiles)]] == list(table.researcher_ids)
+    assert [float(row[3]).hex() for row in rows] == [v.hex() for v in table.fhca.ravel().tolist()]
