@@ -78,16 +78,16 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         "fields": len(fields),
         "disciplines": len(discipline_rows or ()),
     }
-    labels = [p_label(p) for p in percentiles]
-    for p, pl, n_ts in zip(percentiles, labels, fields.ts_count.sum(axis=0).tolist()):
+    for p, n_ts in zip(percentiles, fields.ts_count.sum(axis=0).tolist()):
+        pl = p_label(p)
         counts[f"hca_{pl}_flagged"] = len(flag_sets[p].flagged)
         counts[f"hca_{pl}_roster"] = summary.overall.hca_counts[p]
         counts[f"ts_{pl}"] = n_ts
 
     warnings = list(corpus.report.warnings)
-    warnings += [f"field {sds}: rescaling at p={label} used {source}"
+    warnings += [f"field {sds}: rescaling at p={p_label(p)} used {source}"
                  for sds, row in zip(fields.sds_codes, fields.provenance.tolist())
-                 for label, source in zip(labels, row) if source != RESCALE_FROM_FIELD]
+                 for p, source in zip(percentiles, row) if source != RESCALE_FROM_FIELD]
     if avg_rank.truncated:
         warnings.append(
             f"average-rank lists truncated: requested {top_bottom_k}, have {len(fields)} fields")
@@ -97,7 +97,7 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
 
     bundle = _build_bundle(
         corpus, summary, fields, discipline_rows, discipline_overall,
-        rankings, correlations, quadrant, avg_rank, top_bottom_k, labels,
+        rankings, correlations, quadrant, avg_rank, top_bottom_k,
     )
     return PipelineResult(
         corpus=corpus,
@@ -117,33 +117,33 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     )
 
 
-def _per_p(labels, **families: Sequence[Any]) -> dict[str, Any]:
-    """One f"{family}_{label}" entry per family and percentile label, family
-    by family; each family holds one value per percentile."""
-    return {f"{family}_{label}": value
-            for family, values in families.items() for label, value in zip(labels, values)}
+def _per_p(percentiles, **families: Sequence[Any]) -> dict[str, Any]:
+    """One f"{family}_{p}" entry per family and percentile, family by family;
+    each family holds one value per percentile."""
+    return {f"{family}_{p_label(p)}": value
+            for family, values in families.items() for p, value in zip(percentiles, values)}
 
 
-def _summary_row_dict(row, percentiles, labels) -> dict[str, Any]:
+def _summary_row_dict(row, percentiles) -> dict[str, Any]:
     return {"uda": row.uda, "uda_name": row.uda_name, "n_sds": row.n_sds,
             "n_professors": row.n_professors, "n_publications": row.n_publications,
-            **_per_p(labels, hca=[row.hca_counts[p] for p in percentiles])}
+            **_per_p(percentiles, hca=[row.hca_counts[p] for p in percentiles])}
 
 
-def _discipline_rows(table: DisciplineTable, labels) -> list[dict[str, Any]]:
+def _discipline_rows(table: DisciplineTable, percentiles) -> list[dict[str, Any]]:
     rows = []
     for row in zip(table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
                    table.total_cost.tolist(), table.ts_count.tolist(), table.ts_share.tolist(),
                    table.fss_ts.tolist(), table.fss_fhca.tolist()):
         uda, n_sds, n_professors, total_cost, ts_count, ts_share, fss_ts, fss_fhca = row
         out = {"uda": uda, "n_sds": n_sds, "n_professors": n_professors, "total_cost": total_cost}
-        for label, count, share in zip(labels, ts_count, ts_share):
-            out.update({f"ts_{label}": count, f"ts_{label}_share": share})
-        rows.append({**out, **_per_p(labels, fss_ts=fss_ts, fss_fhca=fss_fhca)})
+        for p, count, share in zip(percentiles, ts_count, ts_share):
+            out.update({f"ts_{p_label(p)}": count, f"ts_{p_label(p)}_share": share})
+        rows.append({**out, **_per_p(percentiles, fss_ts=fss_ts, fss_fhca=fss_fhca)})
     return rows
 
 
-def _field_rows(fields: FieldTable, labels) -> list[dict[str, Any]]:
+def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
     rows = []
     for row in zip(fields.sds_codes, fields.uda, fields.n_by_rank.tolist(),
                    fields.n_professors.tolist(), fields.total_cost.tolist(),
@@ -153,13 +153,13 @@ def _field_rows(fields: FieldTable, labels) -> list[dict[str, Any]]:
         rows.append({"sds": sds, "uda": uda,
                      **{f"n_{rank}": n for rank, n in zip(RANKS, n_by_rank)},
                      "n_professors": n_professors, "total_cost": total_cost,
-                     **_per_p(labels, ts=ts, fss_ts=fss_ts, fss_fhca=fss_fhca),
+                     **_per_p(fields.percentiles, ts=ts, fss_ts=fss_ts, fss_fhca=fss_fhca),
                      "fallback_flags": flags})
     return rows
 
 
 def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
-                  rankings, correlations, quadrant, avg_rank, top_bottom_k, labels) -> ReportBundle:
+                  rankings, correlations, quadrant, avg_rank, top_bottom_k) -> ReportBundle:
     percentiles = list(corpus.config.sorted_percentiles)
     ids = [r.indicator_id for r in rankings]
     values = [r.values.tolist() for r in rankings]
@@ -179,16 +179,16 @@ def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
 
     avg_order = avg_rank.order.tolist()
     return ReportBundle(
-        percentiles=labels,
-        summary_rows=[_summary_row_dict(r, percentiles, labels) for r in summary.rows],
-        summary_overall=_summary_row_dict(summary.overall, percentiles, labels),
-        discipline_rows=(_discipline_rows(discipline_rows, labels)
+        percentiles=[p_label(p) for p in percentiles],
+        summary_rows=[_summary_row_dict(r, percentiles) for r in summary.rows],
+        summary_overall=_summary_row_dict(summary.overall, percentiles),
+        discipline_rows=(_discipline_rows(discipline_rows, percentiles)
                          if discipline_rows is not None else []),
         discipline_overall=(
-            _discipline_rows(discipline_overall, labels)[0]
+            _discipline_rows(discipline_overall, percentiles)[0]
             if discipline_overall is not None else None
         ),
-        field_rows=_field_rows(fields, labels),
+        field_rows=_field_rows(fields),
         spearman={
             "indicator_ids": list(correlations.indicator_ids),
             "matrix": [list(line) for line in correlations.values],

@@ -27,6 +27,7 @@ RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
 RESCALE_FROM_NATIONAL = "national_fallback"
 RESCALE_EXHAUSTED = "no_ts_anywhere"
+_BLOCK = 256  # researchers per write of researcher_scores.csv
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ class _Line:
     write = staticmethod(str)  # a csv.writer target: writerow returns the line it writes
 
 
-def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path,
-                                block: int = 256) -> int:
+def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path) -> int:
     """Export one row per (researcher, percentile) with the TS verdict,
     rows in table order; is_ts holds the (row x percentile) verdicts.
 
@@ -173,8 +173,8 @@ def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path
     sds = [table.sds_codes[f] for f in table.field.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(quote(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
-        for start in range(0, len(sds), block):
-            rows = slice(start, start + block)
+        for start in range(0, len(sds), _BLOCK):
+            rows = slice(start, start + _BLOCK)
             prefix = [quote((researcher_id, sds_code, ""))[:-1]
                       for researcher_id, sds_code in zip(table.researcher_ids[rows], sds[rows])]
             floats = np.concatenate((table.fhca[rows].ravel(), table.output[rows]))

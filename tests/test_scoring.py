@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_corpus, mk_table
+from fieldstrength import scoring
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.model import AnalysisConfig, CostModel, p_label
 from fieldstrength.oracles import oracle_quartiles
@@ -287,7 +288,7 @@ def row_writer_researcher_scores_csv(table, is_ts, path) -> None:
                              for label, score, flag in zip(labels, scores, ts))
 
 
-def test_researcher_scores_csv_matches_the_row_writer(tmp_path):
+def test_researcher_scores_csv_matches_the_row_writer(tmp_path, monkeypatch):
     """Ids and SDS codes with a comma, a double quote and a non-ASCII letter,
     tied and inexact scores and both zeros: the column writer writes the row
     writer's bytes at any block size, and every score reads back to its bits."""
@@ -303,8 +304,9 @@ def test_researcher_scores_csv_matches_the_row_writer(tmp_path):
     row_writer_researcher_scores_csv(table, is_ts, tmp_path / "rows.csv")
     expected = (tmp_path / "rows.csv").read_bytes()
     path = tmp_path / "columns.csv"
-    for block in (1, 2, 3, 256):
-        assert write_researcher_scores_csv(table, is_ts, path, block) == n * len(percentiles)
+    for block in (1, 2, 3, scoring._BLOCK):
+        monkeypatch.setattr(scoring, "_BLOCK", block)
+        assert write_researcher_scores_csv(table, is_ts, path) == n * len(percentiles)
         assert path.read_bytes() == expected
 
     with open(path, newline="", encoding="utf-8") as handle:
