@@ -140,7 +140,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     n = write_scoreboard_csv(result.fields, out_dir / "scoreboard.csv")
     files.append({"path": "scoreboard.csv", "rows": n})
     if config.output.export_hca_flags:
-        n = write_flags_csv(result.flag_sets, out_dir / "hca_flags.csv")
+        n = write_flags_csv(result.flags, out_dir / "hca_flags.csv")
         files.append({"path": "hca_flags.csv", "rows": n})
     if config.output.export_researcher_scores:
         n = write_researcher_scores_csv(result.scores, result.fields.is_ts,

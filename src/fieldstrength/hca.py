@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .ingest import Corpus
-from .model import discipline_codes, p_label
+from .model import p_label
 
 
 class CitationCell(NamedTuple):
@@ -59,20 +59,20 @@ class CitationCells:
                                tuple(corpus.citations[rows].tolist()))
 
 
-@dataclass(frozen=True)
-class HcaFlagSet:
-    """Publications flagged as highly cited at one percentile threshold.
+@dataclass(frozen=True, eq=False)
+class HcaFlags:
+    """The highly cited articles of a corpus at every percentile threshold.
 
-    best_category records, for each flagged publication in ascending
-    pub_id order, the category in which it achieved its best cell standing
-    (smallest share of members strictly above it; ties broken by category
-    code). hit marks the flagged rows of the corpus the cells came from.
+    hit[i, j] says whether publication row i of corpus is highly cited at
+    percentiles[j], which ascend. best_category[i] is the category code of
+    row i's best cell standing (smallest share of members strictly above
+    it; ties broken by category code), which does not depend on p.
     """
 
-    p: float
-    flagged: frozenset[str]
-    best_category: Mapping[str, str]
-    hit: np.ndarray = field(compare=False, repr=False)
+    corpus: Corpus
+    percentiles: tuple[float, ...]
+    hit: np.ndarray
+    best_category: np.ndarray
 
 
 def build_cells(corpus: Corpus) -> CitationCells:
@@ -119,63 +119,57 @@ def _best_category(pub_of: np.ndarray, share_above: np.ndarray,
     return member_category[best[first]]
 
 
-def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> dict[float, HcaFlagSet]:
+def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
     """Flag publications highly cited at every percentile in one pass.
 
     The strictly-above count b of each cell membership, the cell sizes and
     each publication's best standing do not depend on p, so they are
     computed once for all memberships. Each p then costs one vectorized
-    comparison, scattered to publication rows: a multi-category
-    publication is flagged if it qualifies in at least one of its cells
-    (the most favourable category counts). Row indices become pub_id and
-    category strings only for the flagged publications.
+    comparison, scattered to its column of publication rows: a
+    multi-category publication is flagged if it qualifies in at least one
+    of its cells (the most favourable category counts).
 
     The rule b < p*size/100 is decided exactly, with p taken as the decimal
     it is written as (Fraction(repr(p))), not as its binary float: for an
     integer b it holds iff b < ceil(p*size/100), an integer cutoff computed
     once per distinct cell size.
     """
-    percentiles = list(percentiles)
+    percentiles = tuple(sorted(set(percentiles)))
     for p in percentiles:
         if not 0 < p <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {p}")
     corpus = cells.corpus
-    n_pubs = len(corpus.pub_ids)
     sizes = np.diff(cells.start)
     # one entry per membership; int32 codes keep the peak memory down
     cell_of = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
     above = _strictly_above(cell_of, corpus.citations[cells.pub_row], sizes)
-    # every publication has a category, so is in a cell: one best category per row
-    best_category = _best_category(cells.pub_row, above / sizes[cell_of], cells.category[cell_of])
     distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
     member_size = size_index[cell_of]
 
-    flag_sets = {}
-    for p in percentiles:
+    # column order: each reader takes one percentile's column at a time
+    hit = np.zeros((len(corpus.pub_ids), len(percentiles)), dtype=bool, order="F")
+    for j, p in enumerate(percentiles):
         exact_p = Fraction(repr(float(p)))
         cutoffs = np.array([math.ceil(exact_p * size / 100) for size in distinct_sizes.tolist()],
                            dtype=np.int64)
-        hit = np.zeros(n_pubs, dtype=bool)
-        hit[cells.pub_row[above < cutoffs[member_size]]] = True
-        rows = np.flatnonzero(hit)
-        best = dict(zip(map(corpus.pub_ids.__getitem__, rows.tolist()),
-                        map(corpus.categories.__getitem__, best_category[rows].tolist())))
-        # a frozenset built from a dict is sized once, half the table of one grown from a generator
-        flag_sets[p] = HcaFlagSet(p=p, flagged=frozenset(best), best_category=best, hit=hit)
-    return flag_sets
+        hit[cells.pub_row[above < cutoffs[member_size]], j] = True
+    # every publication has a category, so is in a cell: one best category per row
+    return HcaFlags(corpus, percentiles, hit,
+                    _best_category(cells.pub_row, above / sizes[cell_of], cells.category[cell_of]))
 
 
-def write_flags_csv(flag_sets: Mapping[float, HcaFlagSet], path: Path) -> int:
+def write_flags_csv(flags: HcaFlags, path: Path) -> int:
     """Export flagged publications with the category of their best standing,
-    by percentile and then pub_id: best_category is in pub_id order."""
+    by percentile and then pub_id: publication rows are in pub_id order."""
+    pub_ids, categories = flags.corpus.pub_ids, flags.corpus.categories
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["pub_id", "p", "category_of_best_rank"])
-        for p in sorted(flag_sets):
-            label = p_label(p)
-            writer.writerows((pub_id, label, category)
-                             for pub_id, category in flag_sets[p].best_category.items())
-    return sum(len(flag_set.best_category) for flag_set in flag_sets.values())
+        for label, column in zip(map(p_label, flags.percentiles), flags.hit.T):
+            rows = np.flatnonzero(column)
+            writer.writerows((pub_ids[row], label, categories[category]) for row, category
+                             in zip(rows.tolist(), flags.best_category[rows].tolist()))
+    return int(np.count_nonzero(flags.hit))
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ class SummaryTable:
     overall: SummaryRow
 
 
-def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> SummaryTable:
+def corpus_summary(corpus: Corpus, flags: HcaFlags) -> SummaryTable:
     """Per-discipline dataset summary.
 
     A publication counts once per discipline it reaches through its
@@ -207,9 +201,7 @@ def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> Sum
     than the overall value. The distinct (discipline, publication) pairs
     come from one sort of the links' codes uda * n_pubs + pub_row.
     """
-    percentiles = corpus.config.sorted_percentiles
-    taxonomy = corpus.taxonomy
-    udas, field_uda = discipline_codes([taxonomy.sds_to_uda[sds] for sds in corpus.sds_codes])
+    percentiles, udas, field_uda = flags.percentiles, corpus.udas, corpus.field_uda
     researcher_uda = np.repeat(field_uda, np.diff(corpus.field_start))
 
     def per_uda(codes: np.ndarray) -> list[int]:
@@ -219,12 +211,12 @@ def corpus_summary(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet]) -> Sum
     pairs = np.sort(researcher_uda[corpus.link_researcher] * stride + corpus.link_pub)
     pair_uda, pair_pub = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], stride)
     columns = zip(udas, per_uda(field_uda), per_uda(researcher_uda), per_uda(pair_uda),
-                  *(per_uda(pair_uda[flag_sets[p].hit[pair_pub]]) for p in percentiles))
-    rows = tuple(SummaryRow(uda, taxonomy.uda_names[uda], n_sds, n_professors, n_publications,
-                            dict(zip(percentiles, hca_counts)))
+                  *(per_uda(pair_uda[hit[pair_pub]]) for hit in flags.hit.T))
+    rows = tuple(SummaryRow(uda, corpus.taxonomy.uda_names[uda], n_sds, n_professors,
+                            n_publications, dict(zip(percentiles, hca_counts)))
                  for uda, n_sds, n_professors, n_publications, *hca_counts in columns)
-    roster = corpus.has_roster_author
+    roster = corpus.has_roster_author[:, None]
     overall = SummaryRow("ALL", "Overall", sum(r.n_sds for r in rows),
                          sum(r.n_professors for r in rows), int(roster.sum()),
-                         {p: int((roster & flag_sets[p].hit).sum()) for p in percentiles})
+                         dict(zip(percentiles, (flags.hit & roster).sum(axis=0).tolist())))
     return SummaryTable(percentiles=percentiles, rows=rows, overall=overall)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import Corpus
-from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, discipline_codes, p_label
+from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
@@ -39,16 +39,18 @@ class FieldTable:
     """The per-field scoreboard as columns, one row per field of the
     ScoreTable, in SDS order.
 
-    Row f is field sds_codes[f] of discipline uda[f]. n_by_rank[f] counts
-    its professors per RANKS entry and total_cost[f] is their cost. The
-    (field x percentile) matrices hold, at percentiles[j], the TS count,
-    the fractional HCA total, both indicators and the provenance of the
-    TS output mean that rescales fss_fhca. is_ts[i, j] is the TS verdict
-    of score-table row i at percentiles[j].
+    Row f is field sds_codes[f] of discipline udas[field_uda[f]], coded as
+    the corpus codes it. n_by_rank[f] counts its professors per RANKS entry
+    and total_cost[f] is their cost. The (field x percentile) matrices hold,
+    at percentiles[j], the TS count, the fractional HCA total, both
+    indicators and the provenance of the TS output mean that rescales
+    fss_fhca. is_ts[i, j] is the TS verdict of score-table row i at
+    percentiles[j].
     """
 
     sds_codes: tuple[str, ...]
-    uda: tuple[str, ...]
+    udas: tuple[str, ...]
+    field_uda: np.ndarray
     percentiles: tuple[float, ...]
     n_by_rank: np.ndarray
     total_cost: np.ndarray
@@ -61,6 +63,10 @@ class FieldTable:
 
     def __len__(self) -> int:
         return len(self.sds_codes)
+
+    @property
+    def uda(self) -> tuple[str, ...]:
+        return tuple(map(self.udas.__getitem__, self.field_uda.tolist()))
 
     @property
     def n_professors(self) -> np.ndarray:
@@ -113,10 +119,10 @@ def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
     field_of_row = table.field
     n_fields = len(table.sds_codes)
 
-    uda = tuple(corpus.taxonomy.sds_to_uda[sds] for sds in table.sds_codes)
     _, is_ts = detect_top_scientists(table, corpus.config.ts_fence_multiplier)
     avg_out, provenance = ts_output_means(
-        table, is_ts, uda, use_uda=corpus.config.rescale_fallback == FALLBACK_UDA_THEN_NATIONAL)
+        table, is_ts, corpus.field_uda, len(corpus.udas),
+        use_uda=corpus.config.rescale_fallback == FALLBACK_UDA_THEN_NATIONAL)
     n_by_rank = np.bincount(field_of_row * len(RANKS) + table.rank,
                             minlength=n_fields * len(RANKS)).reshape(n_fields, len(RANKS))
     total_cost = group_sums(field_of_row, table.cost[:, None], n_fields)
@@ -126,7 +132,7 @@ def build_field_scoreboards(corpus: Corpus, table: ScoreTable,
         fhca_rescaled = np.where((provenance == RESCALE_EXHAUSTED) | (fhca_total == 0.0),
                                  0.0, fhca_total / avg_out)
     return FieldTable(
-        sds_codes=table.sds_codes, uda=uda,
+        sds_codes=table.sds_codes, udas=corpus.udas, field_uda=corpus.field_uda,
         percentiles=table.percentiles, n_by_rank=n_by_rank, total_cost=total_cost[:, 0],
         ts_count=ts_count, fhca_total=fhca_total,
         fss_ts=per_euro(ts_count, total_cost, scale),
@@ -144,9 +150,8 @@ def build_discipline_scoreboards(fields: FieldTable) -> tuple[DisciplineTable, D
     """
     if not len(fields):
         raise ValueError("no fields to aggregate")
-    udas, uda_of_field = discipline_codes(fields.uda)
-    return (_aggregate(udas, uda_of_field, fields),
-            _aggregate(("ALL",), np.zeros_like(uda_of_field), fields))
+    return (_aggregate(fields.udas, fields.field_uda, fields),
+            _aggregate(("ALL",), np.zeros_like(fields.field_uda), fields))
 
 
 def _aggregate(names: tuple[str, ...], group: np.ndarray, fields: FieldTable) -> DisciplineTable:

@@ -84,18 +84,20 @@ class Corpus:
     categories are categories[c] for the codes c in
     category_code[category_start[i]:category_start[i + 1]]; categories is
     sorted, so codes order as the category strings do. Roster row j is
-    researcher_ids[j], in (sds, researcher_id) order; field f is
-    sds_codes[f] and holds rows field_start[f]:field_start[f + 1]. rank[j, t]
-    is the index into RANKS of row j's rank in active_years[t], -1 if it was
-    not active then; active_years ascends and holds only the years in which
-    some row is active. Kept authorship k links publication row link_pub[k]
-    to roster row link_researcher[k]; the links are sorted by (pub row,
-    roster row).
+    researcher_ids[j], in (sds, researcher_id) order; field f is sds_codes[f],
+    of discipline udas[field_uda[f]] (udas sorted as str), and holds rows
+    field_start[f]:field_start[f + 1]. rank[j, t] is the index into RANKS of
+    row j's rank in active_years[t], -1 if it was not active then;
+    active_years ascends and holds only the years in which some row is
+    active. Kept authorship k links publication row link_pub[k] to roster
+    row link_researcher[k]; the links are sorted by (pub row, roster row).
     """
 
     taxonomy: Taxonomy
     researcher_ids: tuple[str, ...]
     sds_codes: tuple[str, ...]
+    udas: tuple[str, ...]
+    field_uda: np.ndarray
     field_start: np.ndarray
     active_years: np.ndarray
     rank: np.ndarray
@@ -218,11 +220,15 @@ def build_corpus(taxonomy: Taxonomy, researcher_ids: Sequence[str],
     # the roster is in sds order, so each code's first row starts its field
     sds_codes, field_start = np.unique(np.array([researcher_sds[i] for i in roster], dtype=object),
                                        return_index=True)
+    udas, field_uda = np.unique(np.array([taxonomy.sds_to_uda[sds] for sds in sds_codes],
+                                         dtype=object), return_inverse=True)
 
     return Corpus(
         taxonomy=taxonomy,
         researcher_ids=tuple(map(researcher_ids.__getitem__, roster)),
         sds_codes=tuple(sds_codes),
+        udas=tuple(udas),
+        field_uda=field_uda,
         field_start=np.append(field_start, len(roster)),
         active_years=active_years,
         rank=rank,
@@ -313,29 +319,24 @@ def _stop(message: str, path: Path, line: int, issues: _Issues, stopped: set[Pat
 def _read_rows(path: Path, header: list[str], issues: _Issues, stopped: set[Path]):
     """Yield (line_number, row) for data rows; enforce the exact header.
 
-    An empty file, a bad header, a byte that is not UTF-8 or a row the csv
-    module rejects (a field longer than csv.field_size_limit()) ends the
-    file with one issue, and adds path to stopped. The rows before the line
-    of a bad byte are read as usual.
+    A row of the wrong width, or with a line break inside a field's
+    stripped text, is one issue and is not yielded. An empty file, a bad
+    header, a byte that is not UTF-8 or a row the csv module rejects (a
+    field longer than csv.field_size_limit()) ends the file with one issue,
+    and adds path to stopped. The rows before the line of a bad byte are
+    read as usual.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputIOError(f"cannot read {path}: {exc}") from exc
-    width = len(header)
     with handle:
         reader = csv.reader(handle)
         try:
             if _header_ok(next(reader, None), header, path, issues, stopped):
                 for row in reader:
-                    if not row:
-                        continue
-                    line = reader.line_num
-                    if len(row) != width:
-                        issues.add(ISSUE_MALFORMED_ROW, f"expected {width} fields, got {len(row)}",
-                                   path, line)
-                        continue
-                    yield line, row
+                    if row and _row_ok(row, header, path, reader.line_num, issues):
+                        yield reader.line_num, row
             return
         except UnicodeDecodeError:
             consumed = reader.line_num
@@ -351,6 +352,20 @@ def _header_ok(first: Optional[list[str]], header: list[str], path: Path, issues
         _stop("empty file, header row required" if first is None
               else f"bad header {first!r}, expected {header!r}", path, 1, issues, stopped)
     return first == header
+
+
+def _row_ok(row: list[str], header: list[str], path: Path, line: int, issues: _Issues) -> bool:
+    """Whether a data row has the header's width and no line break in a
+    field's stripped text (no CSV output could hold it); records the issue if not."""
+    if len(row) != len(header):
+        issues.add(ISSUE_MALFORMED_ROW, f"expected {len(header)} fields, got {len(row)}", path,
+                   line)
+        return False
+    for name, text in zip(header, map(str.strip, row)):
+        if "\n" in text or "\r" in text:
+            issues.add(ISSUE_MALFORMED_ROW, f"line break inside {name}", path, line)
+            return False
+    return True
 
 
 def _rows_before_bad_byte(path: Path, header: list[str], issues: _Issues, stopped: set[Path],
@@ -380,11 +395,8 @@ def _rows_before_bad_byte(path: Path, header: list[str], issues: _Issues, stoppe
                                                       stopped):
             return
         for row in rows:
-            if len(row) == len(header):
+            if row and _row_ok(row, header, path, reader.line_num, issues):
                 yield reader.line_num, row
-            elif row:
-                issues.add(ISSUE_MALFORMED_ROW, f"expected {len(header)} fields, got {len(row)}",
-                           path, reader.line_num)
     except csv.Error as exc:
         _stop(f"{exc}; rest of file skipped", path, reader.line_num, issues, stopped)
         return

@@ -10,7 +10,7 @@ import collections.abc
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,12 +44,6 @@ class Taxonomy:
         orphans = sorted(set(self.sds_to_uda.values()) - set(self.uda_names))
         if orphans:
             raise ConfigurationError(f"taxonomy references unknown discipline codes: {orphans}")
-
-
-def discipline_codes(uda: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct disciplines of uda sorted as str, and each uda[f]'s index into them."""
-    udas, code = np.unique(np.array(uda, dtype=object), return_inverse=True)
-    return tuple(udas.tolist()), code
 
 
 @dataclass(frozen=True)

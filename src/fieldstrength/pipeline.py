@@ -19,7 +19,7 @@ from .analytics import (
     quadrant_classify,
     rank_indicator,
 )
-from .hca import HcaFlagSet, SummaryTable, build_cells, corpus_summary, flag_hcas
+from .hca import HcaFlags, SummaryTable, build_cells, corpus_summary, flag_hcas
 from .indicators import (
     DisciplineTable,
     FieldTable,
@@ -35,7 +35,7 @@ from .scoring import RESCALE_FROM_FIELD, ScoreTable, score_researchers
 @dataclass
 class PipelineResult:
     corpus: Corpus
-    flag_sets: dict[float, HcaFlagSet]
+    flags: HcaFlags
     summary: SummaryTable
     scores: ScoreTable
     fields: FieldTable
@@ -54,9 +54,9 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
                  top_bottom_k: int = OutputOptions.top_bottom_k) -> PipelineResult:
     percentiles = list(corpus.config.sorted_percentiles)
     cells = build_cells(corpus)
-    flag_sets = flag_hcas(cells, percentiles)
-    summary = corpus_summary(corpus, flag_sets)
-    scores = score_researchers(corpus, flag_sets, cost_model)
+    flags = flag_hcas(cells, percentiles)
+    summary = corpus_summary(corpus, flags)
+    scores = score_researchers(corpus, flags, cost_model)
     fields = build_field_scoreboards(corpus, scores, cost_model)
     if len(fields):
         discipline_rows, discipline_overall = build_discipline_scoreboards(fields)
@@ -78,9 +78,9 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         "fields": len(fields),
         "disciplines": len(discipline_rows or ()),
     }
-    for p, n_ts in zip(percentiles, fields.ts_count.sum(axis=0).tolist()):
+    for j, (p, n_ts) in enumerate(zip(percentiles, fields.ts_count.sum(axis=0).tolist())):
         pl = p_label(p)
-        counts[f"hca_{pl}_flagged"] = len(flag_sets[p].flagged)
+        counts[f"hca_{pl}_flagged"] = int(flags.hit[:, j].sum())
         counts[f"hca_{pl}_roster"] = summary.overall.hca_counts[p]
         counts[f"ts_{pl}"] = n_ts
 
@@ -101,7 +101,7 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     )
     return PipelineResult(
         corpus=corpus,
-        flag_sets=flag_sets,
+        flags=flags,
         summary=summary,
         scores=scores,
         fields=fields,
@@ -160,17 +160,17 @@ def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
 
 def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
                   rankings, correlations, quadrant, avg_rank, top_bottom_k) -> ReportBundle:
-    percentiles = list(corpus.config.sorted_percentiles)
+    percentiles, uda = list(corpus.config.sorted_percentiles), fields.uda
     ids = [r.indicator_id for r in rankings]
     values = [r.values.tolist() for r in rankings]
     ranks = [r.ranks.tolist() for r in rankings]
 
     def quadrant_entries(members) -> list[dict[str, Any]]:
-        return [{"sds": sds, "uda": fields.uda[f], **{i: v[f] for i, v in zip(ids, values)}}
+        return [{"sds": sds, "uda": uda[f], **{i: v[f] for i, v in zip(ids, values)}}
                 for f, sds in enumerate(fields.sds_codes) if sds in members]
 
     def avg_entry(position: int, f: int, avg: float) -> dict[str, Any]:
-        out: dict[str, Any] = {"sds": fields.sds_codes[f], "uda": fields.uda[f],
+        out: dict[str, Any] = {"sds": fields.sds_codes[f], "uda": uda[f],
                                "avg_rank": avg, "position": position}
         for i, v, r in zip(ids, values, ranks):
             out[f"{i}_value"] = v[f]

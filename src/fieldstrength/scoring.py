@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hca import HcaFlagSet
+from .hca import HcaFlags
 from .ingest import Corpus
-from .model import CostModel, discipline_codes, p_label, researcher_costs
+from .model import CostModel, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -57,8 +56,7 @@ class ScoreTable:
         return np.repeat(np.arange(len(self.sds_codes)), np.diff(self.field_start))
 
 
-def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
-                      cost_model: CostModel) -> ScoreTable:
+def score_researchers(corpus: Corpus, flags: HcaFlags, cost_model: CostModel) -> ScoreTable:
     """Fractional HCA score per percentile plus total fractional output,
     cost and latest rank, for every roster researcher (zero scorers
     included), in the corpus's roster order.
@@ -68,7 +66,6 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
     each researcher's shares are added in ascending pub_id order at every
     percentile.
     """
-    percentiles = tuple(sorted(flag_sets))
     share = 1.0 / corpus.author_count[corpus.link_pub]
     rank = corpus.rank
     # each row's latest rank is the one in its last active year column
@@ -82,9 +79,8 @@ def score_researchers(corpus: Corpus, flag_sets: Mapping[float, HcaFlagSet],
         researcher_ids=corpus.researcher_ids,
         sds_codes=corpus.sds_codes,
         field_start=corpus.field_start,
-        percentiles=percentiles,
-        fhca=np.column_stack([per_researcher(share * flag_sets[p].hit[corpus.link_pub])
-                              for p in percentiles]),
+        percentiles=flags.percentiles,
+        fhca=np.column_stack([per_researcher(share * hit[corpus.link_pub]) for hit in flags.hit.T]),
         output=per_researcher(share),
         cost=researcher_costs(rank, cost_model),
         rank=rank[np.arange(len(rank)), last_active],
@@ -123,17 +119,17 @@ def detect_top_scientists(table: ScoreTable,
     return threshold, table.fhca > threshold[table.field]
 
 
-def ts_output_means(table: ScoreTable, is_ts: np.ndarray, uda: Sequence[str],
+def ts_output_means(table: ScoreTable, is_ts: np.ndarray, field_uda: np.ndarray, n_udas: int,
                     use_uda: bool) -> tuple[np.ndarray, np.ndarray]:
     """Mean fractional publication output of the top scientists of each
-    field f (in discipline uda[f]) and its provenance, per (field, percentile).
+    field f (of discipline code field_uda[f], one of n_udas) and its
+    provenance, per (field, percentile).
 
     A field without a top scientist at p takes the pooled mean of its
     discipline's top scientists (when use_uda), then the national pool;
     (0.0, "no_ts_anywhere") when every pool is empty. Each pool adds its
     top scientists' outputs in row order.
     """
-    udas, uda_of_field = discipline_codes(uda)
     field = table.field
     ts_output = table.output[:, None] * is_ts  # 0.0 off the top scientists, and x + 0.0 == x
 
@@ -146,7 +142,7 @@ def ts_output_means(table: ScoreTable, is_ts: np.ndarray, uda: Sequence[str],
     fallbacks = [(pooled_mean(np.zeros_like(field), 1), RESCALE_FROM_NATIONAL),
                  (0.0, RESCALE_EXHAUSTED)]
     if use_uda:
-        uda_mean = pooled_mean(uda_of_field[field], len(udas))[uda_of_field]
+        uda_mean = pooled_mean(field_uda[field], n_udas)[field_uda]
         fallbacks.insert(0, (uda_mean, RESCALE_FROM_UDA))
     for pool_mean, pool in fallbacks:  # each pool fills the means still empty
         empty = np.isnan(mean)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fieldstrength.hca import CitationCell, CitationCells, build_cells
+from fieldstrength.hca import CitationCell, CitationCells, HcaFlags, build_cells
 from fieldstrength.indicators import FieldTable
 from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
 from fieldstrength.model import RANKS, AnalysisConfig, CostModel, Taxonomy
@@ -74,6 +74,19 @@ def one_cell(citations, year=2012, category="A") -> CitationCells:
     return mk_cells([(f"p{i}", year, c, 1, [category]) for i, c in enumerate(citations)])
 
 
+def flagged_ids(flags: HcaFlags, p: float) -> set[str]:
+    """The pub_ids flagged at percentile p."""
+    return set(best_categories(flags, p))
+
+
+def best_categories(flags: HcaFlags, p: float) -> dict[str, str]:
+    """{pub_id: category of its best standing} of the publications flagged
+    at percentile p, in pub_id order."""
+    rows = np.flatnonzero(flags.hit[:, flags.percentiles.index(p)]).tolist()
+    return {flags.corpus.pub_ids[row]: flags.corpus.categories[flags.best_category[row]]
+            for row in rows}
+
+
 def mk_fields(rows, uda: dict[str, str] | None = None,
               total_cost: dict[str, float] | None = None,
               provenance: dict[str, dict[float, str]] | None = None,
@@ -89,9 +102,12 @@ def mk_fields(rows, uda: dict[str, str] | None = None,
     codes = [sds for sds, _, _ in rows]
     n, shape = len(rows), (len(rows), len(percentiles))
     provenance = provenance or {}
+    udas, field_uda = np.unique(np.array([(uda or {}).get(sds, "U1") for sds in codes],
+                                         dtype=object), return_inverse=True)
     return FieldTable(
         sds_codes=tuple(codes),
-        uda=tuple((uda or {}).get(sds, "U1") for sds in codes),
+        udas=tuple(udas),
+        field_uda=field_uda,
         percentiles=percentiles,
         n_by_rank=np.tile([n_professors, 0, 0], (n, 1)),
         total_cost=np.array([(total_cost or {}).get(sds, 1e6) for sds in codes]),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import csv
 import json
 import math
 import os
@@ -377,6 +378,26 @@ def test_oversized_number_or_field_is_a_validation_error(tmp_path, capsys):
         "  malformed_row: field larger than field limit (131072); rest of file skipped "
         f"[{paths.publications}:4]",
     ]
+
+
+def test_line_break_inside_an_id_is_a_validation_error(tmp_path, capsys):
+    # csv.writer would write the id back unquoted on some Python versions,
+    # so no output may hold it: the run stops before writing anything
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    paths = write_csvs(corpus, MINI_TAXONOMY, [], MINI_PUBLICATIONS, MINI_AUTHORSHIPS)
+    rows = [row.split(",") for row in MINI_RESEARCHERS]
+    rows[1][0] = "x\ry"
+    with open(paths.researchers, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerows([["researcher_id", "sds_code", "year", "rank"], *rows])
+    config, out = str(write_config(tmp_path, corpus)), tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    issue = f"malformed_row: line break inside researcher_id [{paths.researchers}:4]"
+    assert issue in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--config", config]) == 1
+    assert capsys.readouterr().out.splitlines() == ["1 errors", f"  {issue}"]
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):

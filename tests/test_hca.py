@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import members, mk_cells, mk_corpus, one_cell
+from conftest import best_categories, flagged_ids, members, mk_cells, mk_corpus, one_cell
 from fieldstrength.hca import build_cells, flag_hcas
-from fieldstrength.model import CostModel
+from fieldstrength.model import CostModel, p_label
 from fieldstrength.oracles import oracle_top_p
 from fieldstrength.scoring import score_researchers
 
@@ -44,7 +44,7 @@ def test_build_cells_order_insensitive():
 
 def test_is_top_p_distinct_counts():
     cells = one_cell(list(range(100)))
-    top5 = flag_hcas(cells, [5])[5].flagged
+    top5 = flagged_ids(flag_hcas(cells, [5]), 5)
     assert top5 == {"p95", "p96", "p97", "p98", "p99"}
     assert oracle_top_p(members(*cells), 5) == top5
 
@@ -53,13 +53,13 @@ def test_is_top_p_all_tied_cell_flags_everyone():
     # b = 0 for every member, so the whole tie group shares the best outcome
     cells = one_cell([4] * 20)
     [cell] = cells
-    assert flag_hcas(cells, [5])[5].flagged == set(cell.pub_ids)
+    assert flagged_ids(flag_hcas(cells, [5]), 5) == set(cell.pub_ids)
     assert oracle_top_p(members(cell), 5) == set(cell.pub_ids)
 
 
 def test_is_top_p_singleton():
     cells = one_cell([0])
-    assert flag_hcas(cells, [5])[5].flagged == {"p0"}
+    assert flagged_ids(flag_hcas(cells, [5]), 5) == {"p0"}
     assert oracle_top_p(members(*cells), 5) == {"p0"}
 
 
@@ -67,7 +67,7 @@ def test_percentile_is_compared_as_its_decimal():
     # exactly 2.2% of 1500 is 33 members, so a member with b = 33 above it is
     # not in the top 2.2%; in floats 2.2 * 1500 is 3300.0000000000005 > 100 * 33
     cells = one_cell(list(range(1500)))
-    flagged = flag_hcas(cells, [2.2])[2.2].flagged
+    flagged = flagged_ids(flag_hcas(cells, [2.2]), 2.2)
     assert "p1466" not in flagged  # b = 33
     assert flagged == {f"p{i}" for i in range(1467, 1500)}  # b = 0..32
     assert oracle_top_p(members(*cells), 2.2) == flagged
@@ -80,9 +80,9 @@ def test_flag_hcas_most_favourable_category():
         pub("a1", 2012, 1, ["A"]),
         *[pub(f"b{i}", 2012, 100 + i, ["B"]) for i in range(30)],
     ]
-    flags = flag_hcas(mk_cells(pubs), [5])[5]
-    assert "star" in flags.flagged
-    assert flags.best_category["star"] == "A"
+    flags = flag_hcas(mk_cells(pubs), [5])
+    assert "star" in flagged_ids(flags, 5)
+    assert best_categories(flags, 5)["star"] == "A"
 
 
 def test_flag_hcas_not_flagged_when_outside_everywhere():
@@ -90,14 +90,12 @@ def test_flag_hcas_not_flagged_when_outside_everywhere():
     for i in range(40):
         pubs.append(pub(f"a{i}", 2012, 10 + i, ["A"]))
         pubs.append(pub(f"b{i}", 2012, 10 + i, ["B"]))
-    flags = flag_hcas(mk_cells(pubs), [10])[10]
-    assert "low" not in flags.flagged
+    assert "low" not in flagged_ids(flag_hcas(mk_cells(pubs), [10]), 10)
 
 
 def test_flag_hcas_p100_flags_everything():
     pubs = [pub(f"p{i}", 2012, i, ["A"]) for i in range(10)]
-    flags = flag_hcas(mk_cells(pubs), [100])[100]
-    assert flags.flagged == {p[0] for p in pubs}
+    assert flagged_ids(flag_hcas(mk_cells(pubs), [100]), 100) == {p[0] for p in pubs}
 
 
 def test_flag_hcas_rejects_bad_percentile():
@@ -113,14 +111,17 @@ def test_flags_match_oracle_and_nest_on_random_cells():
         size = rng.randint(1, 200)
         citations = [rng.randint(0, 50) for _ in range(size)]
         cells = one_cell(citations)
-        flags5 = flag_hcas(cells, [5])[5].flagged
-        flags10 = flag_hcas(cells, [10])[10].flagged
+        flags5 = flagged_ids(flag_hcas(cells, [5]), 5)
+        flags10 = flagged_ids(flag_hcas(cells, [10]), 10)
         assert flags5 == oracle_top_p(members(*cells), 5)
         assert flags10 == oracle_top_p(members(*cells), 10)
         assert flags5 <= flags10
-        # one call at both thresholds agrees with a call per threshold
-        both = flag_hcas(cells, [5, 10])
-        assert (both[5].flagged, both[10].flagged) == (flags5, flags10)
+        # one call at both thresholds agrees with a call per threshold, and
+        # its columns nest: a row flagged at 5 is flagged at 10
+        both = flag_hcas(cells, [10, 5])
+        assert both.percentiles == (5, 10)
+        assert (flagged_ids(both, 5), flagged_ids(both, 10)) == (flags5, flags10)
+        assert (both.hit[:, 0] <= both.hit[:, 1]).all()
 
 
 def test_flags_invariant_under_member_permutation():
@@ -128,18 +129,18 @@ def test_flags_invariant_under_member_permutation():
     pubs = [pub(f"p{i}", 2012, rng.randint(0, 10), ["A"]) for i in range(50)]
     shuffled = list(pubs)
     rng.shuffle(shuffled)
-    flagged = flag_hcas(mk_cells(pubs), [10])[10].flagged
-    assert flag_hcas(mk_cells(shuffled), [10])[10].flagged == flagged
+    flagged = flagged_ids(flag_hcas(mk_cells(pubs), [10]), 10)
+    assert flagged_ids(flag_hcas(mk_cells(shuffled), [10]), 10) == flagged
 
 
 def test_more_citations_never_unflags():
     rng = random.Random(13)
     citations = [rng.randint(0, 30) for _ in range(80)]
-    flagged = flag_hcas(one_cell(citations), [10])[10].flagged
+    flagged = flagged_ids(flag_hcas(one_cell(citations), [10]), 10)
     for idx in range(0, 80, 7):
         bumped = list(citations)
         bumped[idx] += rng.randint(1, 20)
-        new_flags = flag_hcas(one_cell(bumped), [10])[10].flagged
+        new_flags = flagged_ids(flag_hcas(one_cell(bumped), [10]), 10)
         if f"p{idx}" in flagged:
             assert f"p{idx}" in new_flags
 
@@ -160,12 +161,15 @@ def test_single_pass_equals_oracle_union_over_cells():
     rng = random.Random(17)
     for _ in range(40):
         cells = mk_cells(random_pubs(rng))
-        flag_sets = flag_hcas(cells, SWEEP)
-        assert sorted(flag_sets) == SWEEP
+        flags = flag_hcas(cells, SWEEP)
+        assert flags.percentiles == tuple(SWEEP)
+        assert flags.hit.shape == (len(cells.corpus.pub_ids), len(SWEEP))
         for p in SWEEP:
             expected = set().union(*(oracle_top_p(members(cell), p) for cell in cells))
-            assert flag_sets[p].p == p
-            assert flag_sets[p].flagged == expected
+            assert flagged_ids(flags, p) == expected
+        # flags nest in p: a row flagged at one threshold is flagged at every larger one
+        for j in range(len(SWEEP) - 1):
+            assert (flags.hit[:, j] <= flags.hit[:, j + 1]).all()
 
 
 def test_best_category_is_brute_force_argmin():
@@ -178,10 +182,20 @@ def test_best_category_is_brute_force_argmin():
                 b = sum(1 for other in cell.citations if other > own)
                 standings.setdefault(pub_id, []).append((b / len(cell.pub_ids), cell.category))
         best = {pub_id: min(options)[1] for pub_id, options in standings.items()}
-        flag_sets = flag_hcas(cells, SWEEP)
-        assert flag_sets[100.0].best_category == best  # p = 100 flags everyone
-        for flags in flag_sets.values():
-            assert flags.best_category == {pub_id: best[pub_id] for pub_id in flags.flagged}
+        flags = flag_hcas(cells, SWEEP)
+        assert best_categories(flags, 100.0) == best  # p = 100 flags everyone
+        for p in SWEEP:
+            assert best_categories(flags, p) == {pub_id: best[pub_id]
+                                                 for pub_id in flagged_ids(flags, p)}
+
+
+def test_pipeline_counts_the_flags_of_each_percentile(default_result):
+    flags, counts = default_result.flags, default_result.counts
+    roster = set(default_result.corpus.authors_by_pub)
+    assert len({len(flagged_ids(flags, p)) for p in flags.percentiles}) > 1
+    for p in flags.percentiles:
+        assert counts[f"hca_{p_label(p)}_flagged"] == len(flagged_ids(flags, p))
+        assert counts[f"hca_{p_label(p)}_roster"] == len(flagged_ids(flags, p) & roster)
 
 
 def test_fractional_value():
@@ -190,7 +204,7 @@ def test_fractional_value():
     for n_authors, share in ((4, 0.25), (1, 1.0), (1000, 0.001)):
         corpus = mk_corpus([("r1", "S1", years)], [pub("x", 2012, 0, ["A"], n_authors)],
                            [("x", "r1")], {"S1": "U1"})
-        flag_sets = flag_hcas(build_cells(corpus), [5.0])
-        table = score_researchers(corpus, flag_sets, CostModel())
+        flags = flag_hcas(build_cells(corpus), [5.0])
+        table = score_researchers(corpus, flags, CostModel())
         assert table.output.tolist() == [share]
         assert table.fhca.tolist() == [[share]]  # the lone publication tops its cell

@@ -16,6 +16,7 @@ from fieldstrength.indicators import (
     per_euro,
 )
 from fieldstrength.model import RANKS, CostModel, cost_per_year, p_label
+from fieldstrength.pipeline import run_pipeline
 from fieldstrength.scoring import score_researchers
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -82,15 +83,35 @@ def test_field_scoreboard_consistency():
     assert fields.fss_ts == pytest.approx(1e8 * fields.ts_count / fields.total_cost[:, None])
 
 
+def test_each_field_keeps_its_discipline_out_of_code_order():
+    # field order (S1, S2, S3) differs from discipline order (U1, U10, U2);
+    # field k has k + 1 professors
+    sds_to_uda = {"S1": "U2", "S2": "U10", "S3": "U1"}
+    researchers = [(f"r{sds}{i}", sds, YEARS) for k, sds in enumerate(sds_to_uda)
+                   for i in range(k + 1)]
+    corpus = mk_corpus(researchers, [("p", 2012, 1, 1, ["A"])], [("p", "rS10")], sds_to_uda)
+    fields = build_fields(corpus)
+    assert fields.udas == ("U1", "U10", "U2")
+    assert fields.uda == ("U2", "U10", "U1")
+    rows, _ = build_discipline_scoreboards(fields)
+    assert rows.uda == ("U1", "U10", "U2")
+    assert rows.n_professors.tolist() == [3, 2, 1]
+    bundle = run_pipeline(corpus, CostModel()).bundle
+    entries = bundle.field_rows + bundle.avg_rank["entries"]
+    assert sorted({(entry["sds"], entry["uda"]) for entry in entries}) == sorted(sds_to_uda.items())
+
+
 def test_scoreboard_zero_iff_no_ts(default_result):
     fields = default_result.fields
     assert ((fields.fss_ts == 0.0) == (fields.ts_count == 0)).all()
 
 
 def head(fields, n):
-    """The table of the first n fields alone."""
-    return replace(fields, **{name: getattr(fields, name)[:n] for name in (
-        "sds_codes", "uda", "n_by_rank", "total_cost", "ts_count", "fhca_total", "fss_ts",
+    """The table of the first n fields alone, with the disciplines they hold."""
+    codes, field_uda = np.unique(fields.field_uda[:n], return_inverse=True)
+    return replace(fields, udas=tuple(fields.udas[u] for u in codes.tolist()),
+                   field_uda=field_uda, **{name: getattr(fields, name)[:n] for name in (
+        "sds_codes", "n_by_rank", "total_cost", "ts_count", "fhca_total", "fss_ts",
         "fss_fhca", "provenance")})
 
 

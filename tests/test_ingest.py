@@ -242,7 +242,8 @@ def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
 @pytest.mark.parametrize("n_good", [0, 1000])
 def test_rows_before_a_bad_byte_are_checked(tmp_path, n_good):
     # the decoder reads ahead, so the bad byte is met before the rows in
-    # front of it in the same chunk have been handed out
+    # front of it in the same chunk have been handed out; they get every
+    # row check, the line break inside p3's categories included
     publications = ([f"q{i},2013,1,1,A" for i in range(n_good)]
                     + ["p1,2013,7,2,A", "p2,2013,x,2,A", '"p3",2013,1,1,"A;\nB"'])
     paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications, MINI_AUTHORSHIPS)
@@ -252,6 +253,7 @@ def test_rows_before_a_bad_byte_are_checked(tmp_path, n_good):
         load_corpus(paths, AnalysisConfig())
     assert [(i.message, i.line) for i in issues_of(excinfo)] == [
         ("citations is not an integer: 'x'", n_good + 3),
+        ("line break inside subject_categories", n_good + 5),
         ("not valid UTF-8 (invalid continuation byte); rest of file skipped", n_good + 6),
     ]
 
@@ -273,6 +275,20 @@ def test_file_that_stops_early_is_not_used_to_check_references(tmp_path, name, d
     line = 1 if damage == "bom_header" else 2
     assert [(i.kind, i.file, i.line) for i in issues_of(excinfo)] == [
         (ISSUE_MALFORMED_ROW, str(path), line)]
+
+
+@pytest.mark.parametrize("pub_id", ["p\r2", "p\n2", "p\r\n2"])
+def test_line_break_inside_a_field_is_malformed_row(tmp_path, pub_id):
+    # the quoted row spans lines 3 and 4; its issue is at the line it ends on
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load(tmp_path, publications=MINI_PUBLICATIONS + [f'"{pub_id}",2013,5,1,A'])
+    assert [(i.kind, i.message, i.line) for i in issues_of(excinfo)] == [
+        (ISSUE_MALFORMED_ROW, "line break inside pub_id", 4)]
+
+
+def test_line_break_at_a_field_edge_is_stripped(tmp_path):
+    corpus = load(tmp_path, publications=MINI_PUBLICATIONS + ['"\r\np2\n",2013,5,1,A'])
+    assert corpus.pub_ids == ("p1", "p2")
 
 
 @pytest.mark.parametrize("field", ["citations", "author_count"])
@@ -491,7 +507,8 @@ def test_summary_equals_brute_force_set_counts(tmp_path, roster_only_baseline):
 
 # Every row-level check fires, interleaved over the three row files: a row
 # with three bad integers, a duplicate of an out-of-window publication,
-# whitespace-padded fields and a quoted field spanning two lines.
+# whitespace-padded fields and a quoted field spanning two lines, whose
+# line break makes it malformed and leaves the links to it dangling.
 ORDER_TAXONOMY = ["S1,Field one,U1,Discipline one", "S2,Field two,U1,Discipline one",
                   "S3,Field three,U2,Discipline two"]
 ORDER_RESEARCHERS = [
@@ -553,6 +570,7 @@ ORDER_ISSUES = [
     "malformed_row: citations must be >= 0, got -4 [publications.csv:4]",
     "malformed_row: author_count must be >= 1, got 0 [publications.csv:4]",
     "duplicate_key: duplicate pub_id 'old' [publications.csv:6]",
+    "malformed_row: line break inside subject_categories [publications.csv:9]",
     "duplicate_key: duplicate pub_id 'p1' [publications.csv:10]",
     "empty_categories: publication 'empty' has no subject categories [publications.csv:11]",
     "malformed_row: expected 5 fields, got 3 [publications.csv:12]",
@@ -561,7 +579,8 @@ ORDER_ISSUES = [
     "duplicate_key: duplicate authorship ('p1', 'r1') [authorships.csv:5]",
     "dangling_reference: authorship references unknown pub_id 'bad3' [authorships.csv:9]",
     "malformed_row: expected 2 fields, got 1 [authorships.csv:11]",
-    "dangling_reference: authorship references unknown researcher_id 'r3' [authorships.csv:13]",
+    "dangling_reference: authorship references unknown pub_id 'nl' [authorships.csv:13]",
+    "dangling_reference: authorship references unknown pub_id 'nl' [authorships.csv:14]",
     "constraint_violation: publication 'abc' has author_count 1 but 2 roster authorships [publications.csv]",
     "constraint_violation: publication 'one' has author_count 1 but 2 roster authorships [publications.csv]",
 ]

@@ -63,6 +63,7 @@ FIELD_EDITS = {
     "not UTF-8": lambda f: f + "\udcff",  # written as the byte 0xff
     "over the field limit": lambda f: f.ljust(131_073, "x"),
     "trailing NUL": lambda f: f + "\x00",
+    "line break": lambda f: f'"{f}\r\n{f}"',
 }
 ROW_EDITS = ("duplicate row", "blank line", "extra field", "unterminated quote")
 TEXT_EDITS = {

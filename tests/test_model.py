@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import mk_corpus
 from fieldstrength.errors import ConfigurationError
 from fieldstrength.model import (
     RANKS,
@@ -14,7 +15,6 @@ from fieldstrength.model import (
     CostModel,
     Taxonomy,
     cost_per_year,
-    discipline_codes,
     read_json_fields,
     researcher_costs,
 )
@@ -144,7 +144,10 @@ def test_taxonomy_rejects_orphan_uda():
 
 
 def test_discipline_codes_sort_as_str():
-    udas, code = discipline_codes(("U2", "U10", "U1\0", "U1", "U2"))
-    assert udas == ("U1", "U1\0", "U10", "U2")
-    assert code.tolist() == [3, 2, 1, 0, 3]
-    assert discipline_codes(())[0] == ()
+    # numpy's own str arrays would drop the trailing NUL of "U1\0"
+    sds_to_uda = {"S1": "U2", "S2": "U10", "S3": "U1\0", "S4": "U1", "S5": "U2"}
+    years = {2012: "full", 2013: "full", 2014: "full"}
+    corpus = mk_corpus([(f"r{sds}", sds, years) for sds in sds_to_uda], [], [], sds_to_uda)
+    assert corpus.udas == ("U1", "U1\0", "U10", "U2")
+    assert corpus.field_uda.tolist() == [3, 2, 1, 0, 3]
+    assert mk_corpus([], [], [], sds_to_uda).udas == ()

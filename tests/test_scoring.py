@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mk_corpus, mk_table
+from conftest import flagged_ids, mk_corpus, mk_table
 from fieldstrength import scoring
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.model import AnalysisConfig, CostModel, p_label
@@ -62,7 +62,7 @@ def ts_ids(table, multiplier: float = 1.5) -> set[str]:
 def test_score_researchers_fractional_sums():
     corpus = scored_corpus()
     flags = flag_hcas(build_cells(corpus), (5.0, 10.0))
-    assert flags[5.0].flagged >= {"hc1", "hc2"}
+    assert flagged_ids(flags, 5.0) >= {"hc1", "hc2"}
     table = score_researchers(corpus, flags, CostModel())
     r1, r2 = table.researcher_ids.index("r1"), table.researcher_ids.index("r2")
 
@@ -176,8 +176,9 @@ def _mean_of(field, ts, others=(), use_uda=True):
         outputs[sds], flags[sds], sds_to_uda[sds] = [output], [True], uda
     table = mk_table({sds: [[0.0]] * len(v) for sds, v in outputs.items()}, [5.0], outputs)
     is_ts = np.array([[flag] for sds in table.sds_codes for flag in flags[sds]], dtype=bool)
-    mean, source = ts_output_means(table, is_ts, [sds_to_uda[sds] for sds in table.sds_codes],
-                                   use_uda)
+    udas, field_uda = np.unique(np.array([sds_to_uda[sds] for sds in table.sds_codes],
+                                         dtype=object), return_inverse=True)
+    mean, source = ts_output_means(table, is_ts, field_uda, len(udas), use_uda)
     return mean[0, 0], source[0, 0]  # S1 is the table's first field
 
 
@@ -249,7 +250,8 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
             for researcher_id, _, _ in rng.sample(researchers, rng.randint(0, min(n_authors, 4))):
                 links.append((f"p{j:03d}", researcher_id))
         corpus = mk_corpus(researchers, pubs, links, {"S0": "U1", "S1": "U1", "S2": "U2"})
-        flag_sets = flag_hcas(build_cells(corpus), SWEEP)
+        flags = flag_hcas(build_cells(corpus), SWEEP)
+        flagged = {p: flagged_ids(flags, p) for p in SWEEP}
 
         author_count = {pub[0]: pub[3] for pub in pubs}
         fhca = {r: dict.fromkeys(SWEEP, 0.0) for r in corpus.researcher_ids}
@@ -258,10 +260,10 @@ def test_fhca_scores_equal_a_naive_per_link_loop():
             share = 1.0 / author_count[pub_id]
             output[researcher_id] += share
             for p in SWEEP:
-                if pub_id in flag_sets[p].flagged:
+                if pub_id in flagged[p]:
                     fhca[researcher_id][p] += share
 
-        table = score_researchers(corpus, flag_sets, CostModel())
+        table = score_researchers(corpus, flags, CostModel())
         sds_of_row = [table.sds_codes[f] for f in table.field.tolist()]
         assert list(zip(sds_of_row, table.researcher_ids)) == sorted(
             (sds, rid) for rid, sds, _ in researchers)

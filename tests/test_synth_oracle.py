@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_cell
+from conftest import flagged_ids, one_cell
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import AnalysisConfig, CostModel
@@ -81,10 +81,10 @@ def test_sole_authorship_degenerates_to_full_counting(tmp_path):
     generate(params, tmp_path)
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
     assert (corpus.author_count == 1).all()
-    flags = flag_hcas(build_cells(corpus), [10.0])[10.0]
+    flagged = flagged_ids(flag_hcas(build_cells(corpus), [10.0]), 10.0)
     by_researcher = corpus.pubs_by_researcher
     for rid, pubs in by_researcher.items():
-        hca_count = sum(1 for p in pubs if p in flags.flagged)
+        hca_count = sum(1 for p in pubs if p in flagged)
         frac = sum(1.0 for _ in pubs)
         assert frac == len(pubs)
         assert hca_count == int(hca_count)
@@ -99,7 +99,7 @@ def test_hca_fraction_zero_buries_every_roster_pub(tmp_path):
     roster_pubs = set(corpus.authors_by_pub)
     cells = build_cells(corpus)
     for p in (5.0, 10.0):
-        flagged = flag_hcas(cells, [p])[p].flagged
+        flagged = flagged_ids(flag_hcas(cells, [p]), p)
         assert not (flagged & roster_pubs)
         assert flagged  # the injected baseline itself is cited
 
@@ -113,7 +113,7 @@ def test_all_equal_citations_flag_everything(tmp_path):
     corpus = load_corpus(corpus_paths(tmp_path), AnalysisConfig())
     assert set(corpus.citations.tolist()) == {7}
     cells = build_cells(corpus)
-    flagged = flag_hcas(cells, [5.0])[5.0].flagged
+    flagged = flagged_ids(flag_hcas(cells, [5.0]), 5.0)
     assert flagged == set(corpus.pub_ids)
 
 
@@ -122,11 +122,11 @@ def test_large_cell_share_lands_near_p(default_corpus):
     big = [c for c in cells if len(c.pub_ids) >= 100]
     assert big
     # one call per cell, so a member counts only when flagged in that cell
-    flag_sets = [flag_hcas(one_cell(cell.citations), (5.0, 10.0)) for cell in big]
+    flags = [flag_hcas(one_cell(cell.citations), (5.0, 10.0)) for cell in big]
     for p in (5.0, 10.0):
         shares = []
-        for cell, flags in zip(big, flag_sets):
-            shares.append(100.0 * len(flags[p].flagged) / len(cell.pub_ids))
+        for cell, cell_flags in zip(big, flags):
+            shares.append(100.0 * len(flagged_ids(cell_flags, p)) / len(cell.pub_ids))
         mean_share = sum(shares) / len(shares)
         assert p <= mean_share <= p + 4.0  # ties only ever widen the top group
 
