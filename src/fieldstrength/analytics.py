@@ -44,19 +44,21 @@ class IndicatorRanking:
     order: np.ndarray
 
 
-def rank_indicator(fields: FieldTable, family: str, p: float) -> IndicatorRanking:
-    """Rank fields on one indicator (family "fss_ts" or "fss_fhca" at
-    percentile p), best value first.
-
-    Rank 1 is the best; tied values share the mean of the ranks they
-    span. The best-first order breaks ties by SDS code so output is stable.
-    A percentile the table does not hold raises KeyError.
-    """
-    values = dict(zip(fields.percentiles, getattr(fields, family).T))[p]
-    # rank 1 = highest value, so rank descending
-    return IndicatorRanking(indicator_id=indicator_id(family, p), sds_codes=fields.sds_codes,
-                            values=values, ranks=fractional_ranks(-values),
+def rank_values(indicator: str, sds_codes: tuple[str, ...],
+                values: np.ndarray) -> IndicatorRanking:
+    """Rank fields on one indicator's values, in sds_codes order: rank 1 is
+    the highest value, and tied values share the mean of the ranks they
+    span. The best-first order breaks ties by position in sds_codes."""
+    return IndicatorRanking(indicator_id=indicator, sds_codes=sds_codes, values=values,
+                            ranks=fractional_ranks(-values),
                             order=np.argsort(-values, kind="stable"))
+
+
+def rank_indicator(fields: FieldTable, family: str, p: float) -> IndicatorRanking:
+    """rank_values of one indicator (family "fss_ts" or "fss_fhca" at
+    percentile p); a percentile the table does not hold raises KeyError."""
+    values = dict(zip(fields.percentiles, getattr(fields, family).T))[p]
+    return rank_values(indicator_id(family, p), fields.sds_codes, values)
 
 
 @dataclass(frozen=True)

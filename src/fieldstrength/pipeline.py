@@ -29,7 +29,8 @@ from .indicators import (
 from .ingest import Corpus
 from .model import RANKS, CostModel, OutputOptions, p_label
 from .reporting import ReportBundle
-from .scoring import RESCALE_FROM_FIELD, ScoreTable, score_researchers
+from .scoring import (RESCALE_EXHAUSTED, RESCALE_FROM_NATIONAL, RESCALE_FROM_UDA, ScoreTable,
+                      score_researchers)
 
 
 @dataclass
@@ -85,9 +86,11 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         counts[f"ts_{pl}"] = n_ts
 
     warnings = list(corpus.report.warnings)
-    warnings += [f"field {sds}: rescaling at p={p_label(p)} used {source}"
-                 for sds, row in zip(fields.sds_codes, fields.provenance.tolist())
-                 for p, source in zip(percentiles, row) if source != RESCALE_FROM_FIELD]
+    for p, sources in zip(percentiles, fields.provenance.T):
+        for source in (RESCALE_FROM_UDA, RESCALE_FROM_NATIONAL, RESCALE_EXHAUSTED):  # chain order
+            if n := int((sources == source).sum()):
+                warnings.append(f"rescaling at p={p_label(p)} used {source} for {n} of "
+                                f"{len(fields)} fields (see fallback_flags)")
     if avg_rank.truncated:
         warnings.append(
             f"average-rank lists truncated: requested {top_bottom_k}, have {len(fields)} fields")
@@ -95,10 +98,8 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         warnings.append("fields strong at one percentile but weak at another, in neither union: "
                         + ", ".join(sorted(quadrant.ambiguous)))
 
-    bundle = _build_bundle(
-        corpus, summary, fields, discipline_rows, discipline_overall,
-        rankings, correlations, quadrant, avg_rank, top_bottom_k,
-    )
+    bundle = _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
+                           correlations, quadrant, top_bottom_k)
     return PipelineResult(
         corpus=corpus,
         flags=flags,
@@ -159,25 +160,8 @@ def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
 
 
 def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
-                  rankings, correlations, quadrant, avg_rank, top_bottom_k) -> ReportBundle:
-    percentiles, uda = list(corpus.config.sorted_percentiles), fields.uda
-    ids = [r.indicator_id for r in rankings]
-    values = [r.values.tolist() for r in rankings]
-    ranks = [r.ranks.tolist() for r in rankings]
-
-    def quadrant_entries(members) -> list[dict[str, Any]]:
-        return [{"sds": sds, "uda": uda[f], **{i: v[f] for i, v in zip(ids, values)}}
-                for f, sds in enumerate(fields.sds_codes) if sds in members]
-
-    def avg_entry(position: int, f: int, avg: float) -> dict[str, Any]:
-        out: dict[str, Any] = {"sds": fields.sds_codes[f], "uda": uda[f],
-                               "avg_rank": avg, "position": position}
-        for i, v, r in zip(ids, values, ranks):
-            out[f"{i}_value"] = v[f]
-            out[f"{i}_rank"] = r[f]
-        return out
-
-    avg_order = avg_rank.order.tolist()
+                  correlations, quadrant, top_bottom_k) -> ReportBundle:
+    percentiles = list(corpus.config.sorted_percentiles)
     return ReportBundle(
         percentiles=[p_label(p) for p in percentiles],
         summary_rows=[_summary_row_dict(r, percentiles) for r in summary.rows],
@@ -195,19 +179,9 @@ def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
         },
         quadrant={
             "medians": dict(sorted(quadrant.medians.items())),
-            "strong": quadrant_entries(quadrant.strong_union),
-            "weak": quadrant_entries(quadrant.weak_union),
+            "strong": sorted(quadrant.strong_union),
+            "weak": sorted(quadrant.weak_union),
             "ambiguous": sorted(quadrant.ambiguous),
-        },
-        avg_rank={
-            "entries": [avg_entry(position, f, avg) for position, (f, avg) in enumerate(
-                zip(avg_order, avg_rank.avg_rank[avg_order].tolist()), start=1)],
-            "truncated": avg_rank.truncated,
-        },
-        rankings={
-            i: [{"sds": fields.sds_codes[f], "value": v[f], "rank": r[f]}
-                for f in ranking.order.tolist()]
-            for i, v, r, ranking in zip(ids, values, ranks, rankings)
         },
         top_bottom_k=top_bottom_k,
     )

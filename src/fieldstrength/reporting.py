@@ -3,8 +3,9 @@
 The bundle holds full-precision values; every rounding convention lives
 here (2 decimals for strength indicators and ranks, 1 for percentages,
 integer euro for costs; every format rounds a value the same way) and
-nothing upstream ever rounds. Rendering is pure:
-identical bundles produce byte-identical files, with no timestamps.
+nothing upstream ever rounds. Rankings, k-lists, average ranks and
+quadrant rows are derived here from the field rows, by the engine's rank
+rules. Rendering is pure: identical bundles give byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
+from .analytics import IndicatorRanking, average_rank_extremes, rank_values
 from .errors import ConfigurationError, InputIOError
 from .model import OutputOptions, read_json_fields
 
@@ -41,11 +45,9 @@ class ReportBundle:
     summary_overall: dict[str, Any]
     discipline_rows: list[dict[str, Any]]
     discipline_overall: Optional[dict[str, Any]]  # None for an empty corpus
-    field_rows: list[dict[str, Any]]
+    field_rows: list[dict[str, Any]]  # in SDS order, each with every indicator's value
     spearman: dict[str, Any]  # indicator_ids, and the matrix with rows and columns in that order
-    quadrant: dict[str, Any]
-    avg_rank: dict[str, Any]
-    rankings: dict[str, list[dict[str, Any]]]
+    quadrant: dict[str, Any]  # medians by indicator, and the sorted strong, weak and ambiguous SDS
     top_bottom_k: int
 
     def to_dict(self) -> dict[str, Any]:
@@ -55,8 +57,8 @@ class ReportBundle:
     @classmethod
     def from_dict(cls, data: Any) -> "ReportBundle":
         """Read a bundle back from to_dict's JSON; ConfigurationError names
-        a missing, unknown or mistyped field, or a top_bottom_k that the run
-        config would reject."""
+        a missing, unknown or mistyped field, a top_bottom_k that the run
+        config would reject, or a quadrant SDS that no field row holds."""
         if not isinstance(data, dict):
             raise ConfigurationError("a bundle must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -64,6 +66,14 @@ class ReportBundle:
             raise ConfigurationError(f"unknown bundle fields: {unknown}")
         bundle = read_json_fields(cls, data)
         OutputOptions(top_bottom_k=bundle.top_bottom_k)  # the run config's rule for k
+        known = {row.get("sds") for row in bundle.field_rows if isinstance(row.get("sds"), str)}
+        for name in ("strong", "weak", "ambiguous"):
+            members = bundle.quadrant.get(name)
+            if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
+                raise ConfigurationError(f"quadrant.{name} must be a list of SDS codes")
+            unknown = sorted(set(members) - known)
+            if unknown:
+                raise ConfigurationError(f"quadrant.{name} names fields without a row: {unknown}")
         return bundle
 
 
@@ -79,6 +89,18 @@ def _jr(value: Any, kind: str) -> Any:
     if value is None or places is None:
         return value
     return round(value, places) if places else round(value)
+
+
+def _rankings(bundle: ReportBundle) -> list[IndicatorRanking]:
+    """Each indicator's ranking of the field rows, in spearman.indicator_ids order."""
+    codes = tuple(row["sds"] for row in bundle.field_rows)
+    rankings = []
+    for indicator in bundle.spearman["indicator_ids"]:
+        column = [row[indicator] for row in bundle.field_rows]
+        if not all(type(value) in (int, float) for value in column):  # bool and null are not
+            raise ValueError(f"a field row's {indicator} is not a number")
+        rankings.append(rank_values(indicator, codes, np.array(column, dtype=float)))
+    return rankings
 
 
 def _extremes(entries: list, k: int) -> tuple[list, list]:
@@ -160,51 +182,50 @@ def _quadrant_table(bundle: ReportBundle) -> _Table:
     ids = bundle.spearman["indicator_ids"]
     columns = [("set", K_STR), ("sds", K_STR), ("uda", K_STR)]
     columns += [(i, K_FSS) for i in ids]
-    rows = []
-    for group in ("strong", "weak"):
-        for entry in bundle.quadrant[group]:
-            row: dict[str, Any] = {"set": group}
-            row.update(entry)
-            rows.append(row)
+    by_sds = {row["sds"]: row for row in bundle.field_rows}
+    rows = [{**by_sds[sds], "set": group}
+            for group in ("strong", "weak") for sds in bundle.quadrant[group]]
     medians = ", ".join(
         f"{key}={_fmt(value, K_FSS)}" for key, value in sorted(bundle.quadrant["medians"].items())
     )
     notes = [f"strong = above both medians at some percentile; weak = below both; "
              f"medians: {medians or 'n/a'}"]
-    ambiguous = bundle.quadrant.get("ambiguous", [])
+    ambiguous = bundle.quadrant["ambiguous"]
     if ambiguous:
         notes.append("strong at one percentile but weak at another, listed in neither: "
                      + ", ".join(ambiguous))
     return _Table("quadrants", columns, rows, notes)
 
 
-def _avg_rank_table(bundle: ReportBundle) -> _Table:
-    ids = bundle.spearman["indicator_ids"]
+def _avg_rank_table(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> _Table:
     columns = [("group", K_STR), ("sds", K_STR), ("uda", K_STR)]
-    for i in ids:
-        columns += [(f"{i}_value", K_FSS), (f"{i}_rank", K_RANK)]
+    for r in rankings:
+        columns += [(f"{r.indicator_id}_value", K_FSS), (f"{r.indicator_id}_rank", K_RANK)]
     columns += [("avg_rank", K_RANK), ("position", K_INT)]
+    k, n = bundle.top_bottom_k, len(bundle.field_rows)
+    avg = average_rank_extremes(rankings, min(k, n))  # the run has logged a k above n once
+    top, bottom = _extremes(list(enumerate(avg.order.tolist(), start=1)), k)
     rows = []
-    top, bottom = _extremes(bundle.avg_rank["entries"], bundle.top_bottom_k)
     for group, chosen in (("top", top), ("bottom", bottom)):
-        for entry in chosen:
-            row = dict(entry)
-            row["group"] = group
+        for position, f in chosen:
+            row = {**bundle.field_rows[f], "group": group,
+                   "avg_rank": avg.avg_rank[f].item(), "position": position}
+            for r in rankings:
+                row[f"{r.indicator_id}_value"] = row[r.indicator_id]
+                row[f"{r.indicator_id}_rank"] = r.ranks[f].item()
             rows.append(row)
-    notes = []
-    if bundle.avg_rank.get("truncated"):
-        notes.append(f"fewer than {bundle.top_bottom_k} fields; lists truncated")
+    notes = [f"fewer than {k} fields; lists truncated"] if k > n else []
     return _Table("avg_rank", columns, rows, notes)
 
 
-def _tables(bundle: ReportBundle) -> list[_Table]:
+def _tables(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> list[_Table]:
     return [
         _summary_table(bundle),
         _discipline_table(bundle),
         _field_table(bundle),
         _correlation_table(bundle),
         _quadrant_table(bundle),
-        _avg_rank_table(bundle),
+        _avg_rank_table(bundle, rankings),
     ]
 
 
@@ -241,16 +262,16 @@ def _md_section(title: str, columns: list[tuple[str, str]], rows: list[dict[str,
     return lines
 
 
-def _write_markdown(table: _Table, bundle: ReportBundle, path: Path) -> None:
+def _write_markdown(table: _Table, k: int, rankings: list[IndicatorRanking], path: Path) -> None:
     lines = _md_section(table.name, table.columns, table.rows, table.notes)
     if table.name == "fields":
         # strongest / weakest lists per indicator
-        k = bundle.top_bottom_k
         columns = [("sds", K_STR), ("value", K_FSS), ("rank", K_RANK)]
-        for indicator, entries in bundle.rankings.items():
-            strongest, weakest = _extremes(entries, k)
-            lines += _md_section(f"strongest {k}: {indicator}", columns, strongest, [])
-            lines += _md_section(f"weakest {k}: {indicator}", columns, weakest, [])
+        for r in rankings:
+            for title, chosen in zip(("strongest", "weakest"), _extremes(r.order.tolist(), k)):
+                rows = [{"sds": r.sds_codes[f], "value": r.values[f].item(),
+                         "rank": r.ranks[f].item()} for f in chosen]
+                lines += _md_section(f"{title} {k}: {r.indicator_id}", columns, rows, [])
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -268,7 +289,8 @@ def render(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[dict[str, Any]
         raise InputIOError(f"cannot create {reports_dir}: {exc}") from exc
 
     entries = []
-    for table in _tables(bundle):
+    rankings = _rankings(bundle)
+    for table in _tables(bundle, rankings):
         path = reports_dir / f"{table.name}.{_EXT[fmt]}"
         try:
             if fmt == "csv":
@@ -276,7 +298,7 @@ def render(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[dict[str, Any]
             elif fmt == "json":
                 _write_json(table, path)
             else:
-                _write_markdown(table, bundle, path)
+                _write_markdown(table, bundle.top_bottom_k, rankings, path)
         except OSError as exc:
             raise InputIOError(f"cannot write {path}: {exc}") from exc
         entries.append({"path": str(path.relative_to(out_dir)), "rows": len(table.rows)})

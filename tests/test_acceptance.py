@@ -332,7 +332,7 @@ GOLDEN_DIGESTS = {
     "reports/summary.csv": "70089ff9143f3d7d3cd3c3a878cb264b0283908e07815d1da51a997a4d02d0da",
     "reports/summary.json": "e87f5d8f8d327648645a4f5e5faf13444dcb6743679619f48b53a3ec6d75c00b",
     "reports/summary.md": "5cdc03744efb2de27be6d7ce6ecb92b3bc2d7f5a2c7b8e586d672133a57e4e5f",
-    "analytics.json": "794c038410080652adabc9f4a1d5bb714943b1fe8644e93f107197bf7bf94f67",
+    "analytics.json": "c09ea811f7843110f45ec3fb14b11fcd214088b87965f2231ccd31ac8d850461",
 }
 
 

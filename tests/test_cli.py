@@ -150,6 +150,12 @@ def test_report_rerenders_identically(synth_run):
     (lambda a: a.update(correlation=a.pop("spearman")), "correlation"),
     (lambda a: a.pop("quadrant"), "quadrant"),
     (lambda a: a["quadrant"].pop("medians"), "medians"),
+    (lambda a: a["quadrant"].pop("ambiguous"), "ambiguous"),
+    (lambda a: a.update(rankings={}), "rankings"),  # the layout that restated field_rows
+    (lambda a: a["quadrant"]["strong"].append("X99/99"), "X99/99"),
+    (lambda a: a["field_rows"][0].pop("fss_fhca_10"), "fss_fhca_10"),
+    (lambda a: a["field_rows"][0].update(fss_ts_5=None), "fss_ts_5"),
+    (lambda a: a["field_rows"][0].update(fss_fhca_5=True), "fss_fhca_5"),
 ])
 def test_report_rejects_malformed_artifact(synth_run, tmp_path, capsys, edit, field):
     _, _, out = synth_run
@@ -159,6 +165,29 @@ def test_report_rejects_malformed_artifact(synth_run, tmp_path, capsys, edit, fi
     bad.write_text(json.dumps(analytics), encoding="utf-8")
     assert main(["report", "--bundle", str(bad), "--out", str(tmp_path / "re")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_report_ranks_the_values_the_bundle_holds(synth_run, tmp_path):
+    _, _, out = synth_run
+    analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
+    rows = analytics["field_rows"]
+    raised = min(rows, key=lambda row: row["fss_ts_5"])
+    raised["fss_ts_5"] = max(row["fss_ts_5"] for row in rows) + 1.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(analytics), encoding="utf-8")
+    assert main(["report", "--bundle", str(edited), "--out", str(tmp_path / "re")]) == 0
+    reports = tmp_path / "re" / "reports"
+    fields_md = (reports / "fields.md").read_text(encoding="utf-8")
+    strongest = fields_md.split("## strongest 10: fss_ts_5\n")[1].splitlines()
+    assert strongest[3].startswith(f"| {raised['sds']} | ") and strongest[3].endswith(" | 1.00 |")
+    with open(reports / "avg_rank.csv", newline="", encoding="utf-8") as handle:
+        avg_rows = [row for row in csv.DictReader(handle) if row["sds"] == raised["sds"]]
+    assert avg_rows  # fewer fields than top_bottom_k: every field is listed
+    for row in avg_rows:
+        assert row["fss_ts_5_rank"] == "1.00"
+        ranks = [float(value) for key, value in row.items() if key.endswith("_rank")
+                 and key != "avg_rank"]
+        assert row["avg_rank"] == f"{sum(ranks) / len(ranks):.2f}"
 
 
 def test_synth_seed_determinism(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import functools
 import operator
 from dataclasses import replace
@@ -17,6 +18,7 @@ from fieldstrength.indicators import (
 )
 from fieldstrength.model import RANKS, CostModel, cost_per_year, p_label
 from fieldstrength.pipeline import run_pipeline
+from fieldstrength.reporting import render
 from fieldstrength.scoring import score_researchers
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
@@ -83,7 +85,7 @@ def test_field_scoreboard_consistency():
     assert fields.fss_ts == pytest.approx(1e8 * fields.ts_count / fields.total_cost[:, None])
 
 
-def test_each_field_keeps_its_discipline_out_of_code_order():
+def test_each_field_keeps_its_discipline_out_of_code_order(tmp_path):
     # field order (S1, S2, S3) differs from discipline order (U1, U10, U2);
     # field k has k + 1 professors
     sds_to_uda = {"S1": "U2", "S2": "U10", "S3": "U1"}
@@ -97,7 +99,9 @@ def test_each_field_keeps_its_discipline_out_of_code_order():
     assert rows.uda == ("U1", "U10", "U2")
     assert rows.n_professors.tolist() == [3, 2, 1]
     bundle = run_pipeline(corpus, CostModel()).bundle
-    entries = bundle.field_rows + bundle.avg_rank["entries"]
+    render(bundle, "csv", tmp_path)
+    with open(tmp_path / "reports" / "avg_rank.csv", newline="", encoding="utf-8") as handle:
+        entries = bundle.field_rows + list(csv.DictReader(handle))
     assert sorted({(entry["sds"], entry["uda"]) for entry in entries}) == sorted(sds_to_uda.items())
 
 
