@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .ingest import Corpus
+from .ingest import Corpus, _sorted_distinct
 from .model import p_label
 
 
@@ -37,8 +37,12 @@ class CitationCells:
     """Every (year, subject category) cell of a corpus, as columns.
 
     Cell i is (year[i], corpus.categories[category[i]]); its members are the
-    publication rows pub_row[start[i]:start[i + 1]], ascending. Cells are in
-    (year, category) order; iterating reads them back as CitationCell records.
+    publication rows pub_row[start[i]:start[i + 1]], ascending. member[j] is
+    the index of member slot j's membership in the corpus's category CSR
+    (corpus.category_code[member[j]] is its cell's category), so a value per
+    membership can be read back in (pub row, category code) order. Cells are
+    in (year, category) order; iterating reads them back as CitationCell
+    records.
     """
 
     corpus: Corpus
@@ -46,6 +50,7 @@ class CitationCells:
     category: np.ndarray
     start: np.ndarray
     pub_row: np.ndarray
+    member: np.ndarray
 
     def __len__(self) -> int:
         return len(self.year)
@@ -75,48 +80,75 @@ class HcaFlags:
     best_category: np.ndarray
 
 
+_KEY_LIMIT = 2**63  # a sort key must stay below it to fit in int64
+
+
 def build_cells(corpus: Corpus) -> CitationCells:
     """Group publications into (year, category) cells.
 
     A publication with several categories is a member of one cell per
-    category. One lexsort of the memberships by (year, category code, pub
-    row) gives the cells sorted by (year, category) with members sorted by
-    pub_id, whatever the input order.
+    category. One np.sort of the distinct key (year code, category code,
+    membership index), then one divmod, gives the cells sorted by (year,
+    category) with members in membership order, and so sorted by pub_id.
     """
-    member_pub = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
-    member_year = corpus.year[member_pub]
-    order = np.lexsort((member_pub, corpus.category_code, member_year))
-    year, category = member_year[order], corpus.category_code[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (year[1:] != year[:-1]) | (category[1:] != category[:-1])
-    heads = np.flatnonzero(head)
-    return CitationCells(corpus=corpus, year=year[heads], category=category[heads],
-                         start=np.append(heads, len(order)), pub_row=member_pub[order])
+    n_members, n_categories = len(corpus.category_code), len(corpus.categories)
+    pub_of = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
+    years, year_code = _codes(corpus.year)
+    cell = year_code[pub_of] * n_categories
+    cell += corpus.category_code
+    if len(years) * n_categories * n_members < _KEY_LIMIT:
+        cell *= n_members
+        cell += np.arange(n_members)
+        cell.sort()
+        cell, member = np.divmod(cell, n_members)
+    else:  # a key per membership would not fit in int64
+        member = np.argsort(cell, kind="stable")
+        cell = cell[member]
+    heads = np.flatnonzero(np.diff(cell, prepend=-1))
+    year, category = np.divmod(cell[heads], n_categories)
+    return CitationCells(corpus=corpus, year=years[year], category=category,
+                         start=np.append(heads, n_members), pub_row=pub_of[member],
+                         member=member)
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and each value's index among them."""
+    distinct = _sorted_distinct(values)
+    return distinct, np.searchsorted(distinct, values)
 
 
 def _strictly_above(cell_of: np.ndarray, citations: np.ndarray,
                     sizes: np.ndarray) -> np.ndarray:
     """For each membership, how many members of its cell have strictly
     more citations: the cell's end minus the end of the member's tie
-    group, both read off one sort by (cell, citations)."""
-    order = np.lexsort((citations, cell_of))
-    sorted_cell, sorted_cit = cell_of[order], citations[order]
-    group_last = np.ones(len(order), dtype=bool)
-    group_last[:-1] = (sorted_cell[1:] != sorted_cell[:-1]) | (sorted_cit[1:] != sorted_cit[:-1])
+    group, both read off one sort by the key (cell, citation rank)."""
+    distinct, rank = _codes(citations)
+    key = cell_of * np.int64(len(distinct))
+    key += rank
+    del rank
+    order = np.argsort(key)
+    key = key[order]
+    group_last = np.ones(len(key), dtype=bool)
+    group_last[:-1] = key[1:] != key[:-1]
+    del key
     group_ends = np.flatnonzero(group_last) + 1
-    tie_end = np.repeat(group_ends, np.diff(group_ends, prepend=0))
     above = np.empty(len(order), dtype=np.int64)
-    above[order] = np.cumsum(sizes)[sorted_cell] - tie_end
+    above[order] = np.repeat(np.cumsum(sizes)[cell_of[order[group_ends - 1]]] - group_ends,
+                             np.diff(group_ends, prepend=0))
     return above
 
 
-def _best_category(pub_of: np.ndarray, share_above: np.ndarray,
-                   member_category: np.ndarray) -> np.ndarray:
-    """Per publication row, the category code of its smallest
-    (share strictly above, category code) membership."""
-    best = np.lexsort((member_category, share_above, pub_of))
-    first = np.flatnonzero(np.diff(pub_of[best], prepend=-1))
-    return member_category[best[first]]
+def _best_category(corpus: Corpus, share: np.ndarray) -> np.ndarray:
+    """Per publication row, the category code of its smallest (share
+    strictly above, category code) membership, with share given per
+    membership in the corpus's category CSR order. There each row's codes
+    ascend, so the first membership at its row's minimum share has the
+    lowest code."""
+    starts = corpus.category_start[:-1]
+    lowest = np.repeat(np.minimum.reduceat(share, starts), np.diff(corpus.category_start))
+    at_min = np.flatnonzero(share == lowest)
+    del lowest
+    return corpus.category_code[at_min[np.searchsorted(at_min, starts)]]
 
 
 def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
@@ -143,8 +175,15 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
     # one entry per membership; int32 codes keep the peak memory down
     cell_of = np.repeat(np.arange(len(cells), dtype=np.int32), sizes)
     above = _strictly_above(cell_of, corpus.citations[cells.pub_row], sizes)
+    # each membership's share of its cell strictly above it, in membership order
+    share = np.empty(len(above))
+    share[cells.member] = above / sizes[cell_of]
+    # every publication has a category, so is in a cell: one best category per row
+    best_category = _best_category(corpus, share)
+    del share
     distinct_sizes, size_index = np.unique(sizes, return_inverse=True)
     member_size = size_index[cell_of]
+    del cell_of
 
     # column order: each reader takes one percentile's column at a time
     hit = np.zeros((len(corpus.pub_ids), len(percentiles)), dtype=bool, order="F")
@@ -153,9 +192,7 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
         cutoffs = np.array([math.ceil(exact_p * size / 100) for size in distinct_sizes.tolist()],
                            dtype=np.int64)
         hit[cells.pub_row[above < cutoffs[member_size]], j] = True
-    # every publication has a category, so is in a cell: one best category per row
-    return HcaFlags(corpus, percentiles, hit,
-                    _best_category(cells.pub_row, above / sizes[cell_of], cells.category[cell_of]))
+    return HcaFlags(corpus, percentiles, hit, best_category)
 
 
 def write_flags_csv(flags: HcaFlags, path: Path) -> int:

@@ -13,8 +13,11 @@ same field columns. The byte split finds the fields of a clean file
 reads any file the byte split declines, and records the file's own
 issues. Array tests then single out the rows that break a rule, and only
 those are decided in Python, in line order; each row-level issue is
-worded by one _Issues method. oracles.oracle_load states the same rules
-as a row loop, the reference the tests hold the readers to.
+worded by one _Issues method. Ids are joined by one search over one
+integer key where they fit in 8 bytes, and category lists are cut at ';'
+by bytes, so no Python object is made per row until build_corpus turns
+the kept ids into strings. oracles.oracle_load states the same rules as a
+row loop, the reference the tests hold the readers to.
 """
 
 from __future__ import annotations
@@ -147,39 +150,45 @@ def _group(key_ids, keys, value_ids, values) -> dict[str, tuple[str, ...]]:
     return {key: tuple(group) for key, group in out.items()}
 
 
-def build_corpus(taxonomy: Taxonomy, researcher_ids: Sequence[str],
-                 researcher_sds: Sequence[str], active_researcher: Sequence[int],
-                 active_year: Sequence[int], active_rank: Sequence[int],
-                 pub_ids: Sequence[str], year: Sequence[int], citations: Sequence[int],
-                 author_count: Sequence[int], category_sets: Sequence[tuple[str, ...]],
-                 category_set_of: Sequence[int], link_pub: Sequence[int],
-                 link_researcher: Sequence[int], config: AnalysisConfig,
+def build_corpus(taxonomy: Taxonomy, researcher_ids: np.ndarray, researcher_sds: np.ndarray,
+                 active_researcher: np.ndarray, active_year: np.ndarray,
+                 active_rank: np.ndarray, pub_ids: np.ndarray, year: np.ndarray,
+                 citations: np.ndarray, author_count: np.ndarray, categories: Sequence[str],
+                 category_start: np.ndarray, category_code: np.ndarray, link_pub: np.ndarray,
+                 link_researcher: np.ndarray, config: AnalysisConfig,
                  report: LoadReport) -> Corpus:
-    """The Corpus of validated tables given in any row order.
+    """The Corpus of validated tables, given as arrays in any row order.
 
+    Ids are arrays that order as the ids do: str, or their UTF-8 bytes.
     Researcher i is researcher_ids[i] of field researcher_sds[i]; active row
     k gives researcher active_researcher[k]'s rank RANKS[active_rank[k]] in
     the window year active_year[k], once per (researcher, year). Publication
     i is pub_ids[i] with year[i], citations[i], author_count[i] and the
-    categories category_sets[category_set_of[i]], a non-empty tuple of
-    distinct strings. Each link is a distinct (index into pub_ids, index
-    into researcher_ids) pair. Researchers active fewer than config.min_years
-    years are dropped with their links, and so, with
+    categories categories[c] for the codes c in
+    category_code[category_start[i]:category_start[i + 1]]: sorted, distinct
+    and never none; categories is sorted. Each link is a distinct (index into
+    pub_ids, index into researcher_ids) pair. Researchers active fewer than
+    config.min_years years are dropped with their links, and so, with
     config.roster_only_baseline, are the publications then left without a
-    roster author; report counts each drop. Publications are sorted by id,
-    the roster by (sds, researcher_id) and the links by their rows.
+    roster author; report counts each drop. Publications are sorted by id
+    (no sort when the ids ascend already), the roster by (sds,
+    researcher_id) and the links by their rows, with one sort of the key
+    pub row * roster size + roster row.
     """
     active_researcher = np.asarray(active_researcher, dtype=np.intp)
     n_years = np.bincount(active_researcher, minlength=len(researcher_ids))
-    roster = sorted(np.flatnonzero(n_years >= config.min_years).tolist(),
-                    key=lambda i: (researcher_sds[i], researcher_ids[i]))
+    roster = np.flatnonzero(n_years >= config.min_years)
+    if not _ascending(researcher_ids[roster]):
+        roster = roster[np.argsort(researcher_ids[roster], kind="stable")]
+    roster = roster[np.argsort(researcher_sds[roster], kind="stable")]
     report.parsed["researchers"] = len(researcher_ids)
     report.kept["researchers"] = len(roster)
     report.drop("researchers_below_min_years", len(researcher_ids) - len(roster))
     roster_row = _positions(roster, len(researcher_ids))
-    link_researcher = roster_row[np.asarray(link_researcher, dtype=np.intp)]
+    link_researcher = roster_row[link_researcher]
     kept = link_researcher >= 0
-    link_pub, link_researcher = np.asarray(link_pub, dtype=np.intp)[kept], link_researcher[kept]
+    if not kept.all():
+        link_pub, link_researcher = link_pub[kept], link_researcher[kept]
     report.drop("authorships_of_dropped_researchers", len(kept) - len(link_pub))
     report.kept["authorships"] = len(link_pub)
 
@@ -191,24 +200,24 @@ def build_corpus(taxonomy: Taxonomy, researcher_ids: Sequence[str],
     elif n_baseline_only:
         report.warnings.append(f"{n_baseline_only} publications have no roster author; "
                                "kept as citation baseline only")
-    pub_order = sorted(np.flatnonzero(linked).tolist() if config.roster_only_baseline
-                       else range(len(pub_ids)), key=pub_ids.__getitem__)
-    report.kept["publications"] = len(pub_order)
-    pub_rows = np.array(pub_order, dtype=np.intp)
-    link_pub = _positions(pub_rows, len(pub_ids))[link_pub]
-    link_order = np.lexsort((link_researcher, link_pub))
-
-    # categories in CSR form, gathered from the codes of the distinct category sets
-    categories = sorted(set(chain.from_iterable(category_sets)))
-    code = {category: i for i, category in enumerate(categories)}
-    set_codes = np.array([code[c] for s in category_sets for c in s], dtype=np.int32)
-    set_size = np.array([len(s) for s in category_sets], dtype=np.intp)
-    set_start = np.cumsum(set_size) - set_size
-    set_of = np.asarray(category_set_of, dtype=np.intp)[pub_rows]
-    sizes = set_size[set_of]
-    category_start = np.concatenate(([0], np.cumsum(sizes)))
-    gather = np.repeat(set_start[set_of] - category_start[:-1], sizes)
-    gather += np.arange(category_start[-1])
+    pub_rows = None if _ascending(pub_ids) else np.argsort(pub_ids, kind="stable")
+    if config.roster_only_baseline and n_baseline_only:
+        pub_rows = np.flatnonzero(linked) if pub_rows is None else pub_rows[linked[pub_rows]]
+    columns = [np.asarray(column, dtype=np.int64) for column in (year, citations, author_count)]
+    category_start = np.asarray(category_start, dtype=np.intp)
+    category_code = np.asarray(category_code, dtype=np.int32)
+    if pub_rows is not None:
+        pub_ids, columns = pub_ids[pub_rows], [column[pub_rows] for column in columns]
+        category_start, category_code = _take_rows(category_start, category_code, pub_rows)
+        link_pub = _positions(pub_rows, len(linked))[link_pub]
+    report.kept["publications"] = len(pub_ids)
+    stride = max(len(roster), 1)
+    key = np.multiply(link_pub, stride, dtype=np.int64)
+    key += link_researcher
+    del link_pub, link_researcher
+    key.sort()
+    link_pub, link_researcher = np.divmod(key, stride)
+    del key
 
     # the rank matrix has a column only for the years a kept researcher is active
     active_row = roster_row[active_researcher]
@@ -218,39 +227,60 @@ def build_corpus(taxonomy: Taxonomy, researcher_ids: Sequence[str],
     rank = np.full((len(roster), len(active_years)), -1, dtype=np.int8)
     rank[active_row[on_roster], column] = np.asarray(active_rank, dtype=np.int8)[on_roster]
     # the roster is in sds order, so each code's first row starts its field
-    sds_codes, field_start = np.unique(np.array([researcher_sds[i] for i in roster], dtype=object),
-                                       return_index=True)
+    sds_codes, field_start = np.unique(researcher_sds[roster].astype(object), return_index=True)
     udas, field_uda = np.unique(np.array([taxonomy.sds_to_uda[sds] for sds in sds_codes],
                                          dtype=object), return_inverse=True)
 
     return Corpus(
         taxonomy=taxonomy,
-        researcher_ids=tuple(map(researcher_ids.__getitem__, roster)),
+        researcher_ids=_strings(researcher_ids[roster]),
         sds_codes=tuple(sds_codes),
         udas=tuple(udas),
         field_uda=field_uda,
         field_start=np.append(field_start, len(roster)),
         active_years=active_years,
         rank=rank,
-        pub_ids=tuple(map(pub_ids.__getitem__, pub_order)),
-        year=np.asarray(year, dtype=np.int64)[pub_rows],
-        citations=np.asarray(citations, dtype=np.int64)[pub_rows],
-        author_count=np.asarray(author_count, dtype=np.int64)[pub_rows],
+        pub_ids=_strings(pub_ids),
+        year=columns[0],
+        citations=columns[1],
+        author_count=columns[2],
         categories=tuple(categories),
         category_start=category_start,
-        category_code=set_codes[gather],
-        link_pub=link_pub[link_order],
-        link_researcher=link_researcher[link_order],
+        category_code=category_code,
+        link_pub=link_pub,
+        link_researcher=link_researcher,
         config=config,
         report=report,
     )
 
 
-def _positions(order: Sequence[int], n: int) -> np.ndarray:
+def _ascending(ids: np.ndarray) -> bool:
+    return bool((ids[1:] > ids[:-1]).all())
+
+
+def _positions(order: np.ndarray, n: int) -> np.ndarray:
     """Where each of range(n) stands in order, or -1 if it is not there."""
     position = np.full(n, -1, dtype=np.intp)
     position[order] = np.arange(len(order))
     return position
+
+
+def _take_rows(start: np.ndarray, values: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows `rows` of a CSR table, whose row i is values[start[i]:start[i + 1]]."""
+    sizes = start[rows + 1] - start[rows]
+    taken = np.zeros(len(rows) + 1, dtype=start.dtype)
+    np.cumsum(sizes, out=taken[1:])
+    gather = np.repeat(start[rows] - taken[:-1], sizes)
+    gather += np.arange(len(gather), dtype=gather.dtype)
+    return taken, values[gather]
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort and a mask, which numpy 2's
+    hash-based np.unique(values) is many times slower than."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
 
 
 class _Issues(list):
@@ -465,7 +495,7 @@ class _Researchers:
     rows: int
     outside_window: int
     ids: np.ndarray
-    sds: list[str]
+    sds: np.ndarray
     researcher: np.ndarray
     year: np.ndarray
     rank: np.ndarray
@@ -474,16 +504,18 @@ class _Researchers:
 
 @dataclass
 class _Publications:
-    """publications.csv as read: the kept rows as columns."""
+    """publications.csv as read: the kept rows as columns, in ascending
+    pub_id order, with their categories as build_corpus takes them."""
 
     rows: int
     outside_window: int
-    pub_ids: list[str]
+    pub_ids: np.ndarray
     year: np.ndarray
     citations: np.ndarray
     author_count: np.ndarray
-    category_sets: list[tuple[str, ...]]
-    category_set_of: np.ndarray
+    categories: list[str]
+    category_start: np.ndarray
+    category_code: np.ndarray
 
 
 @dataclass
@@ -507,8 +539,14 @@ class _Declined(Exception):
 
 
 _MAX_DIGITS = 18  # a number of up to 18 digits is below 2**63
+_BLOCK = 1 << 18  # bytes scanned at a time for field ends
 # sorted for _find; RANKS is too, so a key's position is its rank's index in RANKS
 _RANK_KEYS = np.array(sorted(RANKS), dtype=np.bytes_)
+
+
+def _offset_type(n: int) -> type:
+    """The integer type of offsets and counts up to n: int32 below 2 GiB."""
+    return np.int32 if n < 2**31 else np.intp
 
 
 def _strippable(byte: np.ndarray) -> np.ndarray:
@@ -534,13 +572,11 @@ class _Fields:
         start = int(self.start[j])
         return self.data[start:start + int(self.length[j])].decode()
 
-    def _bytes_at(self, k: int, limit: Optional[int] = None):
-        """For j = 0, 1, ... below limit: the j-th byte of each field of
-        column k, and which fields have one."""
-        start, length = self.start[k::self.width], self.length[k::self.width]
-        last = len(self.byte) - 1
+    def _bytes_at(self, start: np.ndarray, length: np.ndarray, limit: Optional[int] = None):
+        """For j = 0, 1, ... below limit: the j-th byte of each of the byte
+        strings data[start[i]:start[i] + length[i]], and which have one."""
         for j in range(min(int(length.max(initial=0)), limit or len(self.byte))):
-            yield self.byte[np.minimum(start + j, last)], length > j
+            yield self.byte.take(start + j, mode="clip"), length > j
 
     def numbers(self, k: int, minimum: Optional[int] = None,
                 maximum: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -552,11 +588,12 @@ class _Fields:
         outside the window."""
         value = np.zeros(self.rows, dtype=np.int64)
         not_digit = np.zeros(self.rows, dtype=bool)
-        for byte, live in self._bytes_at(k, _MAX_DIGITS):
+        length = self.length[k::self.width]
+        for byte, live in self._bytes_at(self.start[k::self.width], length, _MAX_DIGITS):
             digit = byte - np.uint8(ord("0"))
             not_digit |= (digit > 9) & live
-            value = np.where(live, value * 10 + digit, value)
-        length = self.length[k::self.width]
+            np.multiply(value, 10, out=value, where=live)
+            np.add(value, digit, out=value, where=live)
         plain = ~not_digit & (length >= 1) & (length <= _MAX_DIGITS)
         ok = plain.copy()
         if minimum is not None:
@@ -571,31 +608,85 @@ class _Fields:
         return value, ok
 
     def keys(self, k: int, lower: bool = False) -> np.ndarray:
-        """Column k, ASCII-lowercased if lower, as an array that orders as
-        its bytes do, and so as the decoded strings do: fixed-width bytes,
-        or bytes objects where padding every field to the longest would
-        take more than twice the file's size or lose a trailing NUL."""
-        start, length = self.start[k::self.width], self.length[k::self.width]
+        """Column k, ASCII-lowercased if lower, as _slices gives it."""
+        return self._slices(self.start[k::self.width], self.length[k::self.width], lower)
+
+    def _slices(self, start: np.ndarray, length: np.ndarray, lower: bool = False) -> np.ndarray:
+        """The byte strings data[start[i]:start[i] + length[i]], ASCII-lowercased
+        if lower, as an array that orders as they do, and so as the decoded
+        strings do: fixed-width bytes, or bytes objects where padding each to
+        the longest would take more than twice the file's size or lose a
+        trailing NUL."""
         width = max(int(length.max(initial=0)), 1)
-        if self.rows * width > 2 * len(self.data) or b"\0" in self.data:
+        if len(start) * width > 2 * len(self.data) or b"\0" in self.data:
             keys = [self.data[i:j] for i, j in zip(start.tolist(), (start + length).tolist())]
             return np.array([key.lower() for key in keys] if lower else keys, dtype=object)
-        matrix = np.zeros((self.rows, width), dtype=np.uint8)
-        for j, (byte, live) in enumerate(self._bytes_at(k)):
+        matrix = np.zeros((len(start), width), dtype=np.uint8)
+        for j, (byte, live) in enumerate(self._bytes_at(start, length)):
             if lower:
                 byte = byte + ((byte - np.uint8(ord("A"))) <= 25) * np.uint8(32)
             matrix[:, j] = np.where(live, byte, np.uint8(0))
         return matrix.view(f"S{width}").ravel()
 
-    def texts(self, k: int) -> tuple[list[str], np.ndarray]:
-        """The distinct fields of column k, decoded in order of first
-        appearance, and the index of each row's field among them."""
+    def categories(self, k: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Column k as ';'-joined category lists, by _category_set's rule:
+        the distinct categories of all rows, sorted, and each row's sorted
+        distinct codes into them, those of row i being
+        code[start[i]:start[i + 1]]. The fields are cut at ';' with array
+        operations; a row with a piece whose edge str.strip() could remove
+        is split by _category_set instead."""
         start = self.start[k::self.width]
         end = start + self.length[k::self.width]
-        fields = list(map(self.data.__getitem__, map(slice, start.tolist(), end.tolist())))
-        index = {text: i for i, text in enumerate(dict.fromkeys(fields))}
-        return ([text.decode() for text in index],
-                np.fromiter(map(index.__getitem__, fields), dtype=np.intp, count=len(fields)))
+        # the ';' bytes inside column k's fields, each with its row
+        cut = np.flatnonzero(self.byte == ord(";")).astype(start.dtype)
+        row = np.searchsorted(start, cut, side="right") - 1
+        inside = (row >= 0) & (cut < end[np.maximum(row, 0)])
+        cut, row = cut[inside], row[inside]
+        # a row of c cuts has c + 1 pieces, each from its field's start or a
+        # cut to the next cut or its field's end
+        n_cuts = np.bincount(row, minlength=self.rows).astype(start.dtype)
+        first = np.arange(self.rows, dtype=start.dtype)
+        first += np.cumsum(n_cuts, dtype=start.dtype) - n_cuts
+        after = np.arange(1, len(cut) + 1, dtype=start.dtype) + row
+        del row
+        piece_start, piece_end = np.empty((2, self.rows + len(cut)), dtype=start.dtype)
+        piece_start[first], piece_start[after] = start, cut + 1
+        piece_end[first + n_cuts], piece_end[after - 1] = end, cut
+        del cut, after, first, end
+        piece_row = np.repeat(np.arange(self.rows, dtype=start.dtype), n_cuts + 1)
+        # pieces are kept unless empty; a row with a piece of a strippable
+        # edge is left to _category_set
+        keep = piece_end > piece_start
+        stripped = np.zeros(self.rows, dtype=bool)
+        stripped[piece_row[keep][_strippable(self.byte[piece_start[keep]])
+                                 | _strippable(self.byte[piece_end[keep] - 1])]] = True
+        keep &= ~stripped[piece_row]
+        piece_end -= piece_start  # in place: the piece lengths
+        keys = self._slices(piece_start[keep], piece_end[keep])
+        piece_row = piece_row[keep]
+        del piece_start, piece_end, keep
+        py_rows = np.flatnonzero(stripped).tolist()
+        if py_rows:
+            py_sets = [_category_set(self.text(r, k)) for r in py_rows]
+            py_keys = [c.encode() for c in chain.from_iterable(py_sets)]
+            keys = np.concatenate((keys, np.array(py_keys, dtype=keys.dtype.kind)))
+            piece_row = np.concatenate((piece_row, np.repeat(py_rows, list(map(len, py_sets)))))
+        # codes with one sort; fixed-width keys of up to 8 bytes sort as uint64
+        if keys.dtype.kind == "S" and keys.itemsize <= 8:
+            keys = _u64(keys)
+        distinct = _sorted_distinct(keys)
+        codes = np.searchsorted(distinct, keys)
+        del keys
+        if distinct.dtype == np.uint64:
+            distinct = distinct.astype(">u8").view("S8")
+        # each row's codes sorted and distinct, by one sort of row * n + code
+        n = max(len(distinct), 1)
+        pairs = _sorted_distinct(piece_row.astype(np.int64) * n + codes)
+        del piece_row, codes
+        rows, codes = np.divmod(pairs, n)
+        category_start = np.zeros(self.rows + 1, dtype=start.dtype)
+        np.cumsum(np.bincount(rows, minlength=self.rows), out=category_start[1:])
+        return _strings(distinct), category_start, codes.astype(np.int32)
 
 
 def _split_bytes(path: Path, header: list[str]) -> _Fields:
@@ -626,21 +717,30 @@ def _split_bytes(path: Path, header: list[str]) -> _Fields:
     is_end = byte == ord(",")
     is_end |= byte == ord("\n")
     is_end[:len(head)] = False
-    end = np.flatnonzero(is_end).astype(np.int32 if len(data) < 2**31 else np.intp)
+    # the positions of the ends, found a block at a time into int32 offsets
+    end = np.empty(np.count_nonzero(is_end), dtype=_offset_type(len(data)))
+    filled = 0
+    for i in range(0, len(data), _BLOCK):
+        found = np.flatnonzero(is_end[i:i + _BLOCK])
+        end[filled:filled + len(found)] = found + i
+        filled += len(found)
     del is_end
     width = len(header)
     line_end = byte[end] == ord("\n")
     if len(end) % width or np.count_nonzero(line_end) * width != len(end) \
             or not line_end[width - 1::width].all():
         raise _Declined
+    del line_end
     start = np.empty_like(end)
     start[:1] = len(head)
-    start[1:] = end[:-1] + 1
-    length = end - start
-    if len(end) and (length.min() < 1 or length.max() > csv.field_size_limit()
-                     or _strippable(byte[start]).any() or _strippable(byte[end - 1]).any()):
+    np.add(end[:-1], 1, out=start[1:])
+    if len(end) and (_strippable(byte[start]).any() or _strippable(byte[end - 1]).any()):
         raise _Declined
-    return _Fields(data, start, length, width, range(2, len(end) // width + 2))
+    length = end
+    length -= start  # in place: the ends are not needed again
+    if len(length) and (length.min() < 1 or length.max() > csv.field_size_limit()):
+        raise _Declined
+    return _Fields(data, start, length, width, range(2, len(length) // width + 2))
 
 
 def _split_csv(path: Path, header: list[str], issues: _Issues) -> _Fields:
@@ -656,9 +756,9 @@ def _split_csv(path: Path, header: list[str], issues: _Issues) -> _Fields:
         pieces.append("".join(fields).encode())
         lengths.append(np.fromiter(map(len, fields if pieces[-1].isascii()
                                        else map(str.encode, fields)), dtype=np.intp))
-    length = np.concatenate(lengths)
-    return _Fields(b"".join(pieces), np.cumsum(length) - length, length, len(header), lines,
-                   bool(stopped))
+    data = b"".join(pieces)
+    length = np.concatenate(lengths).astype(_offset_type(len(data)))
+    return _Fields(data, np.cumsum(length) - length, length, len(header), lines, bool(stopped))
 
 
 def _read(path: Path, header: list[str], issues: _Issues) -> _Fields:
@@ -677,11 +777,26 @@ def _read(path: Path, header: list[str], issues: _Issues) -> _Fields:
 # those rows are decided in Python, and the first check that fails is
 # recorded; a file's issues, the tokenizer's included, end in line order.
 
+def _u64(keys: np.ndarray) -> np.ndarray:
+    """Fixed-width byte keys of at most 8 bytes as big-endian uint64s, which
+    order and compare as the keys do: a fixed-width key holds no trailing NUL,
+    so the zero padding tells no two keys apart that differ."""
+    return keys.astype("S8", copy=False).view(">u8").astype(np.uint64)
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """keys as uint64 where they fit, to sort and search as one integer."""
+    return _u64(keys) if keys.dtype.kind == "S" and keys.itemsize <= 8 else keys
+
+
 def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The position of each of ids in the ascending array keys, and whether
-    it is there."""
+    it is there: compared as uint64 where both fit in 8 bytes, as wider
+    fixed-width bytes, or as bytes objects where either holds a NUL."""
     if keys.dtype == object or ids.dtype == object:
         keys, ids = keys.astype(object), ids.astype(object)
+    elif max(keys.itemsize, ids.itemsize) <= 8:
+        keys, ids = _u64(keys), _u64(ids)
     else:
         width = max(keys.itemsize, ids.itemsize)
         keys, ids = keys.astype(f"S{width}", copy=False), ids.astype(f"S{width}", copy=False)
@@ -694,14 +809,20 @@ def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_rows(*keys: np.ndarray) -> np.ndarray:
     """The first row i of each distinct key (keys[0][i], keys[1][i], ...),
     in key order."""
-    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0], kind="stable")
+    order = (np.lexsort(keys[::-1]) if len(keys) > 1
+             else np.argsort(_sortable(keys[0]), kind="stable"))
     first = np.ones(len(order), dtype=bool)
     first[1:] = ~np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
     return order[first]
 
 
-def _strings(keys: np.ndarray) -> list[str]:
-    return list(map(bytes.decode, keys.tolist()))
+def _strings(ids: np.ndarray) -> tuple[str, ...]:
+    """ids, held as UTF-8 bytes or as str, as str; bytes are decoded a block
+    at a time, so that few bytes objects live at once."""
+    if ids.dtype.kind != "S" and not (len(ids) and isinstance(ids[0], bytes)):
+        return tuple(ids.tolist())
+    return tuple(chain.from_iterable(map(bytes.decode, ids[i:i + 4096].tolist())
+                                     for i in range(0, len(ids), 4096)))
 
 
 def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
@@ -713,7 +834,7 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
     rank, rank_ok = _find(_RANK_KEYS, fields.keys(3, lower=True))
     sds_keys = fields.keys(1)
     if taxonomy is None:  # taxonomy.csv has issues: no sds is checked
-        known = np.unique(sds_keys)
+        known = _sorted_distinct(sds_keys)
     else:
         codes = [code.encode() for code in sorted(taxonomy.sds_to_uda)]
         known = np.array(codes, dtype=object if any(b"\0" in c for c in codes) else np.bytes_)
@@ -751,7 +872,7 @@ def _researcher_columns(path: Path, taxonomy: Optional[Taxonomy], window: range,
         else:
             issues.duplicate_year(path, line, researcher_id, int(year[row]))
     issues.in_line_order(first_issue)
-    return _Researchers(fields.rows, n_outside, ids, [codes[s] for s in sds_of.tolist()],
+    return _Researchers(fields.rows, n_outside, ids, np.array(codes, dtype=object)[sds_of],
                         researcher[firsts], year[firsts], rank[firsts], fields.stopped)
 
 
@@ -766,12 +887,10 @@ def _publication_columns(path: Path, window: range,
     number_texts = {row: [fields.text(row, k) for k in (1, 2, 3)]
                     for row in np.flatnonzero(~numbers_ok).tolist()}
     pub_ids = fields.keys(0)
-    texts, set_of = fields.texts(4)
+    categories, category_start, category_code = fields.categories(4)
     n_rows, lines, stopped = fields.rows, fields.lines, fields.stopped
     del fields
-    category_sets = list(map(_category_set, texts))
-    no_categories = ~np.fromiter(map(bool, category_sets), dtype=bool,
-                                 count=len(category_sets))[set_of]
+    no_categories = category_start[1:] == category_start[:-1]
     # a pub_id is taken by its first row with valid numbers
     rows = np.flatnonzero(numbers_ok)
     rows = rows[_first_rows(pub_ids[rows])]  # in pub_id order
@@ -789,13 +908,14 @@ def _publication_columns(path: Path, window: range,
     issues.in_line_order(first_issue)
     has_categories = ~no_categories[rows]
     kept = has_categories & (year[rows] >= window.start) & (year[rows] < window.stop)
-    row_of = np.full(len(rows), -1, dtype=np.intp)
+    row_of = np.full(len(rows), -1, dtype=_offset_type(len(rows)))
     row_of[kept] = np.arange(np.count_nonzero(kept))
-    pub_ids, kept_rows = pub_ids[rows], rows[kept]
-    return (_Publications(n_rows, np.count_nonzero(has_categories & ~kept),
-                          _strings(pub_ids[kept]), year[kept_rows], citations[kept_rows],
-                          author_count[kept_rows], category_sets, set_of[kept_rows]),
-            _PubLookup(pub_ids, row_of, stopped))
+    kept_rows = rows[kept]
+    category_start, category_code = _take_rows(category_start, category_code, kept_rows)
+    return (_Publications(n_rows, np.count_nonzero(has_categories & ~kept), pub_ids[kept_rows],
+                          year[kept_rows], citations[kept_rows], author_count[kept_rows],
+                          categories, category_start, category_code),
+            _PubLookup(pub_ids[rows], row_of, stopped))
 
 
 def _authorship_columns(path: Path, pubs: _PubLookup, n_kept_pubs: int,
@@ -890,19 +1010,18 @@ def _load_corpus(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
     pub_ids, author_counts = pubs.pub_ids, pubs.author_count
     links_per_pub = np.bincount(link_pub, minlength=len(pub_ids))
-    over_linked = np.flatnonzero(author_counts < links_per_pub)
-    for row in sorted(over_linked.tolist(), key=pub_ids.__getitem__):
-        issues.over_linked(paths.publications, pub_ids[row], author_counts[row],
+    for row in np.flatnonzero(author_counts < links_per_pub).tolist():  # in pub_id order
+        issues.over_linked(paths.publications, pub_ids[row].decode(), author_counts[row],
                            links_per_pub[row])
 
     if issues:
         raise CorpusValidationError(issues)
     assert taxonomy is not None
 
-    corpus = build_corpus(taxonomy, _strings(researchers.ids), researchers.sds,
-                          researchers.researcher, researchers.year, researchers.rank, pub_ids,
-                          pubs.year, pubs.citations, author_counts, pubs.category_sets,
-                          pubs.category_set_of, link_pub, link_researcher, config, report)
+    corpus = build_corpus(taxonomy, researchers.ids, researchers.sds, researchers.researcher,
+                          researchers.year, researchers.rank, pub_ids, pubs.year, pubs.citations,
+                          author_counts, pubs.categories, pubs.category_start,
+                          pubs.category_code, link_pub, link_researcher, config, report)
     for key, value in sorted(report.dropped.items()):
         log.info("load_corpus dropped %d: %s", value, key)
     return corpus

@@ -4,8 +4,10 @@ Everything here is deliberately naive: quadratic scans, textbook formulas
 and row loops, written without numpy so they cannot share bugs with the
 optimized code paths they verify. The load oracle reuses only the csv
 tokenizer (ingest._read_rows), the taxonomy loader, number and category
-parsing, the wording of ingest._Issues and build_corpus. Used by the test
-suite and the acceptance runs only; never on the hot path.
+parsing (_category_set, the one rule the byte-level category split
+follows), the wording of ingest._Issues and build_corpus, to which it hands
+its lists as arrays. Used by the test suite and the acceptance runs only;
+never on the hot path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import CorpusValidationError
 from .ingest import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RESEARCHERS_HEADER,
@@ -188,7 +193,25 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     if issues:
         raise CorpusValidationError(issues)
     pub_ids, years, citations, author_counts, set_of = ([pub[k] for pub in pubs] for k in range(5))
-    return build_corpus(taxonomy, list(researcher_sds), list(researcher_sds.values()),
-                        *([row[k] for row in active] for k in range(3)), pub_ids, years, citations,
-                        author_counts, category_sets, set_of, [pub for pub, _ in links],
-                        [r for _, r in links], config, report)
+    return build_corpus(taxonomy, np.array(list(researcher_sds), dtype=object),
+                        np.array(list(researcher_sds.values()), dtype=object),
+                        *(np.array([row[k] for row in active], dtype=np.int64) for k in range(3)),
+                        np.array(pub_ids, dtype=object),
+                        *(np.array(column, dtype=np.int64)
+                          for column in (years, citations, author_counts)),
+                        *category_columns(category_sets, set_of),
+                        np.array([pub for pub, _ in links], dtype=np.intp),
+                        np.array([r for _, r in links], dtype=np.intp), config, report)
+
+
+def category_columns(category_sets: Sequence[tuple[str, ...]],
+                     set_of: Sequence[int]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The categories of publications i = 0, 1, ... with the sorted, distinct
+    categories category_sets[set_of[i]], as build_corpus takes them: every
+    category of category_sets, sorted, and the codes of each publication's,
+    publication i's being code[start[i]:start[i + 1]]."""
+    categories = sorted(set(chain.from_iterable(category_sets)))
+    code = {category: i for i, category in enumerate(categories)}
+    codes = [[code[category] for category in category_sets[i]] for i in set_of]
+    return (categories, np.array([0, *accumulate(map(len, codes))], dtype=np.intp),
+            np.array(list(chain.from_iterable(codes)), dtype=np.int32))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -34,6 +35,7 @@ K_COST = "cost"    # euro
 K_CORR = "corr"    # correlations, may be undefined
 K_RANK = "rank"    # fractional ranks / averages
 _DECIMALS = {K_STR: None, K_INT: 0, K_FSS: 2, K_PCT: 1, K_COST: 0, K_CORR: 3, K_RANK: 2}
+_KIND_NAMES = {K_STR: "a string", K_INT: "an integer"}  # any other kind: a finite number
 
 
 @dataclass
@@ -57,8 +59,10 @@ class ReportBundle:
     @classmethod
     def from_dict(cls, data: Any) -> "ReportBundle":
         """Read a bundle back from to_dict's JSON; ConfigurationError names
-        a missing, unknown or mistyped field, a top_bottom_k that the run
-        config would reject, or a quadrant SDS that no field row holds."""
+        a missing, unknown or mistyped field, a summary, discipline or
+        field row value that is missing or not of its column's kind, a
+        top_bottom_k that the run config would reject, or a quadrant SDS
+        that no field row holds."""
         if not isinstance(data, dict):
             raise ConfigurationError("a bundle must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -66,7 +70,17 @@ class ReportBundle:
             raise ConfigurationError(f"unknown bundle fields: {unknown}")
         bundle = read_json_fields(cls, data)
         OutputOptions(top_bottom_k=bundle.top_bottom_k)  # the run config's rule for k
-        known = {row.get("sds") for row in bundle.field_rows if isinstance(row.get("sds"), str)}
+        summary = _summary_columns(bundle.percentiles, shares=False)
+        disciplines = _discipline_columns(bundle.percentiles)
+        overall = [] if bundle.discipline_overall is None else [bundle.discipline_overall]
+        for section, rows, columns in (
+                ("summary_rows", bundle.summary_rows, summary),
+                ("summary_overall", [bundle.summary_overall], summary),
+                ("discipline_rows", bundle.discipline_rows, disciplines),
+                ("discipline_overall", overall, disciplines),
+                ("field_rows", bundle.field_rows, _field_columns(bundle.percentiles))):
+            _check_rows(section, rows, columns)
+        known = {row["sds"] for row in bundle.field_rows}
         for name in ("strong", "weak", "ambiguous"):
             members = bundle.quadrant.get(name)
             if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
@@ -75,6 +89,29 @@ class ReportBundle:
             if unknown:
                 raise ConfigurationError(f"quadrant.{name} names fields without a row: {unknown}")
         return bundle
+
+
+def _check_rows(section: str, rows: list[dict[str, Any]], columns: list[tuple[str, str]]) -> None:
+    """ConfigurationError naming the section, row and key of the first value
+    that is missing or not of its column's kind: an int for K_INT, a finite
+    number for the other numeric kinds (a bool is neither), a string for K_STR."""
+    for i, row in enumerate(rows):
+        where = f"{section}[{i}]" if section.endswith("_rows") else section
+        for name, kind in columns:
+            if name not in row:
+                raise ConfigurationError(f"{where} lacks {name}")
+            value = row[name]
+            if kind == K_STR:
+                ok = isinstance(value, str)
+            elif kind == K_INT:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                      and math.isfinite(value))
+            if not ok:
+                raise ConfigurationError(f"{where}.{name} must be "
+                                         f"{_KIND_NAMES.get(kind, 'a finite number')}, "
+                                         f"got {value!r}")
 
 
 def _fmt(value: Any, kind: str) -> str:
@@ -118,12 +155,18 @@ class _Table:
     notes: list[str]
 
 
-def _summary_table(bundle: ReportBundle) -> _Table:
+def _summary_columns(percentiles: list[str], shares: bool = True) -> list[tuple[str, str]]:
+    """The summary table's columns; the bundle holds all but the HCA shares."""
     columns = [("uda", K_STR), ("uda_name", K_STR), ("n_sds", K_INT),
                ("n_professors", K_INT), ("n_publications", K_INT)]
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"hca_{pl}", K_INT))
-        columns.append((f"hca_{pl}_share", K_PCT))
+        if shares:
+            columns.append((f"hca_{pl}_share", K_PCT))
+    return columns
+
+
+def _summary_table(bundle: ReportBundle) -> _Table:
     rows = []
     for raw in bundle.summary_rows + [bundle.summary_overall]:
         row = dict(raw)
@@ -131,39 +174,47 @@ def _summary_table(bundle: ReportBundle) -> _Table:
             pubs = row["n_publications"]
             row[f"hca_{pl}_share"] = 100.0 * row[f"hca_{pl}"] / pubs if pubs else 0.0
         rows.append(row)
-    return _Table("summary", columns, rows,
+    return _Table("summary", _summary_columns(bundle.percentiles), rows,
                   ["overall publication and HCA counts de-duplicate articles "
                    "co-authored across disciplines"])
 
 
-def _discipline_table(bundle: ReportBundle) -> _Table:
+def _discipline_columns(percentiles: list[str]) -> list[tuple[str, str]]:
     columns = [("uda", K_STR), ("n_sds", K_INT), ("n_professors", K_INT),
                ("total_cost", K_COST)]
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns += [(f"ts_{pl}", K_INT), (f"ts_{pl}_share", K_PCT)]
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"fss_ts_{pl}", K_FSS))
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"fss_fhca_{pl}", K_FSS))
+    return columns
+
+
+def _discipline_table(bundle: ReportBundle) -> _Table:
     rows = list(bundle.discipline_rows)
     if bundle.discipline_overall is not None:
         rows.append(bundle.discipline_overall)
-    return _Table("disciplines", columns, rows,
+    return _Table("disciplines", _discipline_columns(bundle.percentiles), rows,
                   ["indicators aggregated over member fields weighted by total cost"])
 
 
-def _field_table(bundle: ReportBundle) -> _Table:
+def _field_columns(percentiles: list[str]) -> list[tuple[str, str]]:
     columns = [("sds", K_STR), ("uda", K_STR), ("n_assistant", K_INT),
                ("n_associate", K_INT), ("n_full", K_INT), ("n_professors", K_INT),
                ("total_cost", K_COST)]
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"ts_{pl}", K_INT))
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"fss_ts_{pl}", K_FSS))
-    for pl in bundle.percentiles:
+    for pl in percentiles:
         columns.append((f"fss_fhca_{pl}", K_FSS))
     columns.append(("fallback_flags", K_STR))
-    return _Table("fields", columns, bundle.field_rows, [])
+    return columns
+
+
+def _field_table(bundle: ReportBundle) -> _Table:
+    return _Table("fields", _field_columns(bundle.percentiles), bundle.field_rows, [])
 
 
 def _correlation_table(bundle: ReportBundle) -> _Table:

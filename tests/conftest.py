@@ -10,6 +10,7 @@ from fieldstrength.hca import CitationCell, CitationCells, HcaFlags, build_cells
 from fieldstrength.indicators import FieldTable
 from fieldstrength.ingest import Corpus, CorpusPaths, LoadReport, build_corpus, load_corpus
 from fieldstrength.model import RANKS, AnalysisConfig, CostModel, Taxonomy
+from fieldstrength.oracles import category_columns
 from fieldstrength.pipeline import PipelineResult, run_pipeline
 from fieldstrength.scoring import ScoreTable
 from fieldstrength.synth import SynthParams, generate
@@ -39,21 +40,25 @@ def mk_corpus(researchers, pubs, links, sds_to_uda, config=None) -> Corpus:
     researcher_index = {researcher[0]: i for i, researcher in enumerate(researchers)}
     active = [(i, year, RANKS.index(rank)) for i, (_, _, ranks) in enumerate(researchers)
               for year, rank in dict(ranks).items()]
+    categories, category_start, category_code = category_columns(
+        [tuple(sorted(set(pub[4]))) for pub in pubs], range(len(pubs)))
     return build_corpus(
         mk_taxonomy(sds_to_uda),
-        researcher_ids=[researcher[0] for researcher in researchers],
-        researcher_sds=[researcher[1] for researcher in researchers],
-        active_researcher=[row[0] for row in active],
-        active_year=[row[1] for row in active],
-        active_rank=[row[2] for row in active],
-        pub_ids=[pub[0] for pub in pubs],
-        year=[pub[1] for pub in pubs],
-        citations=[pub[2] for pub in pubs],
-        author_count=[pub[3] for pub in pubs],
-        category_sets=[tuple(sorted(set(pub[4]))) for pub in pubs],
-        category_set_of=range(len(pubs)),
-        link_pub=[pub_index[pub_id] for pub_id, _ in links],
-        link_researcher=[researcher_index[researcher_id] for _, researcher_id in links],
+        researcher_ids=np.array([researcher[0] for researcher in researchers], dtype=object),
+        researcher_sds=np.array([researcher[1] for researcher in researchers], dtype=object),
+        active_researcher=np.array([row[0] for row in active], dtype=np.intp),
+        active_year=np.array([row[1] for row in active], dtype=np.int64),
+        active_rank=np.array([row[2] for row in active], dtype=np.int8),
+        pub_ids=np.array([pub[0] for pub in pubs], dtype=object),
+        year=np.array([pub[1] for pub in pubs], dtype=np.int64),
+        citations=np.array([pub[2] for pub in pubs], dtype=np.int64),
+        author_count=np.array([pub[3] for pub in pubs], dtype=np.int64),
+        categories=categories,
+        category_start=category_start,
+        category_code=category_code,
+        link_pub=np.array([pub_index[pub_id] for pub_id, _ in links], dtype=np.intp),
+        link_researcher=np.array([researcher_index[researcher_id] for _, researcher_id in links],
+                                 dtype=np.intp),
         config=config or AnalysisConfig(),
         report=LoadReport(),
     )

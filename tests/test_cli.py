@@ -167,6 +167,26 @@ def test_report_rejects_malformed_artifact(synth_run, tmp_path, capsys, edit, fi
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, row, key, value", [
+    ("field_rows", 0, "total_cost", None),
+    ("field_rows", 0, "ts_5", True),
+    ("summary_rows", 0, "n_publications", "12"),
+    ("discipline_rows", 0, "ts_5", 1.5),
+], ids=["null cost", "bool count", "string count", "fractional count"])
+def test_report_checks_row_values(synth_run, tmp_path, capsys, section, row, key, value):
+    # each row value must be of its column's kind; a bad one is named, and
+    # nothing is rendered
+    _, _, out = synth_run
+    analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))
+    analytics[section][row][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(analytics), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bad), "--out", str(tmp_path / "re")]) == 2
+    assert f"{section}[{row}].{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
 def test_report_ranks_the_values_the_bundle_holds(synth_run, tmp_path):
     _, _, out = synth_run
     analytics = json.loads((out / "analytics.json").read_text(encoding="utf-8"))

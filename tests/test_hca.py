@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import best_categories, flagged_ids, members, mk_cells, mk_corpus, one_cell
+from fieldstrength import hca
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.model import CostModel, p_label
 from fieldstrength.oracles import oracle_top_p
@@ -40,6 +42,24 @@ def test_build_cells_order_insensitive():
     shuffled = list(pubs)
     random.Random(3).shuffle(shuffled)
     assert list(mk_cells(pubs)) == list(mk_cells(shuffled))
+
+
+def test_build_cells_without_one_int64_key(monkeypatch):
+    # a (year, category, membership) key that would not fit in int64 falls
+    # back to a stable sort by cell: the same cells, members and memberships
+    rng = random.Random(23)
+    corpus = mk_cells(random_pubs(rng)).corpus
+    one_key = build_cells(corpus)
+    monkeypatch.setattr(hca, "_KEY_LIMIT", 0)
+    by_cell = build_cells(corpus)
+    assert list(by_cell) == list(one_key)
+    for name in ("year", "category", "start", "pub_row", "member"):
+        assert getattr(by_cell, name).tolist() == getattr(one_key, name).tolist(), name
+    # each member slot names its membership: the cell's category, of its publication
+    pub_of = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
+    cell_of = np.repeat(np.arange(len(one_key)), np.diff(one_key.start))
+    assert (corpus.category_code[one_key.member] == one_key.category[cell_of]).all()
+    assert (pub_of[one_key.member] == one_key.pub_row).all()
 
 
 def test_is_top_p_distinct_counts():

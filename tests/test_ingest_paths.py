@@ -73,9 +73,15 @@ TEXT_EDITS = {
 }
 
 
-R_IDS = st.sampled_from([f"r{i}" for i in range(6)])
-P_IDS = st.sampled_from([f"p{i}" for i in range(10)])
+# ids on both sides of the 8-byte cut, where keys stop being compared as
+# uint64: 8- and 9-byte ids share an 8-byte prefix
+R_IDS = st.sampled_from([f"r{i}" for i in range(4)] + ["r0000001", "r00000012", "researcher-1"])
+P_IDS = st.sampled_from([f"p{i}" for i in range(7)] + ["p0000001", "p00000012", "publication-01"])
 SDS = st.sampled_from(["S1", "S2", "S3"])
+# category pieces: empty, repeated, padded, non-ASCII or wider than 8 bytes;
+# "A;;B" is two pieces around an empty one
+CATEGORIES = st.lists(st.sampled_from(["A", "B", "C", "", " A", "B ", "é", "\xa0A", "A;;B",
+                                       "Category-9"]), max_size=3).map(";".join)
 
 
 @st.composite
@@ -84,7 +90,8 @@ def corpora(draw) -> dict[str, list[str]]:
     distinct keys and links to drawn rows (a category list can still be
     empty, as ";"), or as free rows over small id pools: those repeat keys,
     put a researcher in two fields, give author counts of 0 and dangling
-    links."""
+    links. Ids fit in 8 bytes or not, and some category lists are split by
+    _category_set rather than by bytes."""
     if draw(st.booleans()):
         researchers = [(rid, sds, year, rank) for rid, (sds, ranks) in draw(st.dictionaries(
             R_IDS, st.tuples(SDS, st.dictionaries(YEARS, st.sampled_from(RANKS), min_size=1,
@@ -93,14 +100,13 @@ def corpora(draw) -> dict[str, list[str]]:
     else:
         researchers = draw(st.lists(st.tuples(R_IDS, SDS, YEARS, st.sampled_from(RANKS)),
                                     max_size=12))
-    categories = st.lists(st.sampled_from(["A", "B", "C", ""]), max_size=3).map(";".join)
     if draw(st.booleans()):
         pubs = [(pid, *pub) for pid, pub in draw(st.dictionaries(
             P_IDS, st.tuples(YEARS, st.integers(0, 30), st.integers(1, 4),
-                             categories.filter(bool)), max_size=10)).items()]
+                             CATEGORIES.filter(bool)), max_size=10)).items()]
     else:
         pubs = draw(st.lists(st.tuples(P_IDS, YEARS, st.integers(0, 30), st.integers(0, 4),
-                                       categories), max_size=12))
+                                       CATEGORIES), max_size=12))
     if draw(st.booleans()):
         links = draw(st.lists(st.tuples(st.sampled_from([p[0] for p in pubs] or ["p0"]),
                                         st.sampled_from([r[0] for r in researchers] or ["r0"])),
@@ -278,16 +284,25 @@ def test_column_path_declines(tmp_path, body):
     (b"p1,r\xc3\xa92\np2,r\xc3\xa91\np3,r2\n", ["ré2", "ré1", "r2"]),
     (b"p1,r1\n" * 100 + b"p2," + b"r" * 5_000 + b"\n", ["r1"] * 100 + ["r" * 5_000]),
     (b'p1,"r1\x00"\np2,r1\n', ["r1\x00", "r1"]),
-], ids=["non-ASCII id", "padded ids over twice the file", "trailing NUL"])
+    (b"p1,r1234567\np2,r123456\np3,r1234567\n", ["r1234567", "r123456", "r1234567"]),
+    (b"p1,r12345678\np2,r1234567\np3,r12345670\n", ["r12345678", "r1234567", "r12345670"]),
+], ids=["non-ASCII id", "padded ids over twice the file", "trailing NUL", "8-byte ids",
+        "9-byte ids with an 8-byte prefix"])
 def test_keys_hold_any_id(tmp_path, body, ids):
     # keys order and compare as the ids do, in fixed-width bytes or, where
-    # padding would take too much memory or lose a trailing NUL, bytes objects
+    # padding would take too much memory or lose a trailing NUL, bytes
+    # objects; _find looks each up, as uint64 where the keys fit in 8 bytes
     path = tmp_path / "authorships.csv"
     path.write_bytes(b"pub_id,researcher_id\n" + body)
     keys = ingest._read(path, ingest.AUTHORSHIPS_HEADER, ingest._Issues()).keys(1)
     assert [key.decode() for key in keys.tolist()] == ids
     assert np.argsort(keys, kind="stable").tolist() == sorted(range(len(ids)), key=ids.__getitem__)
     assert len(np.unique(keys)) == len(set(ids))
+    distinct = np.unique(keys)
+    position, found = ingest._find(distinct, keys)
+    assert found.all() and (distinct[position] == keys).all()
+    position, found = ingest._find(distinct, np.array([b"r", b"r12345679", b"s1"]))
+    assert not found.any()
 
 
 def test_column_path_splits_fields(tmp_path):
@@ -296,4 +311,4 @@ def test_column_path_splits_fields(tmp_path):
     fields = ingest._split_bytes(path, ingest.AUTHORSHIPS_HEADER)
     assert fields.rows == 2
     assert fields.keys(0).tolist() == [b"p1", b"p22"]
-    assert fields.texts(1)[0] == ["r1", "ré\x0b2"]
+    assert fields.keys(1).tolist() == [b"r1", "ré\x0b2".encode("utf-8")]
