@@ -80,30 +80,24 @@ class HcaFlags:
     best_category: np.ndarray
 
 
-_KEY_LIMIT = 2**63  # a sort key must stay below it to fit in int64
-
-
 def build_cells(corpus: Corpus) -> CitationCells:
     """Group publications into (year, category) cells.
 
     A publication with several categories is a member of one cell per
-    category. One np.sort of the distinct key (year code, category code,
-    membership index), then one divmod, gives the cells sorted by (year,
-    category) with members in membership order, and so sorted by pub_id.
+    category. One stable argsort of the cell code (year code, category
+    code) gives the cells sorted by (year, category) with members in
+    membership order, and so sorted by pub_id.
     """
     n_members, n_categories = len(corpus.category_code), len(corpus.categories)
     pub_of = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
     years, year_code = _codes(corpus.year)
     cell = year_code[pub_of] * n_categories
     cell += corpus.category_code
-    if len(years) * n_categories * n_members < _KEY_LIMIT:
-        cell *= n_members
-        cell += np.arange(n_members)
-        cell.sort()
-        cell, member = np.divmod(cell, n_members)
-    else:  # a key per membership would not fit in int64
-        member = np.argsort(cell, kind="stable")
-        cell = cell[member]
+    # in the narrowest unsigned type that holds every cell code: numpy's
+    # stable sort of 8- and 16-bit integers is a radix sort
+    member = np.argsort(cell.astype(np.min_scalar_type(len(years) * n_categories)),
+                        kind="stable")
+    cell = cell[member]
     heads = np.flatnonzero(np.diff(cell, prepend=-1))
     year, category = np.divmod(cell[heads], n_categories)
     return CitationCells(corpus=corpus, year=years[year], category=category,

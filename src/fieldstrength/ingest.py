@@ -672,8 +672,7 @@ class _Fields:
             keys = np.concatenate((keys, np.array(py_keys, dtype=keys.dtype.kind)))
             piece_row = np.concatenate((piece_row, np.repeat(py_rows, list(map(len, py_sets)))))
         # codes with one sort; fixed-width keys of up to 8 bytes sort as uint64
-        if keys.dtype.kind == "S" and keys.itemsize <= 8:
-            keys = _u64(keys)
+        keys = _sortable(keys)
         distinct = _sorted_distinct(keys)
         codes = np.searchsorted(distinct, keys)
         del keys

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -21,7 +20,7 @@ import numpy as np
 
 from .analytics import IndicatorRanking, average_rank_extremes, rank_values
 from .errors import ConfigurationError, InputIOError
-from .model import OutputOptions, read_json_fields
+from .model import OutputOptions, _json_value, read_json_fields
 
 FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
@@ -35,7 +34,6 @@ K_COST = "cost"    # euro
 K_CORR = "corr"    # correlations, may be undefined
 K_RANK = "rank"    # fractional ranks / averages
 _DECIMALS = {K_STR: None, K_INT: 0, K_FSS: 2, K_PCT: 1, K_COST: 0, K_CORR: 3, K_RANK: 2}
-_KIND_NAMES = {K_STR: "a string", K_INT: "an integer"}  # any other kind: a finite number
 
 
 @dataclass
@@ -72,14 +70,20 @@ class ReportBundle:
         OutputOptions(top_bottom_k=bundle.top_bottom_k)  # the run config's rule for k
         summary = _summary_columns(bundle.percentiles, shares=False)
         disciplines = _discipline_columns(bundle.percentiles)
+        field_columns = _field_columns(bundle.percentiles)
         overall = [] if bundle.discipline_overall is None else [bundle.discipline_overall]
         for section, rows, columns in (
                 ("summary_rows", bundle.summary_rows, summary),
                 ("summary_overall", [bundle.summary_overall], summary),
                 ("discipline_rows", bundle.discipline_rows, disciplines),
                 ("discipline_overall", overall, disciplines),
-                ("field_rows", bundle.field_rows, _field_columns(bundle.percentiles))):
+                ("field_rows", bundle.field_rows, field_columns)):
             _check_rows(section, rows, columns)
+        ids = bundle.spearman.get("indicator_ids")
+        numbers = [name for name, kind in field_columns if kind != K_STR]
+        if not isinstance(ids, list) or not all(isinstance(i, str) and i in numbers for i in ids):
+            raise ConfigurationError(
+                f"spearman.indicator_ids must name number columns of the field rows, got {ids!r}")
         known = {row["sds"] for row in bundle.field_rows}
         for name in ("strong", "weak", "ambiguous"):
             members = bundle.quadrant.get(name)
@@ -93,25 +97,14 @@ class ReportBundle:
 
 def _check_rows(section: str, rows: list[dict[str, Any]], columns: list[tuple[str, str]]) -> None:
     """ConfigurationError naming the section, row and key of the first value
-    that is missing or not of its column's kind: an int for K_INT, a finite
-    number for the other numeric kinds (a bool is neither), a string for K_STR."""
+    that is missing or not of its column's kind, read as a JSON field is: a
+    str for K_STR, an int for K_INT, a float (a finite number) for the rest."""
     for i, row in enumerate(rows):
         where = f"{section}[{i}]" if section.endswith("_rows") else section
         for name, kind in columns:
             if name not in row:
                 raise ConfigurationError(f"{where} lacks {name}")
-            value = row[name]
-            if kind == K_STR:
-                ok = isinstance(value, str)
-            elif kind == K_INT:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                      and math.isfinite(value))
-            if not ok:
-                raise ConfigurationError(f"{where}.{name} must be "
-                                         f"{_KIND_NAMES.get(kind, 'a finite number')}, "
-                                         f"got {value!r}")
+            _json_value(row[name], {K_STR: str, K_INT: int}.get(kind, float), f"{where}.{name}")
 
 
 def _fmt(value: Any, kind: str) -> str:
@@ -133,10 +126,8 @@ def _rankings(bundle: ReportBundle) -> list[IndicatorRanking]:
     codes = tuple(row["sds"] for row in bundle.field_rows)
     rankings = []
     for indicator in bundle.spearman["indicator_ids"]:
-        column = [row[indicator] for row in bundle.field_rows]
-        if not all(type(value) in (int, float) for value in column):  # bool and null are not
-            raise ValueError(f"a field row's {indicator} is not a number")
-        rankings.append(rank_values(indicator, codes, np.array(column, dtype=float)))
+        column = np.array([row[indicator] for row in bundle.field_rows], dtype=float)
+        rankings.append(rank_values(indicator, codes, column))
     return rankings
 
 

@@ -156,6 +156,8 @@ def test_report_rerenders_identically(synth_run):
     (lambda a: a["field_rows"][0].pop("fss_fhca_10"), "fss_fhca_10"),
     (lambda a: a["field_rows"][0].update(fss_ts_5=None), "fss_ts_5"),
     (lambda a: a["field_rows"][0].update(fss_fhca_5=True), "fss_fhca_5"),
+    (lambda a: a["spearman"]["indicator_ids"].append("sds"), "indicator_ids"),  # not a number
+    (lambda a: a["spearman"]["indicator_ids"].append("fss_ts_50"), "indicator_ids"),
 ])
 def test_report_rejects_malformed_artifact(synth_run, tmp_path, capsys, edit, field):
     _, _, out = synth_run

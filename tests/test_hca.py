@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import best_categories, flagged_ids, members, mk_cells, mk_corpus, one_cell
-from fieldstrength import hca
 from fieldstrength.hca import build_cells, flag_hcas
 from fieldstrength.model import CostModel, p_label
 from fieldstrength.oracles import oracle_top_p
@@ -42,24 +41,6 @@ def test_build_cells_order_insensitive():
     shuffled = list(pubs)
     random.Random(3).shuffle(shuffled)
     assert list(mk_cells(pubs)) == list(mk_cells(shuffled))
-
-
-def test_build_cells_without_one_int64_key(monkeypatch):
-    # a (year, category, membership) key that would not fit in int64 falls
-    # back to a stable sort by cell: the same cells, members and memberships
-    rng = random.Random(23)
-    corpus = mk_cells(random_pubs(rng)).corpus
-    one_key = build_cells(corpus)
-    monkeypatch.setattr(hca, "_KEY_LIMIT", 0)
-    by_cell = build_cells(corpus)
-    assert list(by_cell) == list(one_key)
-    for name in ("year", "category", "start", "pub_row", "member"):
-        assert getattr(by_cell, name).tolist() == getattr(one_key, name).tolist(), name
-    # each member slot names its membership: the cell's category, of its publication
-    pub_of = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
-    cell_of = np.repeat(np.arange(len(one_key)), np.diff(one_key.start))
-    assert (corpus.category_code[one_key.member] == one_key.category[cell_of]).all()
-    assert (pub_of[one_key.member] == one_key.pub_row).all()
 
 
 def test_is_top_p_distinct_counts():
@@ -175,6 +156,35 @@ def random_pubs(rng: random.Random) -> list[tuple]:
             rng.sample("ABCDE", rng.randint(1, 3)))
         for i in range(rng.randint(1, 300))
     ]
+
+
+def wide_pubs(rng: random.Random) -> list[tuple]:
+    """Publications over 260 years and 260 categories: more (year, category)
+    codes than 16 bits hold, in shuffled pub_id order."""
+    n = 260
+    pubs = [pub(f"p{i:04d}", 1800 + i % n, 0, [f"C{i % n:03d}", f"C{i * 7 % n:03d}"])
+            for i in range(2 * n)]
+    rng.shuffle(pubs)
+    return pubs
+
+
+@pytest.mark.parametrize("draw", [random_pubs, wide_pubs], ids=["few codes", "wide codes"])
+def test_build_cells_member_slots(draw):
+    corpus = mk_cells(draw(random.Random(23))).corpus
+    cells = build_cells(corpus)
+    # members ascend by pub_id within each cell, which is sorted by (year, category)
+    groups = {}
+    for i, row in enumerate(corpus.category_start[:-1].tolist()):
+        for code in corpus.category_code[row:corpus.category_start[i + 1]].tolist():
+            groups.setdefault((int(corpus.year[i]), corpus.categories[code]), []).append(
+                corpus.pub_ids[i])
+    assert [(c.year, c.category, c.pub_ids) for c in cells] == [
+        (year, category, tuple(sorted(ids))) for (year, category), ids in sorted(groups.items())]
+    # each member slot names its membership: the cell's category, of its publication
+    pub_of = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.category_start))
+    cell_of = np.repeat(np.arange(len(cells)), np.diff(cells.start))
+    assert (corpus.category_code[cells.member] == cells.category[cell_of]).all()
+    assert (pub_of[cells.member] == cells.pub_row).all()
 
 
 def test_single_pass_equals_oracle_union_over_cells():
