@@ -58,7 +58,8 @@ class ReportBundle:
     def from_dict(cls, data: Any) -> "ReportBundle":
         """Read a bundle back from to_dict's JSON; ConfigurationError names
         a missing, unknown or mistyped field, a summary, discipline or
-        field row value that is missing or not of its column's kind, a
+        field row value that is missing or not of its column's kind, an
+        indicator id that is not a number column of the field rows, a
         top_bottom_k that the run config would reject, or a quadrant SDS
         that no field row holds."""
         if not isinstance(data, dict):
