@@ -29,7 +29,6 @@ from .model import AnalysisConfig, CostModel, OutputOptions, parse_json, read_js
 from .pipeline import run_pipeline
 from .reporting import FORMATS, ReportBundle, render
 from .scoring import write_researcher_scores_csv
-from .synth import SynthParams, generate
 
 log = logging.getLogger(__name__)
 
@@ -179,6 +178,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthParams, generate  # only this command loads the generator
+
     overrides: Any = {}
     if args.params:
         try:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +107,68 @@ def _sample_citations(rng: np.random.Generator, params: SynthParams) -> int:
     return int(draw if draw < _MAX_CITATIONS else _MAX_CITATIONS)
 
 
+class _Draws:
+    """Scalar draws of a PCG64 `Generator`, read straight from its bit generator.
+
+    Each method makes the very draws of the `Generator` call it names, in
+    numpy's order, without the call's argument handling: that costs 2-12 us
+    a call, the draw itself about 0.4 us. `lognormal` and `poisson` stay
+    `Generator` calls. They read `next_uint64`, which leaves alone the
+    half-used `next_uint32` word that both sides keep in the C state.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng  # also keeps the state that the ctypes calls point into
+        bits = rng.bit_generator.ctypes
+        self._u32 = partial(bits.next_uint32, bits.state)
+        self.random = partial(bits.next_double, bits.state)  # rng.random()
+
+    def below(self, n: int) -> int:
+        """rng.integers(0, n) for n >= 1: Lemire's rule on next_uint32."""
+        if n == 1:
+            return 0
+        if n > 1 << 32:
+            return int(self.rng.integers(0, n))
+        m = self._u32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._u32() * n
+        return m >> 32
+
+    def pick(self, seq):
+        """rng.choice(seq)."""
+        return seq[self.below(len(seq))]
+
+    @staticmethod
+    def cdf(p) -> list[float]:
+        """The cdf that rng.choice builds from p: the float64 cumsum over its last value."""
+        cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+        return (cdf / cdf[-1]).tolist()
+
+    def weighted(self, cdf: list[float]) -> int:
+        """rng.choice(len(cdf), p=p), given cdf(p)."""
+        return bisect_right(cdf, self.random())
+
+    def sample(self, n: int, k: int) -> list[int]:
+        """rng.choice(n, size=k, replace=False): Floyd's loop, then a shuffle."""
+        if n > 10_000 and k > n // 50:  # numpy shuffles a tail of arange(n) instead
+            return self.rng.choice(n, size=k, replace=False).tolist()
+        picks: list[int] = []
+        for j in range(n - k, n):
+            value = self.below(j + 1)
+            picks.append(j if value in picks else value)
+        for i in range(k - 1, 0, -1):
+            j = self.below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+
 def generate_tables(params: SynthParams) -> SynthTables:
     """Build the four tables in memory; deterministic per params."""
     rng = np.random.default_rng(params.seed)
+    draw = _Draws(rng)
+    rank_cdf = draw.cdf(params.rank_mix)
     tables = SynthTables()
     start, end = params.window
     years = list(range(start, end + 1))
@@ -122,7 +183,7 @@ def generate_tables(params: SynthParams) -> SynthTables:
             sds = f"{uda}/{f + 1:02d}"
             tables.taxonomy.append((sds, f"Field {sds}", uda, f"Discipline {u + 1:02d}"))
             field_codes.append(sds)
-            picks = rng.choice(params.n_categories, size=min(2, params.n_categories), replace=False)
+            picks = draw.sample(params.n_categories, min(2, params.n_categories))
             home_cats[sds] = [categories[i] for i in sorted(picks)]
 
     # researchers with per-year ranks
@@ -131,22 +192,22 @@ def generate_tables(params: SynthParams) -> SynthTables:
     counter = 0
     lo, hi = params.professors_per_field
     for sds in field_codes:
-        n_profs = int(rng.integers(lo, hi + 1))
+        n_profs = lo + draw.below(hi - lo + 1)
         for _ in range(n_profs):
             counter += 1
             rid = f"R{counter:05d}"
             researchers_by_field[sds].append(rid)
-            if rng.random() < params.full_window_prob or len(years) <= params.min_years:
+            if draw.random() < params.full_window_prob or len(years) <= params.min_years:
                 span = years
             else:
-                length = int(rng.integers(params.min_years, len(years)))
-                offset = int(rng.integers(0, len(years) - length + 1))
+                length = params.min_years + draw.below(len(years) - params.min_years)
+                offset = draw.below(len(years) - length + 1)
                 span = years[offset:offset + length]
             active_years[rid] = span
-            rank_idx = int(rng.choice(3, p=params.rank_mix))
+            rank_idx = draw.weighted(rank_cdf)
             promote_at = None
-            if rank_idx < 2 and len(span) > 1 and rng.random() < params.promotion_prob:
-                promote_at = int(rng.choice(span[1:]))
+            if rank_idx < 2 and len(span) > 1 and draw.random() < params.promotion_prob:
+                promote_at = draw.pick(span[1:])
             for year in span:
                 if promote_at is not None and year >= promote_at:
                     idx = min(rank_idx + 1, 2)
@@ -158,38 +219,39 @@ def generate_tables(params: SynthParams) -> SynthTables:
     pub_counter = 0
     cat_lo, cat_hi = params.categories_per_pub
     for sds in field_codes:
-        for rid in researchers_by_field[sds]:
+        members = researchers_by_field[sds]
+        for i, rid in enumerate(members):
             n_pubs = int(rng.poisson(params.pubs_per_professor_mean))
             for _ in range(n_pubs):
                 pub_counter += 1
                 pub_id = f"P{pub_counter:06d}"
-                year = int(rng.choice(active_years[rid]))
+                year = draw.pick(active_years[rid])
                 citations = _sample_citations(rng, params)
 
-                n_cats = int(rng.integers(cat_lo, cat_hi + 1))
+                n_cats = cat_lo + draw.below(cat_hi - cat_lo + 1)
                 cats: list[str] = []
                 for _ in range(n_cats):
-                    if rng.random() < params.home_category_bias:
-                        cat = home_cats[sds][int(rng.integers(0, len(home_cats[sds])))]
+                    if draw.random() < params.home_category_bias:
+                        cat = draw.pick(home_cats[sds])
                     else:
-                        cat = categories[int(rng.integers(0, params.n_categories))]
+                        cat = draw.pick(categories)
                     if cat not in cats:
                         cats.append(cat)
                 cats.sort()
 
                 authors = [rid]
-                if len(researchers_by_field[sds]) > 1 and rng.random() < params.coauthor_prob:
-                    pool = [r for r in researchers_by_field[sds] if r != rid]
-                    n_co = min(int(rng.integers(1, 3)), len(pool))
-                    for other in rng.choice(len(pool), size=n_co, replace=False):
-                        authors.append(pool[int(other)])
+                if len(members) > 1 and draw.random() < params.coauthor_prob:
+                    pool = members[:i] + members[i + 1:]
+                    n_co = min(1 + draw.below(2), len(pool))
+                    for other in draw.sample(len(pool), n_co):
+                        authors.append(pool[other])
                 # occasional collaboration outside the field, so articles can
                 # count in more than one discipline
-                if len(field_codes) > 1 and rng.random() < params.cross_field_coauthor_prob:
-                    other_sds = field_codes[int(rng.integers(0, len(field_codes)))]
+                if len(field_codes) > 1 and draw.random() < params.cross_field_coauthor_prob:
+                    other_sds = draw.pick(field_codes)
                     if other_sds != sds and researchers_by_field[other_sds]:
                         pool = researchers_by_field[other_sds]
-                        candidate = pool[int(rng.integers(0, len(pool)))]
+                        candidate = draw.pick(pool)
                         if candidate not in authors:
                             authors.append(candidate)
                 author_count = len(authors) + int(rng.poisson(params.extra_authors_mean))
@@ -202,8 +264,8 @@ def generate_tables(params: SynthParams) -> SynthTables:
     n_baseline = int(round(params.baseline_share * pub_counter))
     for _ in range(n_baseline):
         pub_counter += 1
-        year = int(rng.choice(years))
-        cat = categories[int(rng.integers(0, params.n_categories))]
+        year = draw.pick(years)
+        cat = draw.pick(categories)
         tables.publications.append((
             f"P{pub_counter:06d}", year, _sample_citations(rng, params),
             1 + int(rng.poisson(params.extra_authors_mean)), cat,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from fieldstrength.synth import SynthParams, generate
+from fieldstrength.synth import SynthParams, _Draws, generate
 
 # sha256 of each written CSV. A change that alters the corpora on purpose
 # updates these and says so in CHANGES.md.
@@ -81,3 +82,59 @@ def test_corpus_bytes_are_pinned(case, tmp_path):
     paths = generate(params, tmp_path)
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in paths.items()} == digests
+
+
+# The generator takes its scalar draws through synth._Draws, which must
+# make the very draws of the Generator call each method names. Both sides
+# run from one seed. After every helper draw the two bit generator states,
+# the half-used next_uint32 word included, must be equal, and a random,
+# lognormal and poisson on each side must agree.
+def _streams(seed: int):
+    return np.random.default_rng(seed), _Draws(np.random.default_rng(seed))
+
+
+def _same_after(expected: np.random.Generator, draws: _Draws) -> None:
+    assert draws.rng.bit_generator.state == expected.bit_generator.state
+    assert draws.random() == expected.random()
+    assert draws.rng.lognormal(1.2, 1.1) == expected.lognormal(1.2, 1.1)
+    assert draws.rng.poisson(3.0) == expected.poisson(3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1])
+def test_below_draws_as_integers(n):
+    for seed in range(200):
+        expected, draws = _streams(seed)
+        for _ in range(5):
+            assert draws.below(n) == int(expected.integers(0, n))
+            _same_after(expected, draws)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sample_draws_as_choice_without_replacement(k):
+    for seed in range(60):
+        expected, draws = _streams(seed)
+        for n in [*range(k, 51), 20_000]:
+            assert draws.sample(n, k) == expected.choice(n, size=k, replace=False).tolist()
+            _same_after(expected, draws)
+
+
+def test_pick_and_weighted_draw_as_choice():
+    seq = [2012, 2013, 2014, 2015, 2016]
+    mixes = [(0.35, 0.40, 0.25), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.1, 0.2, 0.7)]
+    for seed in range(200):
+        expected, draws = _streams(seed)
+        for length in range(1, len(seq) + 1):
+            assert draws.pick(seq[:length]) == int(expected.choice(seq[:length]))
+            _same_after(expected, draws)
+        for p in mixes:
+            assert draws.weighted(draws.cdf(p)) == int(expected.choice(3, p=p))
+            _same_after(expected, draws)
+
+
+def test_sample_past_floyds_range_matches_too():
+    # numpy leaves Floyd's loop once n > 10,000 and k > n // 50
+    for k in (400, 401):
+        for seed in range(3):
+            expected, draws = _streams(seed)
+            assert draws.sample(20_000, k) == expected.choice(20_000, size=k, replace=False).tolist()
+            _same_after(expected, draws)
