@@ -151,9 +151,11 @@ class _Draws:
         return bisect_right(cdf, self.random())
 
     def sample(self, n: int, k: int) -> list[int]:
-        """rng.choice(n, size=k, replace=False): Floyd's loop, then a shuffle."""
-        if n > 10_000 and k > n // 50:  # numpy shuffles a tail of arange(n) instead
-            return self.rng.choice(n, size=k, replace=False).tolist()
+        """rng.choice(n, size=k, replace=False): Floyd's loop, then a shuffle.
+
+        numpy takes this branch for n <= 10,000 or k <= n // 50; above
+        that it shuffles a tail of arange(n) instead.
+        """
         picks: list[int] = []
         for j in range(n - k, n):
             value = self.below(j + 1)

