@@ -25,7 +25,8 @@ from .errors import ConfigurationError, CorpusValidationError, InputIOError
 from .hca import write_flags_csv
 from .indicators import write_scoreboard_csv
 from .ingest import CorpusPaths, load_corpus
-from .model import AnalysisConfig, CostModel, OutputOptions, parse_json, read_json_fields
+from .model import (AnalysisConfig, CostModel, OutputOptions, parse_json, read_json_fields,
+                    write_json)
 from .pipeline import run_pipeline
 from .reporting import FORMATS, ReportBundle, render
 from .scoring import write_researcher_scores_csv
@@ -102,13 +103,6 @@ def _config_hash(raw: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    # streamed: json.dumps with indent first holds every chunk of the text in a list
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     try:
@@ -132,9 +126,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     result = run_pipeline(corpus, config.cost_model, config.output.top_bottom_k)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for fmt in formats:
-        files.extend(render(result.bundle, fmt, out_dir))
+    files = render(result.bundle, formats, out_dir)
 
     n = write_scoreboard_csv(result.fields, out_dir / "scoreboard.csv")
     files.append({"path": "scoreboard.csv", "rows": n})
@@ -146,7 +138,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
                                         out_dir / "researcher_scores.csv")
         files.append({"path": "researcher_scores.csv", "rows": n})
 
-    _write_json(out_dir / "analytics.json", result.bundle.to_dict())
+    write_json(out_dir / "analytics.json", result.bundle.to_dict())
     files.append({"path": "analytics.json", "rows": len(result.fields)})
 
     manifest = {
@@ -166,7 +158,7 @@ def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
         "warnings": result.warnings,
         "files": sorted(files, key=lambda f: f["path"]),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     log.info("wrote %d files to %s", len(files) + 1, out_dir)
     return EXIT_OK
 
@@ -217,18 +209,18 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"bad bundle file {args.bundle}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        try:
-            entries = render(bundle, fmt, out_dir)
-        except (KeyError, TypeError, ValueError) as exc:  # a row or section that lacks a key
-            raise ConfigurationError(f"bad bundle file {args.bundle}: {exc!r}") from exc
-        for entry in entries:
-            print(f"wrote {entry['path']} ({entry['rows']} rows)")
+    try:
+        entries = render(bundle, formats, out_dir)
+    except (KeyError, TypeError, ValueError) as exc:  # a row or section that lacks a key
+        raise ConfigurationError(f"bad bundle file {args.bundle}: {exc!r}") from exc
+    for entry in entries:
+        print(f"wrote {entry['path']} ({entry['rows']} rows)")
     return EXIT_OK
 
 
 def _parse_formats(text: str) -> list[str]:
-    formats = [f.strip() for f in text.split(",") if f.strip()]
+    """The formats named in text, each once, in first-named order."""
+    formats = list(dict.fromkeys(f.strip() for f in text.split(",") if f.strip()))
     for fmt in formats:
         if fmt not in FORMATS:
             raise ConfigurationError(f"unknown format {fmt!r}; expected subset of {FORMATS}")

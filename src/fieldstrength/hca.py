@@ -10,7 +10,6 @@ per-discipline dataset summary counts the flagged publications.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .ingest import Corpus, _sorted_distinct
-from .model import p_label
+from .model import csv_fields, csv_line, p_label
 
 
 class CitationCell(NamedTuple):
@@ -191,16 +190,23 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
 
 def write_flags_csv(flags: HcaFlags, path: Path) -> int:
     """Export flagged publications with the category of their best standing,
-    by percentile and then pub_id: publication rows are in pub_id order."""
-    pub_ids, categories = flags.corpus.pub_ids, flags.corpus.categories
+    by percentile and then pub_id: publication rows are in pub_id order.
+
+    Written by column in the bytes of a csv.writer row per flag: csv.writer
+    quotes each publication flagged at some percentile, and each category,
+    once; np.nonzero lists the flags percentile by percentile.
+    """
+    corpus = flags.corpus
+    flagged = np.flatnonzero(flags.hit.any(axis=1))
+    ids = np.array(csv_fields(map(corpus.pub_ids.__getitem__, flagged.tolist())), dtype=object)
+    labels = np.array([f",{p_label(p)}," for p in flags.percentiles], dtype=object)
+    tails = np.array([f"{category}\n" for category in csv_fields(corpus.categories)], dtype=object)
+    percentile, k = np.nonzero(flags.hit[flagged].T)
+    cells = np.stack((ids[k], labels[percentile], tails[flags.best_category[flagged[k]]]), axis=-1)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["pub_id", "p", "category_of_best_rank"])
-        for label, column in zip(map(p_label, flags.percentiles), flags.hit.T):
-            rows = np.flatnonzero(column)
-            writer.writerows((pub_ids[row], label, categories[category]) for row, category
-                             in zip(rows.tolist(), flags.best_category[rows].tolist()))
-    return int(np.count_nonzero(flags.hit))
+        handle.write(csv_line(["pub_id", "p", "category_of_best_rank"]))
+        handle.write("".join(cells.ravel().tolist()))
+    return len(k)
 
 
 @dataclass(frozen=True)

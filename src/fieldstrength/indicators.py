@@ -12,14 +12,13 @@ Discipline rows aggregate member fields weighted by research expenditure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import Corpus
-from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
+from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, csv_cells, csv_line, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
@@ -172,20 +171,23 @@ def _aggregate(names: tuple[str, ...], group: np.ndarray, fields: FieldTable) ->
 
 
 def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
-    """Full-precision per-field scoreboard export."""
+    """Full-precision per-field scoreboard export, written by column in the
+    bytes of a csv.writer row per field: csv.writer quotes each "sds,uda,"
+    prefix and fallback_flags tail, and each distinct number gets one repr."""
     labels = [p_label(p) for p in fields.percentiles]
     header = ["sds", "uda", "n_professors", "total_cost"]
     header += [f"ts_{pl}" for pl in labels]
     header += [f"fss_ts_{pl}" for pl in labels]
     header += [f"fss_fhca_{pl}" for pl in labels]
     header.append("fallback_flags")
+    prefix = [csv_line((sds, uda, ""))[:-1] for sds, uda in zip(fields.sds_codes, fields.uda)]
+    tail = [csv_line(("", flags))[1:] for flags in fields.fallback_flags()]
+    cells = np.concatenate((
+        np.array(prefix, dtype=object)[:, None], csv_cells(fields.n_professors[:, None]),
+        csv_cells(fields.total_cost[:, None]), csv_cells(fields.ts_count),
+        csv_cells(fields.fss_ts), csv_cells(fields.fss_fhca), np.array(tail, dtype=object)[:, None]),
+        axis=1)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(fields.sds_codes, fields.uda, fields.n_professors.tolist(),
-                       fields.total_cost.tolist(), fields.ts_count.tolist(),
-                       fields.fss_ts.tolist(), fields.fss_fhca.tolist(), fields.fallback_flags()):
-            sds, uda, n_professors, total_cost, ts_count, fss_ts, fss_fhca, flags = row
-            writer.writerow([sds, uda, n_professors, repr(total_cost), *ts_count,
-                             *map(repr, fss_ts), *map(repr, fss_fhca), flags])
+        handle.write(csv_line(header))
+        handle.write("".join(cells.ravel().tolist()))
     return len(fields)

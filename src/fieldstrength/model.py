@@ -7,10 +7,13 @@ is a rendering concern and happens only in the report layer.
 from __future__ import annotations
 
 import collections.abc
+import csv
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from itertools import repeat
+from pathlib import Path
+from typing import Any, Iterable, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -162,6 +165,58 @@ def parse_json(text: str) -> Any:
     Python's json accepts but JSON does not, raise ValueError like any other
     malformed document (json.JSONDecodeError is a ValueError)."""
     return json.loads(text, parse_constant=_not_json)
+
+
+def json_text(value: Any, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys.
+    The C encoder (which serves no indent) writes each container that holds
+    only scalars, with the line break and indent as its item separator; only
+    the nesting is joined here."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if not any(map(isinstance, value.values() if brackets == "{}" else value,
+                   repeat((dict, list, tuple)))):
+        text = json.JSONEncoder(separators=("," + inner, ": ")).encode(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    parts = ([f"{json.dumps(key)}: {json_text(item, depth + 1)}" for key, item in value.items()]
+             if brackets == "{}" else [json_text(item, depth + 1) for item in value])
+    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
+
+
+def write_json(path: Path, value: Any) -> None:
+    """Write json_text(value) and a line break."""
+    Path(path).write_text(json_text(value) + "\n", encoding="utf-8")
+
+
+class _Line:
+    write = staticmethod(str)  # a csv.writer target: writerow returns the line it writes
+
+
+csv_line = csv.writer(_Line(), lineterminator="\n").writerow
+
+
+def csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as csv.writer writes it in a row of more than one field:
+    one row of them all, split at its commas when it quoted none."""
+    values = list(values)
+    line = csv_line(values + [""])
+    if '"' in line:
+        return [csv_line((value, ""))[:-2] for value in values]
+    return line[:-2].split(",")
+
+
+def csv_cells(values: np.ndarray) -> np.ndarray:
+    """f"{v!r}," for each number of an int or float64 array, as an object
+    array of its shape: each distinct value (float bit pattern) gets one repr."""
+    values = np.ascontiguousarray(values)
+    floats = values.dtype.kind == "f"
+    distinct, code = np.unique(values.view(np.int64) if floats else values, return_inverse=True)
+    text = [f"{v!r}," for v in (distinct.view(np.float64) if floats else distinct).tolist()]
+    return np.array(text, dtype=object)[code.reshape(values.shape)]
 
 
 def read_json_fields(cls, data: Mapping[str, Any]):

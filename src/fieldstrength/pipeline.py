@@ -145,18 +145,16 @@ def _discipline_rows(table: DisciplineTable, percentiles) -> list[dict[str, Any]
 
 
 def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
-    rows = []
-    for row in zip(fields.sds_codes, fields.uda, fields.n_by_rank.tolist(),
-                   fields.n_professors.tolist(), fields.total_cost.tolist(),
-                   fields.ts_count.tolist(), fields.fss_ts.tolist(), fields.fss_fhca.tolist(),
-                   fields.fallback_flags()):
-        sds, uda, n_by_rank, n_professors, total_cost, ts, fss_ts, fss_fhca, flags = row
-        rows.append({"sds": sds, "uda": uda,
-                     **{f"n_{rank}": n for rank, n in zip(RANKS, n_by_rank)},
-                     "n_professors": n_professors, "total_cost": total_cost,
-                     **_per_p(fields.percentiles, ts=ts, fss_ts=fss_ts, fss_fhca=fss_fhca),
-                     "fallback_flags": flags})
-    return rows
+    """One dict per field, built by column: each key is made once."""
+    labels = [p_label(p) for p in fields.percentiles]
+    keys = ["sds", "uda", *(f"n_{rank}" for rank in RANKS), "n_professors", "total_cost",
+            *(f"{family}_{pl}" for family in ("ts", "fss_ts", "fss_fhca") for pl in labels),
+            "fallback_flags"]
+    columns = (fields.sds_codes, fields.uda, *fields.n_by_rank.T.tolist(),
+               fields.n_professors.tolist(), fields.total_cost.tolist(),
+               *fields.ts_count.T.tolist(), *fields.fss_ts.T.tolist(), *fields.fss_fhca.T.tolist(),
+               fields.fallback_flags())
+    return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
 def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,

@@ -11,8 +11,9 @@ rules. Rendering is pure: identical bundles give byte-identical files.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analytics import IndicatorRanking, average_rank_extremes, rank_values
 from .errors import ConfigurationError, InputIOError
-from .model import OutputOptions, _json_value, read_json_fields
+from .model import OutputOptions, _json_value, read_json_fields, write_json
 
 FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
@@ -108,11 +109,12 @@ def _check_rows(section: str, rows: list[dict[str, Any]], columns: list[tuple[st
             _json_value(row[name], {K_STR: str, K_INT: int}.get(kind, float), f"{where}.{name}")
 
 
+_FORMAT = {kind: str if places is None else f"{{:.{places}f}}".format
+           for kind, places in _DECIMALS.items()}
+
+
 def _fmt(value: Any, kind: str) -> str:
-    places = _DECIMALS[kind]
-    if value is None:
-        return ""
-    return str(value) if places is None else f"{value:.{places}f}"
+    return "" if value is None else _FORMAT[kind](value)
 
 
 def _jr(value: Any, kind: str) -> Any:
@@ -120,6 +122,19 @@ def _jr(value: Any, kind: str) -> Any:
     if value is None or places is None:
         return value
     return round(value, places) if places else round(value)
+
+
+def _text(values: list, kind: str) -> list[str]:
+    """_fmt of each value of a column, in one map where none is None."""
+    return [_fmt(v, kind) for v in values] if None in values else list(map(_FORMAT[kind], values))
+
+
+def _rounded(values: list, kind: str) -> list:
+    """_jr of each value of a column, in one map where none is None."""
+    places = _DECIMALS[kind]
+    if places is None or None in values:
+        return [_jr(v, kind) for v in values]
+    return list(map(round, values, repeat(places))) if places else list(map(round, values))
 
 
 def _rankings(bundle: ReportBundle) -> list[IndicatorRanking]:
@@ -272,78 +287,75 @@ def _tables(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> list[_Tab
     ]
 
 
-def _write_csv(table: _Table, path: Path) -> None:
+def _write_csv(names: list[str], text: list[list[str]], path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([name for name, _ in table.columns])
-        for row in table.rows:
-            writer.writerow([_fmt(row.get(name), kind) for name, kind in table.columns])
+        writer.writerow(names)
+        writer.writerows(zip(*text))
 
 
-def _write_json(table: _Table, path: Path) -> None:
-    payload = {
-        "table": table.name,
-        "notes": table.notes,
-        "rows": [
-            {name: _jr(row.get(name), kind) for name, kind in table.columns}
-            for row in table.rows
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _md_section(title: str, columns: list[tuple[str, str]], rows: list[dict[str, Any]],
+def _md_section(title: str, names: list[str], text: list[list[str]],
                 notes: list[str]) -> list[str]:
-    lines = [f"## {title}", ""]
-    lines.append("| " + " | ".join(name for name, _ in columns) + " |")
-    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(row.get(name), kind) for name, kind in columns) + " |")
+    lines = [f"## {title}", "", "| " + " | ".join(names) + " |",
+             "|" + "|".join(" --- " for _ in names) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in zip(*text)]
     for note in notes:
         lines += ["", f"*{note}*"]
     lines.append("")
     return lines
 
 
-def _write_markdown(table: _Table, k: int, rankings: list[IndicatorRanking], path: Path) -> None:
-    lines = _md_section(table.name, table.columns, table.rows, table.notes)
-    if table.name == "fields":
-        # strongest / weakest lists per indicator
-        columns = [("sds", K_STR), ("value", K_FSS), ("rank", K_RANK)]
-        for r in rankings:
-            for title, chosen in zip(("strongest", "weakest"), _extremes(r.order.tolist(), k)):
-                rows = [{"sds": r.sds_codes[f], "value": r.values[f].item(),
-                         "rank": r.ranks[f].item()} for f in chosen]
-                lines += _md_section(f"{title} {k}: {r.indicator_id}", columns, rows, [])
-    path.write_text("\n".join(lines), encoding="utf-8")
+def _extreme_sections(k: int, rankings: list[IndicatorRanking]) -> list[str]:
+    """fields.md's strongest and weakest k fields by each indicator."""
+    lines = []
+    for r in rankings:
+        for title, chosen in zip(("strongest", "weakest"), _extremes(r.order.tolist(), k)):
+            text = [[r.sds_codes[f] for f in chosen], _text(r.values[chosen].tolist(), K_FSS),
+                    _text(r.ranks[chosen].tolist(), K_RANK)]
+            lines += _md_section(f"{title} {k}: {r.indicator_id}", ["sds", "value", "rank"], text, [])
+    return lines
 
 
-def render(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[dict[str, Any]]:
-    """Write one file per table in the given format under out_dir/reports.
+def render(bundle: ReportBundle, formats: list[str], out_dir: Path) -> list[dict[str, Any]]:
+    """Write one file per table in each of the given formats under
+    out_dir/reports. The rankings and every table are built once, each
+    column is formatted once for csv and markdown together and rounded
+    once for json.
 
-    Returns manifest entries (relative path + row count), sorted by path.
+    Returns manifest entries (relative path + row count), format by format
+    and sorted by path within each.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     reports_dir = Path(out_dir) / "reports"
     try:
         reports_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputIOError(f"cannot create {reports_dir}: {exc}") from exc
 
-    entries = []
+    entries: dict[str, list[dict[str, Any]]] = {fmt: [] for fmt in formats}
     rankings = _rankings(bundle)
     for table in _tables(bundle, rankings):
-        path = reports_dir / f"{table.name}.{_EXT[fmt]}"
-        try:
-            if fmt == "csv":
-                _write_csv(table, path)
-            elif fmt == "json":
-                _write_json(table, path)
-            else:
-                _write_markdown(table, bundle.top_bottom_k, rankings, path)
-        except OSError as exc:
-            raise InputIOError(f"cannot write {path}: {exc}") from exc
-        entries.append({"path": str(path.relative_to(out_dir)), "rows": len(table.rows)})
-    entries.sort(key=lambda e: e["path"])
-    return entries
+        names = [name for name, _ in table.columns]
+        values = [list(map(itemgetter(name), table.rows)) for name in names]
+        kinds = [kind for _, kind in table.columns]
+        if {"csv", "markdown"} & set(formats):
+            text = list(map(_text, values, kinds))
+        for fmt in formats:
+            path = reports_dir / f"{table.name}.{_EXT[fmt]}"
+            try:
+                if fmt == "csv":
+                    _write_csv(names, text, path)
+                elif fmt == "json":
+                    rows = [dict(zip(names, row)) for row in zip(*map(_rounded, values, kinds))]
+                    write_json(path, {"table": table.name, "notes": table.notes, "rows": rows})
+                else:
+                    lines = _md_section(table.name, names, text, table.notes)
+                    if table.name == "fields":
+                        lines += _extreme_sections(bundle.top_bottom_k, rankings)
+                    path.write_text("\n".join(lines), encoding="utf-8")
+            except OSError as exc:
+                raise InputIOError(f"cannot write {path}: {exc}") from exc
+            entries[fmt].append({"path": str(path.relative_to(out_dir)), "rows": len(table.rows)})
+    return [e for fmt in entries for e in sorted(entries[fmt], key=lambda e: e["path"])]

@@ -12,7 +12,6 @@ since Python 3.12), so the output has the same bits on every Python.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .hca import HcaFlags
 from .ingest import Corpus
-from .model import CostModel, p_label, researcher_costs
+from .model import CostModel, csv_cells, csv_line, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -151,10 +150,6 @@ def ts_output_means(table: ScoreTable, is_ts: np.ndarray, field_uda: np.ndarray,
     return mean, source
 
 
-class _Line:
-    write = staticmethod(str)  # a csv.writer target: writerow returns the line it writes
-
-
 def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path) -> int:
     """Export one row per (researcher, percentile) with the TS verdict,
     rows in table order; is_ts holds the (row x percentile) verdicts.
@@ -163,19 +158,16 @@ def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path
     csv.writer row per (researcher, percentile): csv.writer quotes each
     "id,sds," prefix, and each distinct float bit pattern of a block gets one repr.
     """
-    quote = csv.writer(_Line(), lineterminator="\n").writerow
     labels = np.array([f"{p_label(p)}," for p in table.percentiles], dtype=object)
     verdicts = np.array(["false\n", "true\n"], dtype=object)
     sds = [table.sds_codes[f] for f in table.field.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(quote(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
+        handle.write(csv_line(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
         for start in range(0, len(sds), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            prefix = [quote((researcher_id, sds_code, ""))[:-1]
+            prefix = [csv_line((researcher_id, sds_code, ""))[:-1]
                       for researcher_id, sds_code in zip(table.researcher_ids[rows], sds[rows])]
-            floats = np.concatenate((table.fhca[rows].ravel(), table.output[rows]))
-            bits, code = np.unique(floats.view(np.int64), return_inverse=True)
-            text = np.array([f"{v!r}," for v in bits.view(np.float64).tolist()], dtype=object)[code]
+            text = csv_cells(np.concatenate((table.fhca[rows].ravel(), table.output[rows])))
             m = len(prefix)
             columns = (np.array(prefix, dtype=object)[:, None], labels,
                        text[:-m].reshape(m, len(labels)), text[-m:, None],

@@ -194,9 +194,7 @@ def test_criterion_4_zero_path_end_to_end(tmp_path):
             assert all(v is None for v in line)
         assert result.summary.overall.hca_counts[5.0] == 0
         # the bundle still renders a complete, valid report directory
-        entries = []
-        for fmt in ("csv", "json", "markdown"):
-            entries += render(result.bundle, fmt, tmp_path / "out")
+        entries = render(result.bundle, ["csv", "json", "markdown"], tmp_path / "out")
         assert len(entries) == 18
         payload = json.loads((tmp_path / "out" / "reports" / "correlations.json")
                              .read_text(encoding="utf-8"))
@@ -266,8 +264,7 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
     with criterion(7, "every table shape present with the expected schema"):
         result = default_result
         out = tmp_path / "out"
-        for fmt in ("csv", "json", "markdown"):
-            render(result.bundle, fmt, out)
+        render(result.bundle, ["csv", "json", "markdown"], out)
         for name in ("summary", "disciplines", "fields", "correlations", "quadrants", "avg_rank"):
             for ext in ("csv", "json", "md"):
                 assert (out / "reports" / f"{name}.{ext}").exists()

@@ -99,7 +99,7 @@ def test_each_field_keeps_its_discipline_out_of_code_order(tmp_path):
     assert rows.uda == ("U1", "U10", "U2")
     assert rows.n_professors.tolist() == [3, 2, 1]
     bundle = run_pipeline(corpus, CostModel()).bundle
-    render(bundle, "csv", tmp_path)
+    render(bundle, ["csv"], tmp_path)
     with open(tmp_path / "reports" / "avg_rank.csv", newline="", encoding="utf-8") as handle:
         entries = bundle.field_rows + list(csv.DictReader(handle))
     assert sorted({(entry["sds"], entry["uda"]) for entry in entries}) == sorted(sds_to_uda.items())

@@ -23,10 +23,7 @@ def read_csv(path):
 
 
 def render_all(bundle, out):
-    entries = []
-    for fmt in ("csv", "json", "markdown"):
-        entries += render(bundle, fmt, out)
-    return entries
+    return render(bundle, ["csv", "json", "markdown"], out)
 
 
 def test_render_writes_every_table_in_every_format(default_result, tmp_path):
@@ -59,7 +56,7 @@ def test_bundle_round_trips_through_json(default_result, tmp_path):
 def test_empty_corpus_renders_header_only_tables(tmp_path):
     corpus = mk_corpus([], [], [], {"S1": "U1"})
     result = run_pipeline(corpus, CostModel())
-    entries = render(result.bundle, "csv", tmp_path)
+    entries = render(result.bundle, ["csv"], tmp_path)
     by_name = {e["path"]: e["rows"] for e in entries}
     assert by_name["reports/fields.csv"] == 0
     assert by_name["reports/quadrants.csv"] == 0
@@ -75,7 +72,7 @@ def test_single_field_corpus_discipline_row_equals_overall(tmp_path):
     researchers = [(f"r{i}", "S1", YEARS) for i in range(5)]
     corpus = mk_corpus(researchers, pubs, links, {"S1": "U1"})
     result = run_pipeline(corpus, CostModel())
-    render(result.bundle, "csv", tmp_path)
+    render(result.bundle, ["csv"], tmp_path)
     rows = read_csv(tmp_path / "reports" / "disciplines.csv")
     assert len(rows) == 2
     uda_row, overall = rows
@@ -86,7 +83,7 @@ def test_single_field_corpus_discipline_row_equals_overall(tmp_path):
 
 
 def test_summary_percentages_recompute_from_counts(default_result, tmp_path):
-    render(default_result.bundle, "csv", tmp_path)
+    render(default_result.bundle, ["csv"], tmp_path)
     for row in read_csv(tmp_path / "reports" / "summary.csv"):
         for pl in ("5", "10"):
             count = int(row[f"hca_{pl}"])
@@ -97,7 +94,7 @@ def test_summary_percentages_recompute_from_counts(default_result, tmp_path):
 
 
 def test_rounding_conventions(default_result, tmp_path):
-    render(default_result.bundle, "csv", tmp_path)
+    render(default_result.bundle, ["csv"], tmp_path)
     rows = read_csv(tmp_path / "reports" / "fields.csv")
     for row in rows:
         assert "." not in row["total_cost"]
@@ -108,7 +105,7 @@ def test_rounding_conventions(default_result, tmp_path):
 
 
 def test_quadrant_csv_lists_strong_then_weak(default_result, tmp_path):
-    render(default_result.bundle, "csv", tmp_path)
+    render(default_result.bundle, ["csv"], tmp_path)
     rows = read_csv(tmp_path / "reports" / "quadrants.csv")
     sets = [row["set"] for row in rows]
     assert sets == sorted(sets, key=lambda s: s != "strong")
@@ -119,20 +116,20 @@ def test_quadrant_csv_lists_strong_then_weak(default_result, tmp_path):
 
 def test_unknown_format_rejected(default_result, tmp_path):
     with pytest.raises(ValueError):
-        render(default_result.bundle, "xml", tmp_path)
+        render(default_result.bundle, ["xml"], tmp_path)
 
 
 def test_unwritable_directory_is_io_error(default_result, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")
     with pytest.raises(InputIOError):
-        render(default_result.bundle, "csv", blocker)
+        render(default_result.bundle, ["csv"], blocker)
 
 
 def test_markdown_has_extreme_lists(default_result, tmp_path):
     for k in (10, 0):
         bundle = dataclasses.replace(default_result.bundle, top_bottom_k=k)
-        render(bundle, "markdown", tmp_path / str(k))
+        render(bundle, ["markdown"], tmp_path / str(k))
         text = (tmp_path / str(k) / "reports" / "fields.md").read_text(encoding="utf-8")
         assert f"strongest {k}: fss_ts_5" in text
         assert f"weakest {k}: fss_fhca_10" in text
