@@ -191,22 +191,21 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
 def write_flags_csv(flags: HcaFlags, path: Path) -> int:
     """Export flagged publications with the category of their best standing,
     by percentile and then pub_id: publication rows are in pub_id order.
-
-    Written by column in the bytes of a csv.writer row per flag: csv.writer
-    quotes each publication flagged at some percentile, and each category,
-    once; np.nonzero lists the flags percentile by percentile.
-    """
+    Written by column, a percentile at a time, in the bytes of a csv.writer
+    row per flag; each flagged pub_id and each category is quoted once."""
     corpus = flags.corpus
     flagged = np.flatnonzero(flags.hit.any(axis=1))
     ids = np.array(csv_fields(map(corpus.pub_ids.__getitem__, flagged.tolist())), dtype=object)
-    labels = np.array([f",{p_label(p)}," for p in flags.percentiles], dtype=object)
     tails = np.array([f"{category}\n" for category in csv_fields(corpus.categories)], dtype=object)
-    percentile, k = np.nonzero(flags.hit[flagged].T)
-    cells = np.stack((ids[k], labels[percentile], tails[flags.best_category[flagged[k]]]), axis=-1)
+    tails = tails[flags.best_category[flagged]]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(csv_line(["pub_id", "p", "category_of_best_rank"]))
-        handle.write("".join(cells.ravel().tolist()))
-    return len(k)
+        for p, column in zip(flags.percentiles, flags.hit[flagged].T):
+            k = np.flatnonzero(column)
+            cells = np.stack(np.broadcast_arrays(ids[k], np.array(f",{p_label(p)},", dtype=object),
+                                                 tails[k]), axis=-1)
+            handle.write("".join(cells.ravel().tolist()))
+    return int(np.count_nonzero(flags.hit))
 
 
 @dataclass(frozen=True)

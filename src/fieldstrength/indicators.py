@@ -171,9 +171,8 @@ def _aggregate(names: tuple[str, ...], group: np.ndarray, fields: FieldTable) ->
 
 
 def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
-    """Full-precision per-field scoreboard export, written by column in the
-    bytes of a csv.writer row per field: csv.writer quotes each "sds,uda,"
-    prefix and fallback_flags tail, and each distinct number gets one repr."""
+    """Full-precision per-field scoreboard export, by column in the bytes of
+    a csv.writer row per field; each distinct number gets one repr."""
     labels = [p_label(p) for p in fields.percentiles]
     header = ["sds", "uda", "n_professors", "total_cost"]
     header += [f"ts_{pl}" for pl in labels]

@@ -11,7 +11,6 @@ import csv
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -167,19 +166,20 @@ def parse_json(text: str) -> Any:
     return json.loads(text, parse_constant=_not_json)
 
 
+_JSON_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def json_text(value: Any, depth: int = 0) -> str:
-    """json.dumps(value, indent=2), byte for byte, for dicts with str keys.
-    The C encoder (which serves no indent) writes each container that holds
-    only scalars, with the line break and indent as its item separator; only
-    the nesting is joined here."""
+    """json.dumps(value, indent=2), byte for byte, for str keys. The C encoder
+    writes each container of str, int, float, bool and None, with the line
+    break and indent as its item separator; only the nesting is joined here."""
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
         return brackets
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if not any(map(isinstance, value.values() if brackets == "{}" else value,
-                   repeat((dict, list, tuple)))):
+    if _JSON_SCALAR_TYPES.issuperset(map(type, value.values() if brackets == "{}" else value)):
         text = json.JSONEncoder(separators=("," + inner, ": ")).encode(value)
         return text[0] + inner + text[1:-1] + outer + text[-1]
     parts = ([f"{json.dumps(key)}: {json_text(item, depth + 1)}" for key, item in value.items()]
@@ -188,7 +188,6 @@ def json_text(value: Any, depth: int = 0) -> str:
 
 
 def write_json(path: Path, value: Any) -> None:
-    """Write json_text(value) and a line break."""
     Path(path).write_text(json_text(value) + "\n", encoding="utf-8")
 
 
@@ -200,19 +199,17 @@ csv_line = csv.writer(_Line(), lineterminator="\n").writerow
 
 
 def csv_fields(values: Iterable[str]) -> list[str]:
-    """Each value as csv.writer writes it in a row of more than one field:
-    one row of them all, split at its commas when it quoted none."""
+    """Each string as csv.writer writes it in a row of several fields: as it
+    is, unless one row of them all shows that some need quoting."""
     values = list(values)
-    line = csv_line(values + [""])
-    if '"' in line:
+    if '"' in csv_line(values + [""]):
         return [csv_line((value, ""))[:-2] for value in values]
-    return line[:-2].split(",")
+    return values
 
 
 def csv_cells(values: np.ndarray) -> np.ndarray:
     """f"{v!r}," for each number of an int or float64 array, as an object
     array of its shape: each distinct value (float bit pattern) gets one repr."""
-    values = np.ascontiguousarray(values)
     floats = values.dtype.kind == "f"
     distinct, code = np.unique(values.view(np.int64) if floats else values, return_inverse=True)
     text = [f"{v!r}," for v in (distinct.view(np.float64) if floats else distinct).tolist()]

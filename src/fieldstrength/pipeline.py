@@ -7,7 +7,7 @@ can be exercised and compared in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .analytics import (
     AverageRankResult,
@@ -118,30 +118,22 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     )
 
 
-def _per_p(percentiles, **families: Sequence[Any]) -> dict[str, Any]:
-    """One f"{family}_{p}" entry per family and percentile, family by family;
-    each family holds one value per percentile."""
-    return {f"{family}_{p_label(p)}": value
-            for family, values in families.items() for p, value in zip(percentiles, values)}
-
-
 def _summary_row_dict(row, percentiles) -> dict[str, Any]:
     return {"uda": row.uda, "uda_name": row.uda_name, "n_sds": row.n_sds,
             "n_professors": row.n_professors, "n_publications": row.n_publications,
-            **_per_p(percentiles, hca=[row.hca_counts[p] for p in percentiles])}
+            **{f"hca_{p_label(p)}": row.hca_counts[p] for p in percentiles}}
 
 
-def _discipline_rows(table: DisciplineTable, percentiles) -> list[dict[str, Any]]:
-    rows = []
-    for row in zip(table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
-                   table.total_cost.tolist(), table.ts_count.tolist(), table.ts_share.tolist(),
-                   table.fss_ts.tolist(), table.fss_fhca.tolist()):
-        uda, n_sds, n_professors, total_cost, ts_count, ts_share, fss_ts, fss_fhca = row
-        out = {"uda": uda, "n_sds": n_sds, "n_professors": n_professors, "total_cost": total_cost}
-        for p, count, share in zip(percentiles, ts_count, ts_share):
-            out.update({f"ts_{p_label(p)}": count, f"ts_{p_label(p)}_share": share})
-        rows.append({**out, **_per_p(percentiles, fss_ts=fss_ts, fss_fhca=fss_fhca)})
-    return rows
+def _discipline_rows(table: DisciplineTable, labels: list[str]) -> list[dict[str, Any]]:
+    """One dict per discipline row, built by column as _field_rows is."""
+    keys = ["uda", "n_sds", "n_professors", "total_cost",
+            *(f"ts_{pl}{share}" for pl in labels for share in ("", "_share")),
+            *(f"{family}_{pl}" for family in ("fss_ts", "fss_fhca") for pl in labels)]
+    columns = (table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
+               table.total_cost.tolist(),
+               *(c.tolist() for pair in zip(table.ts_count.T, table.ts_share.T) for c in pair),
+               *table.fss_ts.T.tolist(), *table.fss_fhca.T.tolist())
+    return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
 def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
@@ -160,16 +152,15 @@ def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
 def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
                   correlations, quadrant, top_bottom_k) -> ReportBundle:
     percentiles = list(corpus.config.sorted_percentiles)
+    labels = [p_label(p) for p in percentiles]
     return ReportBundle(
-        percentiles=[p_label(p) for p in percentiles],
+        percentiles=labels,
         summary_rows=[_summary_row_dict(r, percentiles) for r in summary.rows],
         summary_overall=_summary_row_dict(summary.overall, percentiles),
-        discipline_rows=(_discipline_rows(discipline_rows, percentiles)
+        discipline_rows=(_discipline_rows(discipline_rows, labels)
                          if discipline_rows is not None else []),
-        discipline_overall=(
-            _discipline_rows(discipline_overall, percentiles)[0]
-            if discipline_overall is not None else None
-        ),
+        discipline_overall=(_discipline_rows(discipline_overall, labels)[0]
+                            if discipline_overall is not None else None),
         field_rows=_field_rows(fields),
         spearman={
             "indicator_ids": list(correlations.indicator_ids),

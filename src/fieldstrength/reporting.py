@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Optional
@@ -109,12 +108,11 @@ def _check_rows(section: str, rows: list[dict[str, Any]], columns: list[tuple[st
             _json_value(row[name], {K_STR: str, K_INT: int}.get(kind, float), f"{where}.{name}")
 
 
-_FORMAT = {kind: str if places is None else f"{{:.{places}f}}".format
-           for kind, places in _DECIMALS.items()}
-
-
 def _fmt(value: Any, kind: str) -> str:
-    return "" if value is None else _FORMAT[kind](value)
+    places = _DECIMALS[kind]
+    if value is None:
+        return ""
+    return str(value) if places is None else f"%.{places}f" % value
 
 
 def _jr(value: Any, kind: str) -> Any:
@@ -125,26 +123,29 @@ def _jr(value: Any, kind: str) -> Any:
 
 
 def _text(values: list, kind: str) -> list[str]:
-    """_fmt of each value of a column, in one map where none is None."""
-    return [_fmt(v, kind) for v in values] if None in values else list(map(_FORMAT[kind], values))
-
-
-def _rounded(values: list, kind: str) -> list:
-    """_jr of each value of a column, in one map where none is None."""
+    """_fmt of each value of a column; numbers take one printf-style
+    format of the whole column, split at its line breaks."""
     places = _DECIMALS[kind]
-    if places is None or None in values:
+    if places is None or None in values or not values:
+        return [_fmt(v, kind) for v in values]
+    return ("\n".join([f"%.{places}f"] * len(values)) % tuple(values)).split("\n")
+
+
+def _rounded(values: list, text: list[str], kind: str) -> list:
+    """_jr of each value of a column whose _text is text: round(v, n) of a
+    float is the float its n-place text reads as, and round(v) the int (both
+    round the exact binary value half to even)."""
+    if set(map(type, values)) != {float}:
         return [_jr(v, kind) for v in values]
-    return list(map(round, values, repeat(places))) if places else list(map(round, values))
+    return list(map(float if _DECIMALS[kind] else int, text))
 
 
 def _rankings(bundle: ReportBundle) -> list[IndicatorRanking]:
     """Each indicator's ranking of the field rows, in spearman.indicator_ids order."""
     codes = tuple(row["sds"] for row in bundle.field_rows)
-    rankings = []
-    for indicator in bundle.spearman["indicator_ids"]:
-        column = np.array([row[indicator] for row in bundle.field_rows], dtype=float)
-        rankings.append(rank_values(indicator, codes, column))
-    return rankings
+    return [rank_values(indicator, codes, np.array(list(map(itemgetter(indicator), bundle.field_rows)),
+                                                   dtype=float))
+            for indicator in bundle.spearman["indicator_ids"]]
 
 
 def _extremes(entries: list, k: int) -> tuple[list, list]:
@@ -287,13 +288,6 @@ def _tables(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> list[_Tab
     ]
 
 
-def _write_csv(names: list[str], text: list[list[str]], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(zip(*text))
-
-
 def _md_section(title: str, names: list[str], text: list[list[str]],
                 notes: list[str]) -> list[str]:
     lines = [f"## {title}", "", "| " + " | ".join(names) + " |",
@@ -318,9 +312,9 @@ def _extreme_sections(k: int, rankings: list[IndicatorRanking]) -> list[str]:
 
 def render(bundle: ReportBundle, formats: list[str], out_dir: Path) -> list[dict[str, Any]]:
     """Write one file per table in each of the given formats under
-    out_dir/reports. The rankings and every table are built once, each
-    column is formatted once for csv and markdown together and rounded
-    once for json.
+    out_dir/reports. The rankings and every table are built once, and each
+    column is formatted once: csv and markdown write its text, and json
+    its values rounded as _jr rounds them.
 
     Returns manifest entries (relative path + row count), format by format
     and sorted by path within each.
@@ -334,21 +328,23 @@ def render(bundle: ReportBundle, formats: list[str], out_dir: Path) -> list[dict
     except OSError as exc:
         raise InputIOError(f"cannot create {reports_dir}: {exc}") from exc
 
-    entries: dict[str, list[dict[str, Any]]] = {fmt: [] for fmt in formats}
     rankings = _rankings(bundle)
-    for table in _tables(bundle, rankings):
-        names = [name for name, _ in table.columns]
+    tables = []  # each table by name, with its names, kinds, values and text by column
+    for table in sorted(_tables(bundle, rankings), key=lambda t: t.name):
+        names, kinds = zip(*table.columns)
         values = [list(map(itemgetter(name), table.rows)) for name in names]
-        kinds = [kind for _, kind in table.columns]
-        if {"csv", "markdown"} & set(formats):
-            text = list(map(_text, values, kinds))
-        for fmt in formats:
+        tables.append((table, names, kinds, values, list(map(_text, values, kinds))))
+    entries = []
+    for fmt in formats:
+        for table, names, kinds, values, text in tables:
             path = reports_dir / f"{table.name}.{_EXT[fmt]}"
             try:
                 if fmt == "csv":
-                    _write_csv(names, text, path)
+                    with open(path, "w", newline="", encoding="utf-8") as handle:
+                        csv.writer(handle, lineterminator="\n").writerows([names, *zip(*text)])
                 elif fmt == "json":
-                    rows = [dict(zip(names, row)) for row in zip(*map(_rounded, values, kinds))]
+                    rows = [dict(zip(names, row))
+                            for row in zip(*map(_rounded, values, text, kinds))]
                     write_json(path, {"table": table.name, "notes": table.notes, "rows": rows})
                 else:
                     lines = _md_section(table.name, names, text, table.notes)
@@ -357,5 +353,5 @@ def render(bundle: ReportBundle, formats: list[str], out_dir: Path) -> list[dict
                     path.write_text("\n".join(lines), encoding="utf-8")
             except OSError as exc:
                 raise InputIOError(f"cannot write {path}: {exc}") from exc
-            entries[fmt].append({"path": str(path.relative_to(out_dir)), "rows": len(table.rows)})
-    return [e for fmt in entries for e in sorted(entries[fmt], key=lambda e: e["path"])]
+            entries.append({"path": str(path.relative_to(out_dir)), "rows": len(table.rows)})
+    return entries

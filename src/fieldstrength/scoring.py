@@ -19,7 +19,7 @@ import numpy as np
 
 from .hca import HcaFlags
 from .ingest import Corpus
-from .model import CostModel, csv_cells, csv_line, p_label, researcher_costs
+from .model import CostModel, csv_cells, csv_fields, csv_line, p_label, researcher_costs
 
 RESCALE_FROM_FIELD = "field"
 RESCALE_FROM_UDA = "uda_fallback"
@@ -156,21 +156,22 @@ def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path
 
     Written by column, a block of researchers at a time, in the bytes of a
     csv.writer row per (researcher, percentile): csv.writer quotes each
-    "id,sds," prefix, and each distinct float bit pattern of a block gets one repr.
+    researcher id and SDS code once, and each distinct float bit pattern of a
+    block gets one repr.
     """
     labels = np.array([f"{p_label(p)}," for p in table.percentiles], dtype=object)
     verdicts = np.array(["false\n", "true\n"], dtype=object)
-    sds = [table.sds_codes[f] for f in table.field.tolist()]
+    ids, sds = csv_fields(table.researcher_ids), csv_fields(table.sds_codes)
+    field = table.field.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(csv_line(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
-        for start in range(0, len(sds), _BLOCK):
+        for start in range(0, len(ids), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            prefix = [csv_line((researcher_id, sds_code, ""))[:-1]
-                      for researcher_id, sds_code in zip(table.researcher_ids[rows], sds[rows])]
+            prefix = [f"{researcher_id},{sds[f]}," for researcher_id, f in zip(ids[rows], field[rows])]
             text = csv_cells(np.concatenate((table.fhca[rows].ravel(), table.output[rows])))
             m = len(prefix)
             columns = (np.array(prefix, dtype=object)[:, None], labels,
                        text[:-m].reshape(m, len(labels)), text[-m:, None],
                        verdicts[is_ts[rows].astype(np.intp)])
             handle.write("".join(np.stack(np.broadcast_arrays(*columns), axis=-1).ravel().tolist()))
-    return len(sds) * len(labels)
+    return len(ids) * len(labels)
