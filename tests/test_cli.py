@@ -16,6 +16,7 @@ from fieldstrength import cli
 from fieldstrength.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+TABLE_NAMES = ("summary", "disciplines", "fields", "correlations", "quadrants", "avg_rank")
 
 
 def write_config(tmp_path: Path, corpus_dir: Path, **extra) -> Path:
@@ -143,6 +144,21 @@ def test_report_rerenders_identically(synth_run):
                  "--out", str(re_out)]) == 0
     for path in sorted((out / "reports").iterdir()):
         assert (re_out / "reports" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_repeated_formats_are_written_once(synth_run, tmp_path, capsys):
+    _, config, out = synth_run
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run"),
+                 "--format", "csv, json,csv,json"]) == 0
+    paths = [f["path"] for f in json.loads(
+        (tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))["files"]]
+    assert len(paths) == len(set(paths)) == 12 + 4
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(out / "analytics.json"), "--out", str(tmp_path / "re"),
+                 "--format", "markdown,json,markdown"]) == 0
+    printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [f"reports/{name}.{ext}" for ext in ("md", "json")
+                       for name in sorted(TABLE_NAMES)]
 
 
 @pytest.mark.parametrize("edit, field", [
