@@ -181,11 +181,10 @@ def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
     header.append("fallback_flags")
     prefix = [csv_line((sds, uda, ""))[:-1] for sds, uda in zip(fields.sds_codes, fields.uda)]
     tail = [csv_line(("", flags))[1:] for flags in fields.fallback_flags()]
-    cells = np.concatenate((
-        np.array(prefix, dtype=object)[:, None], csv_cells(fields.n_professors[:, None]),
-        csv_cells(fields.total_cost[:, None]), csv_cells(fields.ts_count),
-        csv_cells(fields.fss_ts), csv_cells(fields.fss_fhca), np.array(tail, dtype=object)[:, None]),
-        axis=1)
+    numbers = (fields.n_professors[:, None], fields.total_cost[:, None], fields.ts_count,
+               fields.fss_ts, fields.fss_fhca)
+    cells = np.concatenate((np.array(prefix, dtype=object)[:, None], *map(csv_cells, numbers),
+                            np.array(tail, dtype=object)[:, None]), axis=1)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(csv_line(header))
         handle.write("".join(cells.ravel().tolist()))

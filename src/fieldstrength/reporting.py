@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _jr(value: Any, kind: str) -> Any:
 
 
 def _text(values: list, kind: str) -> list[str]:
-    """_fmt of each value of a column; numbers take one printf-style
-    format of the whole column, split at its line breaks."""
+    """_fmt of each value of a column; numbers in one printf-style format of them all."""
     places = _DECIMALS[kind]
     if places is None or None in values or not values:
         return [_fmt(v, kind) for v in values]
@@ -134,18 +133,18 @@ def _text(values: list, kind: str) -> list[str]:
 def _rounded(values: list, text: list[str], kind: str) -> list:
     """_jr of each value of a column whose _text is text: round(v, n) of a
     float is the float its n-place text reads as, and round(v) the int (both
-    round the exact binary value half to even)."""
-    if set(map(type, values)) != {float}:
-        return [_jr(v, kind) for v in values]
-    return list(map(float if _DECIMALS[kind] else int, text))
+    round the exact binary value half to even); ints and strs stay as they are."""
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map(float if _DECIMALS[kind] else int, text))
+    return values if types <= {int, str} else [_jr(v, kind) for v in values]
 
 
 def _rankings(bundle: ReportBundle) -> list[IndicatorRanking]:
     """Each indicator's ranking of the field rows, in spearman.indicator_ids order."""
-    codes = tuple(row["sds"] for row in bundle.field_rows)
-    return [rank_values(indicator, codes, np.array(list(map(itemgetter(indicator), bundle.field_rows)),
-                                                   dtype=float))
-            for indicator in bundle.spearman["indicator_ids"]]
+    sds = tuple(row["sds"] for row in bundle.field_rows)
+    return [rank_values(i, sds, np.array(list(map(itemgetter(i), bundle.field_rows)), dtype=float))
+            for i in bundle.spearman["indicator_ids"]]
 
 
 def _extremes(entries: list, k: int) -> tuple[list, list]:
@@ -289,7 +288,7 @@ def _tables(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> list[_Tab
 
 
 def _md_section(title: str, names: list[str], text: list[list[str]],
-                notes: list[str]) -> list[str]:
+                notes: Sequence[str] = ()) -> list[str]:
     lines = [f"## {title}", "", "| " + " | ".join(names) + " |",
              "|" + "|".join(" --- " for _ in names) + "|"]
     lines += ["| " + " | ".join(row) + " |" for row in zip(*text)]
@@ -306,7 +305,7 @@ def _extreme_sections(k: int, rankings: list[IndicatorRanking]) -> list[str]:
         for title, chosen in zip(("strongest", "weakest"), _extremes(r.order.tolist(), k)):
             text = [[r.sds_codes[f] for f in chosen], _text(r.values[chosen].tolist(), K_FSS),
                     _text(r.ranks[chosen].tolist(), K_RANK)]
-            lines += _md_section(f"{title} {k}: {r.indicator_id}", ["sds", "value", "rank"], text, [])
+            lines += _md_section(f"{title} {k}: {r.indicator_id}", ["sds", "value", "rank"], text)
     return lines
 
 

@@ -164,10 +164,11 @@ def write_researcher_scores_csv(table: ScoreTable, is_ts: np.ndarray, path: Path
     ids, sds = csv_fields(table.researcher_ids), csv_fields(table.sds_codes)
     field = table.field.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(csv_line(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output", "is_ts"]))
+        handle.write(csv_line(["researcher_id", "sds", "p", "fhca_score", "frac_pub_output",
+                               "is_ts"]))
         for start in range(0, len(ids), _BLOCK):
             rows = slice(start, start + _BLOCK)
-            prefix = [f"{researcher_id},{sds[f]}," for researcher_id, f in zip(ids[rows], field[rows])]
+            prefix = [f"{rid},{sds[f]}," for rid, f in zip(ids[rows], field[rows])]
             text = csv_cells(np.concatenate((table.fhca[rows].ravel(), table.output[rows])))
             m = len(prefix)
             columns = (np.array(prefix, dtype=object)[:, None], labels,
