@@ -26,7 +26,7 @@ from fieldstrength.errors import (
 from fieldstrength.hca import build_cells, corpus_summary, flag_hcas
 from fieldstrength.ingest import CorpusPaths, load_corpus
 from fieldstrength.model import RANKS, AnalysisConfig
-from fieldstrength.oracles import oracle_top_p
+from fieldstrength.oracles import oracle_load, oracle_top_p
 
 
 def load(tmp_path, taxonomy=None, researchers=None, publications=None,
@@ -256,6 +256,43 @@ def test_rows_before_a_bad_byte_are_checked(tmp_path, n_good):
         ("line break inside subject_categories", n_good + 5),
         ("not valid UTF-8 (invalid continuation byte); rest of file skipped", n_good + 6),
     ]
+
+
+UTF8_STOP = "not valid UTF-8 (invalid continuation byte); rest of file skipped"
+BOM_HEADER = ("bad header ['\\ufeffpub_id', 'year', 'citations', 'author_count', "
+              "'subject_categories'], expected ['pub_id', 'year', 'citations', 'author_count', "
+              "'subject_categories']")
+
+
+@pytest.mark.parametrize("n_good", [0, 1000])
+@pytest.mark.parametrize("damage, listing", [
+    # the bad byte's line is the header: nothing before it, so no header issue
+    ("bad byte on line 1", [(UTF8_STOP, 1)]),
+    # p2's quoted field is still open when the bad byte's line starts: the
+    # rows before that line are read to their end, p2's open field included
+    ("open quote before the bad byte's line", [("citations is not an integer: 'x'", 3),
+                                               (UTF8_STOP, 4)]),
+    # a bad header ends the file before the later bad byte is met
+    ("BOM header, later bad byte", [(BOM_HEADER, 1)]),
+])
+def test_bad_byte_listings(tmp_path, n_good, damage, listing):
+    publications = [f"q{i},2013,1,1,A" for i in range(n_good)] + MINI_PUBLICATIONS
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications, MINI_AUTHORSHIPS)
+    data = paths.publications.read_bytes()
+    if damage == "bad byte on line 1":
+        data = b"\xe9" + data
+    elif damage == "open quote before the bad byte's line":
+        data += b'p2,2013,x,1,"A;\nB\xe9",x\np3,2013,1,1,A\n'
+    else:
+        data = b"\xef\xbb\xbf" + data + b"p4,2013,5,1,Caf\xe9\n"
+    paths.publications.write_bytes(data)
+    shift = n_good if damage == "open quote before the bad byte's line" else 0
+    expected = [(ISSUE_MALFORMED_ROW, message, str(paths.publications), line + shift)
+                for message, line in listing]
+    for loader in (load_corpus, oracle_load):
+        with pytest.raises(CorpusValidationError) as excinfo:
+            loader(paths, AnalysisConfig())
+        assert [(i.kind, i.message, i.file, i.line) for i in issues_of(excinfo)] == expected
 
 
 @pytest.mark.parametrize("name", ["researchers", "publications"])
