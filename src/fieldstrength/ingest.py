@@ -28,7 +28,7 @@ import io
 import logging
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, dropwhile, islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -346,34 +346,45 @@ def _stop(message: str, path: Path, line: int, issues: _Issues, stopped: set[Pat
     stopped.add(path)
 
 
-def _read_rows(path: Path, header: list[str], issues: _Issues, stopped: set[Path]):
-    """Yield (line_number, row) for data rows; enforce the exact header.
+def _file_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputIOError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_rows(path: Path, data: bytes, header: list[str], issues: _Issues, stopped: set[Path]):
+    """Yield (line_number, row) for the data rows of path, whose bytes are
+    data; enforce the exact header.
 
     A row of the wrong width, or with a line break inside a field's
     stripped text, is one issue and is not yielded. An empty file, a bad
     header, a byte that is not UTF-8 or a row the csv module rejects (a
     field longer than csv.field_size_limit()) ends the file with one issue,
-    and adds path to stopped. The rows before the line of a bad byte are
-    read as usual.
+    and adds path to stopped. One csv.reader reads the whole lines in front
+    of the first bad byte's line, as usual; the header is checked unless
+    there are none.
     """
+    bad_byte = None
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputIOError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            if _header_ok(next(reader, None), header, path, issues, stopped):
-                for row in reader:
-                    if row and _row_ok(row, header, path, reader.line_num, issues):
-                        yield reader.line_num, row
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad_byte, end = exc.reason, exc.start
+        data = data[:max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1]
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        if (data or bad_byte is None) and not _header_ok(next(reader, None), header, path,
+                                                         issues, stopped):
             return
-        except UnicodeDecodeError:
-            consumed = reader.line_num
-        except csv.Error as exc:
-            _stop(f"{exc}; rest of file skipped", path, reader.line_num, issues, stopped)
-            return
-    yield from _rows_before_bad_byte(path, header, issues, stopped, consumed)
+        for row in reader:
+            if row and _row_ok(row, header, path, reader.line_num, issues):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        _stop(f"{exc}; rest of file skipped", path, reader.line_num, issues, stopped)
+        return
+    if bad_byte is not None:
+        _stop(f"not valid UTF-8 ({bad_byte}); rest of file skipped", path, reader.line_num + 1,
+              issues, stopped)
 
 
 def _header_ok(first: Optional[list[str]], header: list[str], path: Path, issues: _Issues,
@@ -396,42 +407,6 @@ def _row_ok(row: list[str], header: list[str], path: Path, line: int, issues: _I
             issues.add(ISSUE_MALFORMED_ROW, f"line break inside {name}", path, line)
             return False
     return True
-
-
-def _rows_before_bad_byte(path: Path, header: list[str], issues: _Issues, stopped: set[Path],
-                          consumed: int):
-    """The error path of _read_rows: the decoder reads ahead in chunks, so
-    a bad byte can stop the reading before the rows in front of it are
-    handed out. Parse the file up to the bad byte's line again, yield the
-    rows that end after line `consumed` (and check the header if it was not
-    read), then report the bad byte, or the first row in front of it that
-    the csv module rejects."""
-    try:
-        data = path.read_bytes()
-        data.decode("utf-8")
-    except OSError as exc:
-        raise InputIOError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        bad_byte, reason = exc.start, exc.reason
-    else:
-        raise InputIOError(f"{path} changed while it was read")
-    lines = data[:bad_byte].splitlines(keepends=True)
-    if lines and not lines[-1].endswith((b"\n", b"\r")):
-        lines.pop()  # the start of the bad line
-    reader = csv.reader(io.StringIO(b"".join(lines).decode("utf-8"), newline=""))
-    rows = dropwhile(lambda _: reader.line_num <= consumed, reader)
-    try:
-        if lines and not consumed and not _header_ok(next(rows, None), header, path, issues,
-                                                      stopped):
-            return
-        for row in rows:
-            if row and _row_ok(row, header, path, reader.line_num, issues):
-                yield reader.line_num, row
-    except csv.Error as exc:
-        _stop(f"{exc}; rest of file skipped", path, reader.line_num, issues, stopped)
-        return
-    _stop(f"not valid UTF-8 ({reason}); rest of file skipped", path, len(lines) + 1, issues,
-          stopped)
 
 
 def _int(text: str) -> int:
@@ -468,7 +443,7 @@ def _load_taxonomy(path: Path, issues: _Issues) -> Optional[Taxonomy]:
     sds_to_uda: dict[str, str] = {}
     sds_names: dict[str, str] = {}
     uda_names: dict[str, str] = {}
-    for line, row in _read_rows(path, TAXONOMY_HEADER, issues, set()):
+    for line, row in _read_rows(path, _file_bytes(path), TAXONOMY_HEADER, issues, set()):
         sds_code, sds_name, uda_code, uda_name = map(str.strip, row)
         if not sds_code or not uda_code:
             issues.add(ISSUE_MALFORMED_ROW, "empty code", path, line)
@@ -688,9 +663,9 @@ class _Fields:
         return _strings(distinct), category_start, codes.astype(np.int32)
 
 
-def _split_bytes(path: Path, header: list[str]) -> _Fields:
-    """The byte split: the file read once as bytes and split at every comma
-    and LF with numpy. Data row i is on line i + 2, as there are no blank
+def _split_bytes(data: bytes, header: list[str]) -> _Fields:
+    """The byte split: a file's bytes split at every comma and LF with
+    numpy. Data row i is on line i + 2, as there are no blank
     lines.
 
     Declines unless csv.reader would split the file the same way and
@@ -698,10 +673,6 @@ def _split_bytes(path: Path, header: list[str]) -> _Fields:
     no quote, CR or NUL byte, width fields on every line, and every field
     non-empty, within csv.field_size_limit() and without a strippable edge.
     """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        raise _Declined from None  # csv.reader reports it
     if not data.endswith(b"\n"):
         data += b"\n"
     head = ",".join(header).encode() + b"\n"
@@ -742,12 +713,12 @@ def _split_bytes(path: Path, header: list[str]) -> _Fields:
     return _Fields(data, start, length, width, range(2, len(length) // width + 2))
 
 
-def _split_csv(path: Path, header: list[str], issues: _Issues) -> _Fields:
-    """The csv tokenizer: any file, read by _read_rows, which records the
-    file's own issues. Each field is stripped with str.strip(). The rows
+def _split_csv(path: Path, data: bytes, header: list[str], issues: _Issues) -> _Fields:
+    """The csv tokenizer: the bytes of any file, read by _read_rows, which
+    records the file's own issues. Each field is stripped with str.strip(). The rows
     are encoded a chunk at a time, so that few field strings live at once."""
     stopped: set[Path] = set()
-    rows = _read_rows(path, header, issues, stopped)
+    rows = _read_rows(path, data, header, issues, stopped)
     lines, pieces, lengths = array("q"), [], [np.zeros(0, dtype=np.intp)]
     while chunk := list(islice(rows, 4096)):
         lines.extend(map(itemgetter(0), chunk))
@@ -761,13 +732,14 @@ def _split_csv(path: Path, header: list[str], issues: _Issues) -> _Fields:
 
 
 def _read(path: Path, header: list[str], issues: _Issues) -> _Fields:
-    """The fields of path by the byte split, or by csv.reader where the
-    byte split declines the file."""
+    """The fields of path, read once: by the byte split, or by csv.reader
+    where the byte split declines the file."""
+    data = _file_bytes(path)
     try:
-        return _split_bytes(path, header)
+        return _split_bytes(data, header)
     except _Declined:
-        pass  # the declined file's buffers are freed before csv.reader starts
-    return _split_csv(path, header, issues)
+        pass  # the byte split's buffers are freed before csv.reader starts
+    return _split_csv(path, data, header, issues)
 
 
 # The readers: array tests single out every row that breaks a row-level

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CorpusValidationError
 from .ingest import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RESEARCHERS_HEADER,
-                     _PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set, _Issues,
-                     _load_taxonomy, _parse_int, _read_rows, build_corpus)
+                     _PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set,
+                     _file_bytes, _Issues, _load_taxonomy, _parse_int, _read_rows, build_corpus)
 from .model import RANKS, AnalysisConfig
 
 
@@ -114,7 +114,8 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     path, header, n_rows, outside = paths.researchers, RESEARCHERS_HEADER, 0, 0
     researcher_sds: dict[str, str] = {}  # a researcher's field: that of its first valid row
     rank_in: dict[str, dict[int, str]] = {}
-    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+    rows = _read_rows(path, _file_bytes(path), header, issues, stopped)
+    for n_rows, (line, row) in enumerate(rows, 1):
         researcher_id, sds_code, year_text, rank = map(str.strip, row)
         rank = rank.lower()
         year = _parse_int(year_text, "year", path, line, issues)
@@ -142,7 +143,8 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
     pub_row: dict[str, int] = {}  # each listed pub_id to its row in pubs, -1 when not kept
     pubs: list[tuple] = []  # (pub_id, year, citations, author_count, index in category_sets)
     category_sets: list[tuple[str, ...]] = []  # of every listed pub_id, as load_corpus keeps
-    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+    rows = _read_rows(path, _file_bytes(path), header, issues, stopped)
+    for n_rows, (line, row) in enumerate(rows, 1):
         pub_id, *texts, categories = map(str.strip, row)
         numbers = [_parse_int(text, what, path, line, issues, minimum, maximum)
                    for text, (what, minimum, maximum) in zip(texts, _PUBLICATION_NUMBERS)]
@@ -165,7 +167,8 @@ def oracle_load(paths: CorpusPaths, config: AnalysisConfig) -> Corpus:
 
     path, header, n_rows, to_dropped_pubs = paths.authorships, AUTHORSHIPS_HEADER, 0, 0
     links: dict[tuple[int, int], None] = {}  # (pub row, researcher index), in file order
-    for n_rows, (line, row) in enumerate(_read_rows(path, header, issues, stopped), 1):
+    rows = _read_rows(path, _file_bytes(path), header, issues, stopped)
+    for n_rows, (line, row) in enumerate(rows, 1):
         pub_id, researcher_id = map(str.strip, row)
         pub = pub_row.get(pub_id)
         if pub is None and paths.publications not in stopped:

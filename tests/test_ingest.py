@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import builtins
 import gc
+import io
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,26 @@ def test_missing_file_is_io_error(tmp_path):
         load_corpus(paths, AnalysisConfig())
 
 
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    # publications.csv is quoted, so the byte split declines it and csv.reader
+    # reads the same bytes; each open, by pathlib (io.open) or by open(), is counted
+    paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, ['"p1",2013,7,2,"A"'],
+                       MINI_AUTHORSHIPS)
+    opened = Counter()
+
+    def counted(open_file):
+        def counting(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return open_file(file, *args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(io, "open", counted(io.open))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    assert load_corpus(paths, AnalysisConfig()).pub_ids == ("p1",)
+    assert {str(path): opened[str(path)] for path in vars(paths).values()} == {
+        str(path): 1 for path in vars(paths).values()}
+
+
 @pytest.mark.parametrize("n_good", [0, 1000])
 def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
     publications = MINI_PUBLICATIONS + [f"q{i},2013,1,1,A" for i in range(n_good)]
@@ -241,9 +264,8 @@ def test_non_utf8_byte_is_one_malformed_row_issue(tmp_path, n_good):
 
 @pytest.mark.parametrize("n_good", [0, 1000])
 def test_rows_before_a_bad_byte_are_checked(tmp_path, n_good):
-    # the decoder reads ahead, so the bad byte is met before the rows in
-    # front of it in the same chunk have been handed out; they get every
-    # row check, the line break inside p3's categories included
+    # the rows in front of the bad byte's line get every row check, the
+    # line break inside p3's categories included
     publications = ([f"q{i},2013,1,1,A" for i in range(n_good)]
                     + ["p1,2013,7,2,A", "p2,2013,x,2,A", '"p3",2013,1,1,"A;\nB"'])
     paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, publications, MINI_AUTHORSHIPS)

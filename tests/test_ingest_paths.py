@@ -273,11 +273,9 @@ def test_each_file_picks_its_tokenizer(tmp_path, monkeypatch, publications, kind
     b"p1," + b"r" * 131_073 + b"\n",
 ], ids=["shifted rows", "blank line", "CRLF", "quote", "NUL", "space", "no-break space",
         "not UTF-8", "over the csv field limit"])
-def test_column_path_declines(tmp_path, body):
-    path = tmp_path / "authorships.csv"
-    path.write_bytes(b"pub_id,researcher_id\n" + body)
+def test_column_path_declines(body):
     with pytest.raises(ingest._Declined):
-        ingest._split_bytes(path, ingest.AUTHORSHIPS_HEADER)
+        ingest._split_bytes(b"pub_id,researcher_id\n" + body, ingest.AUTHORSHIPS_HEADER)
 
 
 @pytest.mark.parametrize("body, ids", [
@@ -305,10 +303,9 @@ def test_keys_hold_any_id(tmp_path, body, ids):
     assert not found.any()
 
 
-def test_column_path_splits_fields(tmp_path):
-    path = tmp_path / "authorships.csv"
-    path.write_bytes("pub_id,researcher_id\np1,r1\np22,ré\x0b2".encode("utf-8"))
-    fields = ingest._split_bytes(path, ingest.AUTHORSHIPS_HEADER)
+def test_column_path_splits_fields():
+    data = "pub_id,researcher_id\np1,r1\np22,ré\x0b2".encode("utf-8")
+    fields = ingest._split_bytes(data, ingest.AUTHORSHIPS_HEADER)
     assert fields.rows == 2
     assert fields.keys(0).tolist() == [b"p1", b"p22"]
     assert fields.keys(1).tolist() == [b"r1", "ré\x0b2".encode("utf-8")]
