@@ -10,9 +10,8 @@ per-discipline dataset summary counts the flagged publications.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -144,6 +143,13 @@ def _best_category(corpus: Corpus, share: np.ndarray) -> np.ndarray:
     return corpus.category_code[at_min[np.searchsorted(at_min, starts)]]
 
 
+def _cutoffs(p: float, sizes: np.ndarray) -> np.ndarray:
+    """ceil(p*size/100) for each size, with p the decimal a/b that repr(p)
+    writes, in Python integers: a*size can pass 2**63."""
+    a, b = Decimal(repr(float(p))).as_integer_ratio()
+    return np.array([-(-a * size // (100 * b)) for size in sizes.tolist()], dtype=np.int64)
+
+
 def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
     """Flag publications highly cited at every percentile in one pass.
 
@@ -155,9 +161,9 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
     of its cells (the most favourable category counts).
 
     The rule b < p*size/100 is decided exactly, with p taken as the decimal
-    it is written as (Fraction(repr(p))), not as its binary float: for an
-    integer b it holds iff b < ceil(p*size/100), an integer cutoff computed
-    once per distinct cell size.
+    it is written as (repr(p)), not as its binary float: for an integer b it
+    holds iff b < ceil(p*size/100), an integer cutoff computed once per
+    distinct cell size by _cutoffs.
     """
     percentiles = tuple(sorted(set(percentiles)))
     for p in percentiles:
@@ -181,10 +187,7 @@ def flag_hcas(cells: CitationCells, percentiles: Iterable[float]) -> HcaFlags:
     # column order: each reader takes one percentile's column at a time
     hit = np.zeros((len(corpus.pub_ids), len(percentiles)), dtype=bool, order="F")
     for j, p in enumerate(percentiles):
-        exact_p = Fraction(repr(float(p)))
-        cutoffs = np.array([math.ceil(exact_p * size / 100) for size in distinct_sizes.tolist()],
-                           dtype=np.int64)
-        hit[cells.pub_row[above < cutoffs[member_size]], j] = True
+        hit[cells.pub_row[above < _cutoffs(p, distinct_sizes)[member_size]], j] = True
     return HcaFlags(corpus, percentiles, hit, best_category)
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import best_categories, flagged_ids, members, mk_cells, mk_corpus, one_cell
-from fieldstrength.hca import build_cells, flag_hcas
+from fieldstrength.hca import _cutoffs, build_cells, flag_hcas
 from fieldstrength.model import CostModel, p_label
 from fieldstrength.oracles import oracle_top_p
 from fieldstrength.scoring import score_researchers
@@ -72,6 +74,15 @@ def test_percentile_is_compared_as_its_decimal():
     assert "p1466" not in flagged  # b = 33
     assert flagged == {f"p{i}" for i in range(1467, 1500)}  # b = 0..32
     assert oracle_top_p(members(*cells), 2.2) == flagged
+
+
+@pytest.mark.parametrize("p", [0.1, 2.5, 5, 33.333333333333336, 99.99])
+def test_cutoffs_follow_the_fraction_rule(p):
+    # a * size passes 2**63 for p = 33.333333333333336, whose decimal has 17 digits
+    sizes = range(1, 5001)
+    exact_p = Fraction(repr(float(p)))
+    expected = [math.ceil(exact_p * size / 100) for size in sizes]
+    assert _cutoffs(p, np.array(sizes)).tolist() == expected
 
 
 def test_flag_hcas_most_favourable_category():
