@@ -27,8 +27,8 @@ from .indicators import (
     build_field_scoreboards,
 )
 from .ingest import Corpus
-from .model import RANKS, CostModel, OutputOptions, p_label
-from .reporting import ReportBundle
+from .model import CostModel, OutputOptions, p_label
+from .reporting import ReportBundle, _discipline_columns, _field_columns, _summary_columns
 from .scoring import (RESCALE_EXHAUSTED, RESCALE_FROM_NATIONAL, RESCALE_FROM_UDA, ScoreTable,
                       score_researchers)
 
@@ -118,17 +118,15 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     )
 
 
-def _summary_row_dict(row, percentiles) -> dict[str, Any]:
-    return {"uda": row.uda, "uda_name": row.uda_name, "n_sds": row.n_sds,
-            "n_professors": row.n_professors, "n_publications": row.n_publications,
-            **{f"hca_{p_label(p)}": row.hca_counts[p] for p in percentiles}}
+def _summary_row_dict(row, percentiles, keys: list[str]) -> dict[str, Any]:
+    return dict(zip(keys, (row.uda, row.uda_name, row.n_sds, row.n_professors,
+                           row.n_publications, *(row.hca_counts[p] for p in percentiles))))
 
 
 def _discipline_rows(table: DisciplineTable, labels: list[str]) -> list[dict[str, Any]]:
-    """One dict per discipline row, built by column as _field_rows is."""
-    keys = ["uda", "n_sds", "n_professors", "total_cost",
-            *(f"ts_{pl}{share}" for pl in labels for share in ("", "_share")),
-            *(f"{family}_{pl}" for family in ("fss_ts", "fss_fhca") for pl in labels)]
+    """One dict per discipline row, keyed by its reporting columns and built
+    by column as _field_rows is."""
+    keys = [name for name, _ in _discipline_columns(labels)]
     columns = (table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
                table.total_cost.tolist(),
                *(c.tolist() for pair in zip(table.ts_count.T, table.ts_share.T) for c in pair),
@@ -137,11 +135,9 @@ def _discipline_rows(table: DisciplineTable, labels: list[str]) -> list[dict[str
 
 
 def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
-    """One dict per field, built by column: each key is made once."""
-    labels = [p_label(p) for p in fields.percentiles]
-    keys = ["sds", "uda", *(f"n_{rank}" for rank in RANKS), "n_professors", "total_cost",
-            *(f"{family}_{pl}" for family in ("ts", "fss_ts", "fss_fhca") for pl in labels),
-            "fallback_flags"]
+    """One dict per field, keyed by its reporting columns and built by
+    column: each key is made once."""
+    keys = [name for name, _ in _field_columns([p_label(p) for p in fields.percentiles])]
     columns = (fields.sds_codes, fields.uda, *fields.n_by_rank.T.tolist(),
                fields.n_professors.tolist(), fields.total_cost.tolist(),
                *fields.ts_count.T.tolist(), *fields.fss_ts.T.tolist(), *fields.fss_fhca.T.tolist(),
@@ -153,10 +149,11 @@ def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
                   correlations, quadrant, top_bottom_k) -> ReportBundle:
     percentiles = list(corpus.config.sorted_percentiles)
     labels = [p_label(p) for p in percentiles]
+    summary_keys = [name for name, _ in _summary_columns(labels, shares=False)]
     return ReportBundle(
         percentiles=labels,
-        summary_rows=[_summary_row_dict(r, percentiles) for r in summary.rows],
-        summary_overall=_summary_row_dict(summary.overall, percentiles),
+        summary_rows=[_summary_row_dict(r, percentiles, summary_keys) for r in summary.rows],
+        summary_overall=_summary_row_dict(summary.overall, percentiles, summary_keys),
         discipline_rows=(_discipline_rows(discipline_rows, labels)
                          if discipline_rows is not None else []),
         discipline_overall=(_discipline_rows(discipline_overall, labels)[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytics import IndicatorRanking, average_rank_extremes, rank_values
 from .errors import ConfigurationError, InputIOError
-from .model import OutputOptions, _json_value, read_json_fields, write_json
+from .model import RANKS, OutputOptions, _json_value, read_json_fields, write_json
 
 FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
@@ -207,9 +207,8 @@ def _discipline_table(bundle: ReportBundle) -> _Table:
 
 
 def _field_columns(percentiles: list[str]) -> list[tuple[str, str]]:
-    columns = [("sds", K_STR), ("uda", K_STR), ("n_assistant", K_INT),
-               ("n_associate", K_INT), ("n_full", K_INT), ("n_professors", K_INT),
-               ("total_cost", K_COST)]
+    columns = [("sds", K_STR), ("uda", K_STR), *((f"n_{rank}", K_INT) for rank in RANKS),
+               ("n_professors", K_INT), ("total_cost", K_COST)]
     for pl in percentiles:
         columns.append((f"ts_{pl}", K_INT))
     for pl in percentiles:
