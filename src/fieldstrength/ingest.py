@@ -6,18 +6,18 @@ below the minimum activity, rows outside the window); every drop is
 counted with a reason in the load report so that dropped + kept =
 parsed always holds.
 
-researchers.csv, publications.csv and authorships.csv are each read by
-one reader of column rules, fed by one of two tokenizers that fill the
-same field columns. The byte split finds the fields of a clean file
-(unquoted, LF, no whitespace at a field's edge) with numpy; csv.reader
-reads any file the byte split declines, and records the file's own
-issues. Array tests then single out the rows that break a rule, and only
-those are decided in Python, in line order; each row-level issue is
-worded by one _Issues method. Ids are joined by one search over one
-integer key where they fit in 8 bytes, and category lists are cut at ';'
-by bytes, so no Python object is made per row until build_corpus turns
-the kept ids into strings. oracles.oracle_load states the same rules as a
-row loop, the reference the tests hold the readers to.
+researchers.csv, publications.csv and authorships.csv are each read once,
+as bytes, by one reader of column rules, fed by one of two tokenizers that
+fill the same field columns. The byte split finds the fields of a clean
+file (unquoted, LF, no whitespace at a field's edge) with numpy;
+csv.reader reads the bytes of any file the byte split declines, and
+records the file's own issues. Array tests then single out the rows that
+break a rule, and only those are decided in Python, in line order; each
+row-level issue is worded by one _Issues method. Ids are joined by one
+search over one integer key where they fit in 8 bytes, and category lists
+are cut at ';' by bytes, so no Python object is made per row until
+build_corpus turns the kept ids into strings. oracles.oracle_load states
+the same rules as a row loop, the reference the tests hold the readers to.
 """
 
 from __future__ import annotations
@@ -365,16 +365,16 @@ def _read_rows(path: Path, data: bytes, header: list[str], issues: _Issues, stop
     of the first bad byte's line, as usual; the header is checked unless
     there are none.
     """
-    bad_byte = None
+    reason = None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad_byte, end = exc.reason, exc.start
-        data = data[:max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1]
+        reason, bad = exc.reason, exc.start
+        data = data[:max(data.rfind(b"\n", 0, bad), data.rfind(b"\r", 0, bad)) + 1]
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
-        if (data or bad_byte is None) and not _header_ok(next(reader, None), header, path,
-                                                         issues, stopped):
+        if (data or reason is None) and not _header_ok(next(reader, None), header, path,
+                                                       issues, stopped):
             return
         for row in reader:
             if row and _row_ok(row, header, path, reader.line_num, issues):
@@ -382,8 +382,8 @@ def _read_rows(path: Path, data: bytes, header: list[str], issues: _Issues, stop
     except csv.Error as exc:
         _stop(f"{exc}; rest of file skipped", path, reader.line_num, issues, stopped)
         return
-    if bad_byte is not None:
-        _stop(f"not valid UTF-8 ({bad_byte}); rest of file skipped", path, reader.line_num + 1,
+    if reason is not None:
+        _stop(f"not valid UTF-8 ({reason}); rest of file skipped", path, reader.line_num + 1,
               issues, stopped)
 
 
@@ -664,9 +664,8 @@ class _Fields:
 
 
 def _split_bytes(data: bytes, header: list[str]) -> _Fields:
-    """The byte split: a file's bytes split at every comma and LF with
-    numpy. Data row i is on line i + 2, as there are no blank
-    lines.
+    """The byte split: a file's bytes split at every comma and LF with numpy.
+    Data row i is on line i + 2, as there are no blank lines.
 
     Declines unless csv.reader would split the file the same way and
     str.strip() would change no field: the exact header line, valid UTF-8,
@@ -714,8 +713,8 @@ def _split_bytes(data: bytes, header: list[str]) -> _Fields:
 
 
 def _split_csv(path: Path, data: bytes, header: list[str], issues: _Issues) -> _Fields:
-    """The csv tokenizer: the bytes of any file, read by _read_rows, which
-    records the file's own issues. Each field is stripped with str.strip(). The rows
+    """The csv tokenizer: any file's bytes, read by _read_rows, which records
+    the file's own issues. Each field is stripped with str.strip(). The rows
     are encoded a chunk at a time, so that few field strings live at once."""
     stopped: set[Path] = set()
     rows = _read_rows(path, data, header, issues, stopped)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import builtins
 import gc
-import io
 import random
 from collections import Counter
 from pathlib import Path
@@ -228,7 +227,8 @@ def test_missing_file_is_io_error(tmp_path):
 
 def test_each_input_file_is_read_once(tmp_path, monkeypatch):
     # publications.csv is quoted, so the byte split declines it and csv.reader
-    # reads the same bytes; each open, by pathlib (io.open) or by open(), is counted
+    # reads the same bytes; each open, by Path.open (which read_bytes calls)
+    # or by open(), is counted
     paths = write_csvs(tmp_path, MINI_TAXONOMY, MINI_RESEARCHERS, ['"p1",2013,7,2,"A"'],
                        MINI_AUTHORSHIPS)
     opened = Counter()
@@ -239,7 +239,7 @@ def test_each_input_file_is_read_once(tmp_path, monkeypatch):
             return open_file(file, *args, **kwargs)
         return counting
 
-    monkeypatch.setattr(io, "open", counted(io.open))
+    monkeypatch.setattr(Path, "open", counted(Path.open))
     monkeypatch.setattr(builtins, "open", counted(builtins.open))
     assert load_corpus(paths, AnalysisConfig()).pub_ids == ("p1",)
     assert {str(path): opened[str(path)] for path in vars(paths).values()} == {
