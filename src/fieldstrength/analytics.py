@@ -111,19 +111,22 @@ class QuadrantResult:
 
 
 def quadrant_classify(fields: FieldTable) -> QuadrantResult:
-    if not len(fields):
+    """QuadrantResult of the fields. Every median comes from one sort of the
+    fss_ts and fss_fhca columns: the middle value of an odd count, (a + b) / 2
+    of the two middle values of an even one, as numpy's median takes them."""
+    n = len(fields)
+    if not n:
         return QuadrantResult(medians={}, strong_union=frozenset(),
                               weak_union=frozenset(), ambiguous=frozenset())
+    ranked = np.sort(np.hstack((fields.fss_ts, fields.fss_fhca)), axis=0)
+    ts_med, fhca_med = np.split(
+        ranked[n // 2] if n % 2 else (ranked[n // 2 - 1] + ranked[n // 2]) / 2, 2)
     medians: dict[str, float] = {}
-    strong = np.zeros(len(fields), dtype=bool)
-    weak = np.zeros(len(fields), dtype=bool)
-    for p, ts, fhca in zip(fields.percentiles, fields.fss_ts.T, fields.fss_fhca.T):
-        ts_med = float(np.median(ts))
-        fhca_med = float(np.median(fhca))
-        medians[indicator_id("fss_ts", p)] = ts_med
-        medians[indicator_id("fss_fhca", p)] = fhca_med
-        strong |= (ts > ts_med) & (fhca > fhca_med)
-        weak |= (ts < ts_med) & (fhca < fhca_med)
+    for p, ts, fhca in zip(fields.percentiles, ts_med.tolist(), fhca_med.tolist()):
+        medians[indicator_id("fss_ts", p)] = ts
+        medians[indicator_id("fss_fhca", p)] = fhca
+    strong = ((fields.fss_ts > ts_med) & (fields.fss_fhca > fhca_med)).any(axis=1)
+    weak = ((fields.fss_ts < ts_med) & (fields.fss_fhca < fhca_med)).any(axis=1)
 
     def codes(mask: np.ndarray) -> frozenset[str]:
         return frozenset(fields.sds_codes[f] for f in np.flatnonzero(mask).tolist())

@@ -7,12 +7,16 @@ strict JSON types; each has a default, so a minimal config only names the
 four input files. Exit codes: 0 success, 1 validation failure,
 2 configuration failure, 3 I/O failure, 4 internal error (a fault of the
 program; the traceback is printed at --log-level debug).
+
+Each command imports only what it runs: validate and --version load only the
+loader (ingest, model, errors); run imports the stages and writers once its
+load succeeds, and report before it reads the bundle.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import logging
 import sys
@@ -22,14 +26,9 @@ from typing import Any, Optional
 
 from . import __version__
 from .errors import ConfigurationError, CorpusValidationError, InputIOError
-from .hca import write_flags_csv
-from .indicators import write_scoreboard_csv
 from .ingest import CorpusPaths, load_corpus
-from .model import (AnalysisConfig, CostModel, OutputOptions, parse_json, read_json_fields,
-                    write_json)
-from .pipeline import run_pipeline
-from .reporting import FORMATS, ReportBundle, render
-from .scoring import write_researcher_scores_csv
+from .model import (FORMATS, AnalysisConfig, CostModel, OutputOptions, parse_json,
+                    read_json_fields, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +41,25 @@ EXIT_INTERNAL = 4
 # the config file's sections besides "inputs"; each key is a field of one of them
 _SECTIONS = (AnalysisConfig, CostModel, OutputOptions)
 _INPUT_KEYS = tuple(f.name for f in dataclass_fields(CorpusPaths))
+# The stage names run and report call, each to its module: imported on first use
+# (PEP 562) and called as module globals, so that rebinding one takes effect.
+_STAGES = {"run_pipeline": "pipeline", "render": "reporting", "ReportBundle": "reporting",
+           "write_flags_csv": "hca", "write_scoreboard_csv": "indicators",
+           "write_researcher_scores_csv": "scoring"}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_STAGES[name]}", __package__)
+    globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def _import_stages() -> None:
+    """Bind each stage name that is not bound yet."""
+    for name in _STAGES.keys() - globals().keys():
+        __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,7 @@ def load_run_config(path: Path) -> RunConfig:
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # only run hashes, so validate never imports it
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
@@ -99,6 +118,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _config_hash(raw: dict[str, Any]) -> str:
+    import hashlib
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -123,6 +143,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run(config: RunConfig, out_dir: Path, formats: list[str]) -> int:
     corpus = load_corpus(config.paths, config.analysis)
+    _import_stages()  # after the load, so that a run that fails there never imports them
     result = run_pipeline(corpus, config.cost_model, config.output.top_bottom_k)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,6 +222,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     formats = _parse_formats(args.format)
+    _import_stages()
     try:
         bundle = ReportBundle.from_dict(parse_json(Path(args.bundle).read_text(encoding="utf-8")))
     except OSError as exc:

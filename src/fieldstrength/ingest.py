@@ -367,7 +367,8 @@ def _read_rows(path: Path, data: bytes, header: list[str], issues: _Issues, stop
     """
     reason = None
     try:
-        data.decode("utf-8")
+        if not data.isascii():  # an ASCII file holds no bad byte; only decode the others
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         reason, bad = exc.reason, exc.start
         data = data[:max(data.rfind(b"\n", 0, bad), data.rfind(b"\r", 0, bad)) + 1]

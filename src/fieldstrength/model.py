@@ -22,6 +22,7 @@ RANK_ASSISTANT = "assistant"
 RANK_ASSOCIATE = "associate"
 RANK_FULL = "full"
 RANKS = (RANK_ASSISTANT, RANK_ASSOCIATE, RANK_FULL)
+FORMATS = ("csv", "json", "markdown")  # the report formats
 
 FALLBACK_UDA_THEN_NATIONAL = "uda_then_national"
 FALLBACK_NATIONAL_ONLY = "national_only"

@@ -20,9 +20,8 @@ import numpy as np
 
 from .analytics import IndicatorRanking, average_rank_extremes, rank_values
 from .errors import ConfigurationError, InputIOError
-from .model import RANKS, OutputOptions, _json_value, read_json_fields, write_json
+from .model import FORMATS, RANKS, OutputOptions, _json_value, read_json_fields, write_json
 
-FORMATS = ("csv", "json", "markdown")
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
 # column kinds; each one's decimals drive both string formatting and json rounding

@@ -101,21 +101,33 @@ def detect_top_scientists(table: ScoreTable,
     """The Tukey fence threshold of every (field, percentile), and whether
     each (row, percentile) score strictly exceeds its field's threshold.
 
-    Each field's fences come from one quantile call over its rows, with
-    linearly interpolated quartiles at positions (n-1)*q (numpy's "linear"
-    method, which the brute-force oracle pins). The fence is a property of
-    the field's whole distribution, non-producers included. With a
-    degenerate all-equal distribution the fence equals the common value and
-    nobody is an outlier.
+    One np.lexsort sorts each percentile column by (field, score), and each
+    field's linearly interpolated quartiles are read at positions (n-1)*q
+    from the field's start in that order, with the bits of numpy's "linear"
+    quantile method (its _lerp, which the brute-force oracle pins). The
+    fence is a property of the field's whole distribution, non-producers
+    included. With a degenerate all-equal distribution the fence equals the
+    common value and nobody is an outlier.
     """
-    threshold = np.empty((len(table.sds_codes), len(table.percentiles)))
-    bounds = table.field_start.tolist()
-    for f, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        if start == end:
-            raise ValueError(f"field {table.sds_codes[f]} has no professors")
-        q1, q3 = np.quantile(table.fhca[start:end], [0.25, 0.75], axis=0, method="linear")
-        threshold[f] = q3 + multiplier * (q3 - q1)
-    return threshold, table.fhca > threshold[table.field]
+    n = np.diff(table.field_start)
+    if not n.all():
+        raise ValueError(f"field {table.sds_codes[n.argmin()]} has no professors")
+    fhca, field = table.fhca, table.field
+    order = np.lexsort((fhca, np.broadcast_to(field[:, None], fhca.shape)), axis=0)
+    ranked = np.take_along_axis(fhca, order, axis=0)
+    # as numpy: the order statistics at floor(pos) and the next one, weighted
+    # by pos - floor(pos); from pos >= n-1 on, the last one twice, weighted by
+    # pos + 1 (numpy's offset from index -1)
+    n = n[:, None]
+    pos = (n - 1) * np.array([0.25, 0.75])
+    last = pos >= n - 1
+    before = np.where(last, -1.0, np.floor(pos))
+    lo = table.field_start[:-1, None] + np.where(last, n - 1, before).astype(np.intp)
+    a, b = ranked[lo], ranked[np.where(last, lo, lo + 1)]
+    t = (pos - before)[..., None]
+    q1, q3 = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).transpose(1, 0, 2)
+    threshold = q3 + multiplier * (q3 - q1)
+    return threshold, fhca > threshold[field]
 
 
 def ts_output_means(table: ScoreTable, is_ts: np.ndarray, field_uda: np.ndarray, n_udas: int,
