@@ -7,15 +7,12 @@ well defined.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .indicators import FieldTable, indicator_id
-
-log = logging.getLogger(__name__)
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
@@ -131,14 +128,11 @@ def quadrant_classify(fields: FieldTable) -> QuadrantResult:
     def codes(mask: np.ndarray) -> frozenset[str]:
         return frozenset(fields.sds_codes[f] for f in np.flatnonzero(mask).tolist())
 
-    ambiguous = codes(strong & weak)
-    if ambiguous:
-        log.info("fields strong at one percentile, weak at another: %s", sorted(ambiguous))
     return QuadrantResult(
         medians=medians,
         strong_union=codes(strong & ~weak),
         weak_union=codes(weak & ~strong),
-        ambiguous=ambiguous,
+        ambiguous=codes(strong & weak),
     )
 
 
@@ -146,16 +140,14 @@ def quadrant_classify(fields: FieldTable) -> QuadrantResult:
 class AverageRankResult:
     avg_rank: np.ndarray  # each field's mean rank, in SDS order
     order: np.ndarray  # the field indices ascending by avg_rank (best first)
-    truncated: bool  # more than len(order) best and worst fields were asked for
 
 
-def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> AverageRankResult:
+def average_rank_extremes(rankings: Sequence[IndicatorRanking]) -> AverageRankResult:
     """Order fields by the mean of their fractional ranks across all
     indicator rankings, best first.
 
-    Ties on the average are broken by SDS code. Asking for the best and
-    worst k of fewer than k fields marks the result truncated, with a
-    logged note; the report layer picks the k extremes.
+    Ties on the average are broken by SDS code. The report layer picks the
+    best and worst k, and notes when there are fewer than k fields.
     """
     if not rankings:
         raise ValueError("no rankings supplied")
@@ -163,9 +155,4 @@ def average_rank_extremes(rankings: Sequence[IndicatorRanking], k: int) -> Avera
         raise ValueError("rankings cover different field sets")
     # half-integer ranks add exactly in any order
     avg_rank = sum(r.ranks for r in rankings) / len(rankings)
-    n = len(avg_rank)
-    truncated = k > n
-    if truncated:
-        log.warning("requested top/bottom %d of only %d fields; truncating", k, n)
-    return AverageRankResult(avg_rank=avg_rank, order=np.argsort(avg_rank, kind="stable"),
-                             truncated=truncated)
+    return AverageRankResult(avg_rank=avg_rank, order=np.argsort(avg_rank, kind="stable"))

@@ -44,7 +44,7 @@ _INPUT_KEYS = tuple(f.name for f in dataclass_fields(CorpusPaths))
 # The stage names run and report call, each to its module: imported on first use
 # (PEP 562) and called as module globals, so that rebinding one takes effect.
 _STAGES = {"run_pipeline": "pipeline", "render": "reporting", "ReportBundle": "reporting",
-           "write_flags_csv": "hca", "write_scoreboard_csv": "indicators",
+           "write_flags_csv": "hca", "write_scoreboard_csv": "reporting",
            "write_researcher_scores_csv": "scoring"}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -212,26 +212,25 @@ def write_flags_csv(flags: HcaFlags, path: Path) -> int:
 
 
 @dataclass(frozen=True)
-class SummaryRow:
-    """One discipline's roster size and output, with HCA counts per percentile."""
-
-    uda: str
-    uda_name: str
-    n_sds: int
-    n_professors: int
-    n_publications: int
-    hca_counts: Mapping[float, int]
-
-
-@dataclass(frozen=True)
 class SummaryTable:
-    percentiles: tuple[float, ...]
-    rows: tuple[SummaryRow, ...]
-    overall: SummaryRow
+    """The dataset summary as columns, one row per discipline (or the one
+    overall row): its code and name, its fields, professors and
+    publications, and hca_count[r, j], row r's HCA count at the flags'
+    percentiles[j]."""
+
+    uda: tuple[str, ...]
+    uda_name: tuple[str, ...]
+    n_sds: np.ndarray
+    n_professors: np.ndarray
+    n_publications: np.ndarray
+    hca_count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.uda)
 
 
-def corpus_summary(corpus: Corpus, flags: HcaFlags) -> SummaryTable:
-    """Per-discipline dataset summary.
+def corpus_summary(corpus: Corpus, flags: HcaFlags) -> tuple[SummaryTable, SummaryTable]:
+    """Per-discipline dataset summary (sorted by UDA code) plus the overall row.
 
     A publication counts once per discipline it reaches through its
     roster authors, so a cross-discipline co-authored publication counts
@@ -240,22 +239,24 @@ def corpus_summary(corpus: Corpus, flags: HcaFlags) -> SummaryTable:
     than the overall value. The distinct (discipline, publication) pairs
     come from one sort of the links' codes uda * n_pubs + pub_row.
     """
-    percentiles, udas, field_uda = flags.percentiles, corpus.udas, corpus.field_uda
+    udas, field_uda = corpus.udas, corpus.field_uda
     researcher_uda = np.repeat(field_uda, np.diff(corpus.field_start))
 
-    def per_uda(codes: np.ndarray) -> list[int]:
-        return np.bincount(codes, minlength=len(udas)).tolist()
+    def per_uda(codes: np.ndarray) -> np.ndarray:
+        return np.bincount(codes, minlength=len(udas))
 
     stride = max(len(corpus.pub_ids), 1)
     pairs = np.sort(researcher_uda[corpus.link_researcher] * stride + corpus.link_pub)
     pair_uda, pair_pub = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], stride)
-    columns = zip(udas, per_uda(field_uda), per_uda(researcher_uda), per_uda(pair_uda),
-                  *(per_uda(pair_uda[hit[pair_pub]]) for hit in flags.hit.T))
-    rows = tuple(SummaryRow(uda, corpus.taxonomy.uda_names[uda], n_sds, n_professors,
-                            n_publications, dict(zip(percentiles, hca_counts)))
-                 for uda, n_sds, n_professors, n_publications, *hca_counts in columns)
-    roster = corpus.has_roster_author[:, None]
-    overall = SummaryRow("ALL", "Overall", sum(r.n_sds for r in rows),
-                         sum(r.n_professors for r in rows), int(roster.sum()),
-                         dict(zip(percentiles, (flags.hit & roster).sum(axis=0).tolist())))
-    return SummaryTable(percentiles=percentiles, rows=rows, overall=overall)
+    rows = SummaryTable(
+        uda=udas, uda_name=tuple(map(corpus.taxonomy.uda_names.__getitem__, udas)),
+        n_sds=per_uda(field_uda), n_professors=per_uda(researcher_uda),
+        n_publications=per_uda(pair_uda),
+        hca_count=np.stack([per_uda(pair_uda[hit[pair_pub]]) for hit in flags.hit.T], axis=1))
+    roster = corpus.has_roster_author
+    overall = SummaryTable(
+        uda=("ALL",), uda_name=("Overall",), n_sds=rows.n_sds.sum(keepdims=True),
+        n_professors=rows.n_professors.sum(keepdims=True),
+        n_publications=roster.sum(keepdims=True),
+        hca_count=(flags.hit & roster[:, None]).sum(axis=0, keepdims=True))
+    return rows, overall

@@ -13,12 +13,11 @@ Discipline rows aggregate member fields weighted by research expenditure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ingest import Corpus
-from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, csv_cells, csv_line, p_label
+from .model import FALLBACK_UDA_THEN_NATIONAL, RANKS, CostModel, p_label
 from .scoring import (
     RESCALE_EXHAUSTED,
     RESCALE_FROM_FIELD,
@@ -169,23 +168,3 @@ def _aggregate(names: tuple[str, ...], group: np.ndarray, fields: FieldTable) ->
         ts_count=ts_count.astype(np.intp), ts_share=100.0 * ts_count / n_professors,
         fss_ts=sums(weight * fields.fss_ts), fss_fhca=sums(weight * fields.fss_fhca))
 
-
-def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
-    """Full-precision per-field scoreboard export, by column in the bytes of
-    a csv.writer row per field; each distinct number gets one repr."""
-    labels = [p_label(p) for p in fields.percentiles]
-    header = ["sds", "uda", "n_professors", "total_cost"]
-    header += [f"ts_{pl}" for pl in labels]
-    header += [f"fss_ts_{pl}" for pl in labels]
-    header += [f"fss_fhca_{pl}" for pl in labels]
-    header.append("fallback_flags")
-    prefix = [csv_line((sds, uda, ""))[:-1] for sds, uda in zip(fields.sds_codes, fields.uda)]
-    tail = [csv_line(("", flags))[1:] for flags in fields.fallback_flags()]
-    numbers = (fields.n_professors[:, None], fields.total_cost[:, None], fields.ts_count,
-               fields.fss_ts, fields.fss_fhca)
-    cells = np.concatenate((np.array(prefix, dtype=object)[:, None], *map(csv_cells, numbers),
-                            np.array(tail, dtype=object)[:, None]), axis=1)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(csv_line(header))
-        handle.write("".join(cells.ravel().tolist()))
-    return len(fields)

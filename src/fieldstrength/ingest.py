@@ -45,14 +45,10 @@ from .errors import (
     InputIOError,
     ValidationIssue,
 )
-from .model import RANKS, AnalysisConfig, Taxonomy
+from .model import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RANKS, RESEARCHERS_HEADER,
+                    TAXONOMY_HEADER, AnalysisConfig, Taxonomy)
 
 log = logging.getLogger(__name__)
-
-TAXONOMY_HEADER = ["sds_code", "sds_name", "uda_code", "uda_name"]
-RESEARCHERS_HEADER = ["researcher_id", "sds_code", "year", "rank"]
-PUBLICATIONS_HEADER = ["pub_id", "year", "citations", "author_count", "subject_categories"]
-AUTHORSHIPS_HEADER = ["pub_id", "researcher_id"]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ RANK_ASSOCIATE = "associate"
 RANK_FULL = "full"
 RANKS = (RANK_ASSISTANT, RANK_ASSOCIATE, RANK_FULL)
 FORMATS = ("csv", "json", "markdown")  # the report formats
+TAXONOMY_HEADER = ["sds_code", "sds_name", "uda_code", "uda_name"]
+RESEARCHERS_HEADER = ["researcher_id", "sds_code", "year", "rank"]
+PUBLICATIONS_HEADER = ["pub_id", "year", "citations", "author_count", "subject_categories"]
+AUTHORSHIPS_HEADER = ["pub_id", "researcher_id"]
 
 FALLBACK_UDA_THEN_NATIONAL = "uda_then_national"
 FALLBACK_NATIONAL_ONLY = "national_only"

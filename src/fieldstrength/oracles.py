@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CorpusValidationError
-from .ingest import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RESEARCHERS_HEADER,
-                     _PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set,
+from .ingest import (_PUBLICATION_NUMBERS, Corpus, CorpusPaths, LoadReport, _category_set,
                      _file_bytes, _Issues, _load_taxonomy, _parse_int, _read_rows, build_corpus)
-from .model import RANKS, AnalysisConfig
+from .model import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RANKS, RESEARCHERS_HEADER,
+                    AnalysisConfig)
 
 
 def oracle_top_p(members: Sequence[tuple[str, int]], p: float) -> set[str]:

@@ -7,7 +7,7 @@ can be exercised and compared in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .analytics import (
     AverageRankResult,
@@ -28,7 +28,7 @@ from .indicators import (
 )
 from .ingest import Corpus
 from .model import CostModel, OutputOptions, p_label
-from .reporting import ReportBundle, _discipline_columns, _field_columns, _summary_columns
+from .reporting import ReportBundle
 from .scoring import (RESCALE_EXHAUSTED, RESCALE_FROM_NATIONAL, RESCALE_FROM_UDA, ScoreTable,
                       score_researchers)
 
@@ -37,7 +37,8 @@ from .scoring import (RESCALE_EXHAUSTED, RESCALE_FROM_NATIONAL, RESCALE_FROM_UDA
 class PipelineResult:
     corpus: Corpus
     flags: HcaFlags
-    summary: SummaryTable
+    summary_rows: SummaryTable
+    summary_overall: SummaryTable
     scores: ScoreTable
     fields: FieldTable
     discipline_rows: Optional[DisciplineTable]  # both None without fields
@@ -56,34 +57,32 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
     percentiles = list(corpus.config.sorted_percentiles)
     cells = build_cells(corpus)
     flags = flag_hcas(cells, percentiles)
-    summary = corpus_summary(corpus, flags)
+    summary_rows, summary_overall = corpus_summary(corpus, flags)
     scores = score_researchers(corpus, flags, cost_model)
     fields = build_field_scoreboards(corpus, scores, cost_model)
-    if len(fields):
-        discipline_rows, discipline_overall = build_discipline_scoreboards(fields)
-    else:
-        discipline_rows, discipline_overall = None, None
+    disciplines = build_discipline_scoreboards(fields) if len(fields) else None
+    discipline_rows, discipline_overall = disciplines or (None, None)
 
     rankings = [rank_indicator(fields, family, p)
                 for family in ("fss_ts", "fss_fhca") for p in percentiles]
     correlations = correlation_matrix(rankings)
     quadrant = quadrant_classify(fields)
-    avg_rank = average_rank_extremes(rankings, top_bottom_k)
+    avg_rank = average_rank_extremes(rankings)
 
     counts = {
         "researchers": len(corpus.researcher_ids),
         "publications": len(corpus.pub_ids),
-        "baseline_only_publications": len(corpus.pub_ids) - summary.overall.n_publications,
+        "baseline_only_publications": len(corpus.pub_ids) - summary_overall.n_publications.item(),
         "authorships": len(corpus.link_pub),
         "citation_cells": len(cells),
         "fields": len(fields),
         "disciplines": len(discipline_rows or ()),
     }
-    for j, (p, n_ts) in enumerate(zip(percentiles, fields.ts_count.sum(axis=0).tolist())):
+    for j, p in enumerate(percentiles):
         pl = p_label(p)
         counts[f"hca_{pl}_flagged"] = int(flags.hit[:, j].sum())
-        counts[f"hca_{pl}_roster"] = summary.overall.hca_counts[p]
-        counts[f"ts_{pl}"] = n_ts
+        counts[f"hca_{pl}_roster"] = summary_overall.hca_count[0, j].item()
+        counts[f"ts_{pl}"] = fields.ts_count[:, j].sum().item()
 
     warnings = list(corpus.report.warnings)
     for p, sources in zip(percentiles, fields.provenance.T):
@@ -91,19 +90,20 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
             if n := int((sources == source).sum()):
                 warnings.append(f"rescaling at p={p_label(p)} used {source} for {n} of "
                                 f"{len(fields)} fields (see fallback_flags)")
-    if avg_rank.truncated:
+    if top_bottom_k > len(fields):
         warnings.append(
             f"average-rank lists truncated: requested {top_bottom_k}, have {len(fields)} fields")
     if quadrant.ambiguous:
         warnings.append("fields strong at one percentile but weak at another, in neither union: "
                         + ", ".join(sorted(quadrant.ambiguous)))
 
-    bundle = _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
-                           correlations, quadrant, top_bottom_k)
+    bundle = ReportBundle.from_tables((summary_rows, summary_overall), fields, disciplines,
+                                      correlations, quadrant, top_bottom_k)
     return PipelineResult(
         corpus=corpus,
         flags=flags,
-        summary=summary,
+        summary_rows=summary_rows,
+        summary_overall=summary_overall,
         scores=scores,
         fields=fields,
         discipline_rows=discipline_rows,
@@ -117,57 +117,3 @@ def run_pipeline(corpus: Corpus, cost_model: CostModel,
         warnings=warnings,
     )
 
-
-def _summary_row_dict(row, percentiles, keys: list[str]) -> dict[str, Any]:
-    return dict(zip(keys, (row.uda, row.uda_name, row.n_sds, row.n_professors,
-                           row.n_publications, *(row.hca_counts[p] for p in percentiles))))
-
-
-def _discipline_rows(table: DisciplineTable, labels: list[str]) -> list[dict[str, Any]]:
-    """One dict per discipline row, keyed by its reporting columns and built
-    by column as _field_rows is."""
-    keys = [name for name, _ in _discipline_columns(labels)]
-    columns = (table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
-               table.total_cost.tolist(),
-               *(c.tolist() for pair in zip(table.ts_count.T, table.ts_share.T) for c in pair),
-               *table.fss_ts.T.tolist(), *table.fss_fhca.T.tolist())
-    return [dict(zip(keys, row)) for row in zip(*columns)]
-
-
-def _field_rows(fields: FieldTable) -> list[dict[str, Any]]:
-    """One dict per field, keyed by its reporting columns and built by
-    column: each key is made once."""
-    keys = [name for name, _ in _field_columns([p_label(p) for p in fields.percentiles])]
-    columns = (fields.sds_codes, fields.uda, *fields.n_by_rank.T.tolist(),
-               fields.n_professors.tolist(), fields.total_cost.tolist(),
-               *fields.ts_count.T.tolist(), *fields.fss_ts.T.tolist(), *fields.fss_fhca.T.tolist(),
-               fields.fallback_flags())
-    return [dict(zip(keys, row)) for row in zip(*columns)]
-
-
-def _build_bundle(corpus, summary, fields, discipline_rows, discipline_overall,
-                  correlations, quadrant, top_bottom_k) -> ReportBundle:
-    percentiles = list(corpus.config.sorted_percentiles)
-    labels = [p_label(p) for p in percentiles]
-    summary_keys = [name for name, _ in _summary_columns(labels, shares=False)]
-    return ReportBundle(
-        percentiles=labels,
-        summary_rows=[_summary_row_dict(r, percentiles, summary_keys) for r in summary.rows],
-        summary_overall=_summary_row_dict(summary.overall, percentiles, summary_keys),
-        discipline_rows=(_discipline_rows(discipline_rows, labels)
-                         if discipline_rows is not None else []),
-        discipline_overall=(_discipline_rows(discipline_overall, labels)[0]
-                            if discipline_overall is not None else None),
-        field_rows=_field_rows(fields),
-        spearman={
-            "indicator_ids": list(correlations.indicator_ids),
-            "matrix": [list(line) for line in correlations.values],
-        },
-        quadrant={
-            "medians": dict(sorted(quadrant.medians.items())),
-            "strong": sorted(quadrant.strong_union),
-            "weak": sorted(quadrant.weak_union),
-            "ambiguous": sorted(quadrant.ambiguous),
-        },
-        top_bottom_k=top_bottom_k,
-    )

@@ -1,9 +1,11 @@
 """Render the computed tables as CSV, JSON, and Markdown.
 
-The bundle holds full-precision values; every rounding convention lives
-here (2 decimals for strength indicators and ranks, 1 for percentages,
-integer euro for costs; every format rounds a value the same way) and
-nothing upstream ever rounds. Rankings, k-lists, average ranks and
+Each table's columns are listed here once, beside the engine table's values
+in that order (its blocks); the two build the bundle's rows and
+scoreboard.csv. The bundle holds full-precision values; every rounding
+convention lives here (2 decimals for strength indicators and ranks, 1 for
+percentages, integer euro for costs; every format rounds a value the same
+way) and nothing upstream ever rounds. Rankings, k-lists, average ranks and
 quadrant rows are derived here from the field rows, by the engine's rank
 rules. Rendering is pure: identical bundles give byte-identical files.
 """
@@ -18,9 +20,13 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .analytics import IndicatorRanking, average_rank_extremes, rank_values
+from .analytics import (CorrelationMatrix, IndicatorRanking, QuadrantResult,
+                        average_rank_extremes, rank_values)
 from .errors import ConfigurationError, InputIOError
-from .model import FORMATS, RANKS, OutputOptions, _json_value, read_json_fields, write_json
+from .hca import SummaryTable
+from .indicators import DisciplineTable, FieldTable
+from .model import (FORMATS, RANKS, OutputOptions, _json_value, csv_cells, csv_fields, csv_line,
+                    p_label, read_json_fields, write_json)
 
 _EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
@@ -52,6 +58,38 @@ class ReportBundle:
     def to_dict(self) -> dict[str, Any]:
         """The fields by name; the values are shared, not copied."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_tables(cls, summary: tuple[SummaryTable, SummaryTable], fields: FieldTable,
+                    disciplines: Optional[tuple[DisciplineTable, DisciplineTable]],
+                    correlations: CorrelationMatrix, quadrant: QuadrantResult,
+                    top_bottom_k: int) -> "ReportBundle":
+        """The bundle of a run's tables; disciplines is None without fields."""
+        labels = [p_label(p) for p in fields.percentiles]
+        summary_rows, summary_overall = (
+            _rows(_summary_columns(labels, shares=False), _summary_blocks(t)) for t in summary)
+        discipline_rows, discipline_overall = (
+            [_rows(_discipline_columns(labels), _discipline_blocks(t)) for t in disciplines]
+            if disciplines is not None else ([], [None]))
+        return cls(
+            percentiles=labels,
+            summary_rows=summary_rows,
+            summary_overall=summary_overall[0],
+            discipline_rows=discipline_rows,
+            discipline_overall=discipline_overall[0],
+            field_rows=_rows(_field_columns(labels), _field_blocks(fields)),
+            spearman={
+                "indicator_ids": list(correlations.indicator_ids),
+                "matrix": [list(line) for line in correlations.values],
+            },
+            quadrant={
+                "medians": dict(sorted(quadrant.medians.items())),
+                "strong": sorted(quadrant.strong_union),
+                "weak": sorted(quadrant.weak_union),
+                "ambiguous": sorted(quadrant.ambiguous),
+            },
+            top_bottom_k=top_bottom_k,
+        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "ReportBundle":
@@ -153,12 +191,30 @@ def _extremes(entries: list, k: int) -> tuple[list, list]:
     return entries[:k], entries[len(entries) - k:]
 
 
+def _rows(columns: list[tuple[str, str]], blocks: list) -> list[dict[str, Any]]:
+    """One dict per row of the blocks, keyed by the column names in order: a
+    matrix block gives one column per matrix column, any other block one."""
+    values = []
+    for block in blocks:
+        if isinstance(block, np.ndarray):
+            values += block.T.tolist() if block.ndim == 2 else [block.tolist()]
+        else:
+            values.append(block)
+    keys = [name for name, _ in columns]
+    return [dict(zip(keys, row)) for row in zip(*values)]
+
+
 @dataclass
 class _Table:
     name: str
     columns: list[tuple[str, str]]  # (column name, kind)
     rows: list[dict[str, Any]]
     notes: list[str]
+
+
+def _each(name: str, kind: str, labels: Sequence[str]) -> list[tuple[str, str]]:
+    """The columns of a matrix block: name_label for each label."""
+    return [(f"{name}_{label}", kind) for label in labels]
 
 
 def _summary_columns(percentiles: list[str], shares: bool = True) -> list[tuple[str, str]]:
@@ -170,6 +226,12 @@ def _summary_columns(percentiles: list[str], shares: bool = True) -> list[tuple[
         if shares:
             columns.append((f"hca_{pl}_share", K_PCT))
     return columns
+
+
+def _summary_blocks(table: SummaryTable) -> list:
+    """The values of the summary columns but the shares."""
+    return [table.uda, table.uda_name, table.n_sds, table.n_professors, table.n_publications,
+            table.hca_count]
 
 
 def _summary_table(bundle: ReportBundle) -> _Table:
@@ -190,11 +252,13 @@ def _discipline_columns(percentiles: list[str]) -> list[tuple[str, str]]:
                ("total_cost", K_COST)]
     for pl in percentiles:
         columns += [(f"ts_{pl}", K_INT), (f"ts_{pl}_share", K_PCT)]
-    for pl in percentiles:
-        columns.append((f"fss_ts_{pl}", K_FSS))
-    for pl in percentiles:
-        columns.append((f"fss_fhca_{pl}", K_FSS))
-    return columns
+    return columns + _each("fss_ts", K_FSS, percentiles) + _each("fss_fhca", K_FSS, percentiles)
+
+
+def _discipline_blocks(table: DisciplineTable) -> list:
+    return [table.uda, table.n_sds, table.n_professors, table.total_cost,
+            *(column for pair in zip(table.ts_count.T, table.ts_share.T) for column in pair),
+            table.fss_ts, table.fss_fhca]
 
 
 def _discipline_table(bundle: ReportBundle) -> _Table:
@@ -206,20 +270,38 @@ def _discipline_table(bundle: ReportBundle) -> _Table:
 
 
 def _field_columns(percentiles: list[str]) -> list[tuple[str, str]]:
-    columns = [("sds", K_STR), ("uda", K_STR), *((f"n_{rank}", K_INT) for rank in RANKS),
-               ("n_professors", K_INT), ("total_cost", K_COST)]
-    for pl in percentiles:
-        columns.append((f"ts_{pl}", K_INT))
-    for pl in percentiles:
-        columns.append((f"fss_ts_{pl}", K_FSS))
-    for pl in percentiles:
-        columns.append((f"fss_fhca_{pl}", K_FSS))
-    columns.append(("fallback_flags", K_STR))
-    return columns
+    return [("sds", K_STR), ("uda", K_STR), *_each("n", K_INT, RANKS), ("n_professors", K_INT),
+            ("total_cost", K_COST), *_each("ts", K_INT, percentiles),
+            *_each("fss_ts", K_FSS, percentiles), *_each("fss_fhca", K_FSS, percentiles),
+            ("fallback_flags", K_STR)]
+
+
+def _field_blocks(fields: FieldTable) -> list:
+    return [fields.sds_codes, fields.uda, fields.n_by_rank, fields.n_professors,
+            fields.total_cost, fields.ts_count, fields.fss_ts, fields.fss_fhca,
+            fields.fallback_flags()]
 
 
 def _field_table(bundle: ReportBundle) -> _Table:
     return _Table("fields", _field_columns(bundle.percentiles), bundle.field_rows, [])
+
+
+def write_scoreboard_csv(fields: FieldTable, path: Path) -> int:
+    """The field table without its per-rank counts, at full precision: written
+    by block in the bytes of a csv.writer row per field, each distinct number
+    as one repr and each column of codes quoted as csv_fields quotes it."""
+    ranks = _each("n", K_INT, RANKS)
+    header = [name for name, kind in _field_columns([p_label(p) for p in fields.percentiles])
+              if (name, kind) not in ranks]
+    cells = np.concatenate([
+        csv_cells(block[:, None] if block.ndim == 1 else block) if isinstance(block, np.ndarray)
+        else np.array([f"{text}," for text in csv_fields(block)], dtype=object)[:, None]
+        for block in _field_blocks(fields) if block is not fields.n_by_rank], axis=1)
+    cells[:, -1] = [cell[:-1] + "\n" for cell in cells[:, -1].tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(csv_line(header))
+        handle.write("".join(cells.ravel().tolist()))
+    return len(fields)
 
 
 def _correlation_table(bundle: ReportBundle) -> _Table:
@@ -259,7 +341,7 @@ def _avg_rank_table(bundle: ReportBundle, rankings: list[IndicatorRanking]) -> _
         columns += [(f"{r.indicator_id}_value", K_FSS), (f"{r.indicator_id}_rank", K_RANK)]
     columns += [("avg_rank", K_RANK), ("position", K_INT)]
     k, n = bundle.top_bottom_k, len(bundle.field_rows)
-    avg = average_rank_extremes(rankings, min(k, n))  # the run has logged a k above n once
+    avg = average_rank_extremes(rankings)
     top, bottom = _extremes(list(enumerate(avg.order.tolist(), start=1)), k)
     rows = []
     for group, chosen in (("top", top), ("bottom", bottom)):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import RANK_ASSISTANT, RANK_ASSOCIATE, RANK_FULL
+from .model import (AUTHORSHIPS_HEADER, PUBLICATIONS_HEADER, RANK_ASSISTANT, RANK_ASSOCIATE,
+                    RANK_FULL, RESEARCHERS_HEADER, TAXONOMY_HEADER)
 
 
 @dataclass(frozen=True)
@@ -308,11 +309,10 @@ def generate(params: SynthParams, out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = generate_tables(params)
     layout = {
-        "taxonomy": (["sds_code", "sds_name", "uda_code", "uda_name"], tables.taxonomy),
-        "researchers": (["researcher_id", "sds_code", "year", "rank"], tables.researchers),
-        "publications": (["pub_id", "year", "citations", "author_count", "subject_categories"],
-                         tables.publications),
-        "authorships": (["pub_id", "researcher_id"], tables.authorships),
+        "taxonomy": (TAXONOMY_HEADER, tables.taxonomy),
+        "researchers": (RESEARCHERS_HEADER, tables.researchers),
+        "publications": (PUBLICATIONS_HEADER, tables.publications),
+        "authorships": (AUTHORSHIPS_HEADER, tables.authorships),
     }
     paths = {}
     for name, (header, rows) in layout.items():

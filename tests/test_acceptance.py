@@ -192,7 +192,7 @@ def test_criterion_4_zero_path_end_to_end(tmp_path):
         assert result.quadrant.weak_union == frozenset()
         for line in result.correlations.values:
             assert all(v is None for v in line)
-        assert result.summary.overall.hca_counts[5.0] == 0
+        assert result.summary_overall.hca_count[0, 0] == 0  # at p=5
         # the bundle still renders a complete, valid report directory
         entries = render(result.bundle, ["csv", "json", "markdown"], tmp_path / "out")
         assert len(entries) == 18
@@ -270,13 +270,14 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
                 assert (out / "reports" / f"{name}.{ext}").exists()
 
         # dataset summary: per-discipline rows plus a de-duplicated overall row
-        summary = result.summary
-        assert len(summary.rows) == 11
-        assert sum(r.n_professors for r in summary.rows) == summary.overall.n_professors
-        per_uda_pubs = sum(r.n_publications for r in summary.rows)
-        assert summary.overall.n_publications < per_uda_pubs  # cross-discipline co-authorship
-        for row in list(summary.rows) + [summary.overall]:
-            assert row.hca_counts[5.0] <= row.hca_counts[10.0] <= row.n_publications
+        rows, overall = result.summary_rows, result.summary_overall
+        assert len(rows) == 11
+        assert rows.n_professors.sum() == overall.n_professors[0]
+        per_uda_pubs = rows.n_publications.sum()
+        assert overall.n_publications[0] < per_uda_pubs  # cross-discipline co-authorship
+        for table in (rows, overall):  # hca_count columns at p=5 and p=10
+            assert (table.hca_count[:, 0] <= table.hca_count[:, 1]).all()
+            assert (table.hca_count[:, 1] <= table.n_publications).all()
 
         # four-indicator scoreboard over all fields
         assert len(result.fields) == 44
@@ -297,7 +298,7 @@ def test_criterion_7_structural_mimicry(default_result, tmp_path):
         assert not (result.quadrant.strong_union & result.quadrant.weak_union)
 
         # top-k / bottom-k average-rank lists
-        assert not result.avg_rank.truncated
+        assert not any(w.startswith("average-rank lists truncated") for w in result.warnings)
         assert sorted(result.avg_rank.order.tolist()) == list(range(44))
         avg_values = result.avg_rank.avg_rank[result.avg_rank.order].tolist()
         assert avg_values == sorted(avg_values)

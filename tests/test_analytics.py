@@ -17,6 +17,7 @@ from fieldstrength.analytics import (
     rank_indicator,
 )
 from fieldstrength.oracles import oracle_fractional_ranks, oracle_spearman
+from fieldstrength.reporting import _extremes
 
 
 def fields_from_values(values: dict[str, float], indicator_p: float = 5.0):
@@ -231,7 +232,7 @@ def test_average_rank_example():
         fields = mk_fields([(sds, {5.0: v, 10.0: v}, {5.0: v, 10.0: v})
                             for sds, v in values.items()])
         rankings.append(rank_indicator(fields, *indicator))
-    result = average_rank_extremes(rankings, 5)
+    result = average_rank_extremes(rankings)
     assert rankings[0].sds_codes[0] == "A"
     assert result.avg_rank[0] == pytest.approx((3 + 18 + 4 + 2) / 4)
 
@@ -241,9 +242,10 @@ def test_average_rank_all_first():
     for indicator in [("fss_ts", 5.0), ("fss_fhca", 5.0)]:
         fields = fields_from_values({"TOP": 9.0, "MID": 5.0, "LOW": 1.0})
         rankings.append(rank_indicator(fields, *indicator))
-    result = average_rank_extremes(rankings, 1)
+    result = average_rank_extremes(rankings)
     codes = rankings[0].sds_codes
-    assert not result.truncated
+    top, bottom = _extremes(result.order.tolist(), 1)
+    assert len(top) == len(bottom) == 1  # one of three fields asked for: not truncated
     assert codes[result.order[0]] == "TOP"
     assert result.avg_rank[result.order[0]] == 1.0
     assert codes[result.order[-1]] == "LOW"
@@ -255,8 +257,9 @@ def test_average_rank_tie_breaks_by_code_and_truncation():
         ("AAA", {5.0: 2.0}, {5.0: 1.0}),
     ])
     rankings = [rank_indicator(fields, family, 5.0) for family in ("fss_ts", "fss_fhca")]
-    result = average_rank_extremes(rankings, 10)
-    assert result.truncated
+    result = average_rank_extremes(rankings)
+    top, bottom = _extremes(result.order.tolist(), 10)
+    assert top == bottom == result.order.tolist()  # ten of two fields asked for: truncated
     assert [fields.sds_codes[f] for f in result.order] == ["AAA", "BBB"]
     assert result.avg_rank.tolist() == [1.5, 1.5]
 
@@ -301,7 +304,7 @@ def test_average_rank_permutation_invariant():
     results = []
     for fields in (mk_fields(rows), mk_fields(shuffled)):
         rankings = [rank_indicator(fields, family, 5.0) for family in ("fss_ts", "fss_fhca")]
-        results.append(average_rank_extremes(rankings, 5))
+        results.append(average_rank_extremes(rankings))
     assert (results[0].avg_rank == results[1].avg_rank).all()
     assert (results[0].order == results[1].order).all()
 

@@ -2,7 +2,8 @@
 
 The sha256 of every file that ``run`` writes under --out on seed 1 of the
 ``national_10x`` and ``threshold_sweep`` workloads, and of the
-``invalid_10x`` seed-1 ``validate`` listing. The corpora come from the
+``invalid_10x`` seed-1 ``validate`` listing; ``report --bundle`` of each
+run's analytics.json must write the same reports/. The corpora come from the
 benchmark's own generator (perfbench/workloads.py), whose bytes are pinned
 by tests/test_synth_stream.py and a CI digest step. A change that alters
 output on purpose updates these and says so in CHANGES.md.
@@ -54,10 +55,17 @@ def tree_digests(out: Path) -> dict[str, str]:
 
 
 def run_tree(name: str, seed: int, tmp: Path) -> dict[str, str]:
-    """Build one workload's corpus under tmp, run it, and digest --out."""
+    """Build one workload's corpus under tmp, run it, and digest --out. A
+    report --bundle of the run's analytics.json must write reports/ again
+    byte for byte."""
     inputs = workloads.build(workloads.WORKLOADS[name], seed, tmp)
-    assert main(["run", "--config", str(inputs.config_path), "--out", str(tmp / "out")]) == 0
-    return tree_digests(tmp / "out")
+    out, again = tmp / "out", tmp / "again"
+    assert main(["run", "--config", str(inputs.config_path), "--out", str(out)]) == 0
+    assert main(["report", "--bundle", str(out / "analytics.json"), "--out", str(again)]) == 0
+    digests = tree_digests(out)
+    assert tree_digests(again) == {path: sha for path, sha in digests.items()
+                                   if path.startswith("reports/")}
+    return digests
 
 
 def validate_listing(national: Path, seed: int, tmp: Path, capsys) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -226,6 +227,23 @@ def test_report_ranks_the_values_the_bundle_holds(synth_run, tmp_path):
         ranks = [float(value) for key, value in row.items() if key.endswith("_rank")
                  and key != "avg_rank"]
         assert row["avg_rank"] == f"{sum(ranks) / len(ranks):.2f}"
+
+
+def test_top_bottom_k_above_the_field_count_is_noted_once(tmp_path, caplog):
+    corpus, out, again = tmp_path / "corpus", tmp_path / "out", tmp_path / "again"
+    corpus.mkdir()
+    write_csvs(corpus, MINI_TAXONOMY, MINI_RESEARCHERS, MINI_PUBLICATIONS, MINI_AUTHORSHIPS)
+    config = write_config(tmp_path, corpus, top_bottom_k=5)  # the mini corpus has one field
+    with caplog.at_level(logging.DEBUG, logger="fieldstrength.analytics"):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert [r for r in caplog.records if r.name == "fieldstrength.analytics"] == []
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [w for w in manifest["warnings"] if "truncated" in w] == [
+        "average-rank lists truncated: requested 5, have 1 fields"]
+    note = "\n*fewer than 5 fields; lists truncated*\n"
+    assert note in (out / "reports" / "avg_rank.md").read_text(encoding="utf-8")
+    assert main(["report", "--bundle", str(out / "analytics.json"), "--out", str(again)]) == 0
+    assert note in (again / "reports" / "avg_rank.md").read_text(encoding="utf-8")
 
 
 def test_synth_seed_determinism(tmp_path):

@@ -457,11 +457,11 @@ def _summary(corpus):
 
 
 def test_summary_single_uda_overall_equals_row(tmp_path):
-    table = _summary(load(tmp_path))
-    assert len(table.rows) == 1
-    row, overall = table.rows[0], table.overall
-    assert (row.n_professors, row.n_publications) == (overall.n_professors, overall.n_publications)
-    assert row.hca_counts == overall.hca_counts
+    rows, overall = _summary(load(tmp_path))
+    assert len(rows) == 1
+    assert ([rows.n_professors.tolist(), rows.n_publications.tolist()]
+            == [overall.n_professors.tolist(), overall.n_publications.tolist()])
+    assert rows.hca_count.tolist() == overall.hca_count.tolist()
 
 
 def test_summary_cross_uda_coauthorship_double_counts(tmp_path):
@@ -474,10 +474,9 @@ def test_summary_cross_uda_coauthorship_double_counts(tmp_path):
         publications=["p1,2013,7,2,A"],
         authorships=["p1,r1", "p1,r2"],
     )
-    table = _summary(corpus)
-    per_uda_sum = sum(r.n_publications for r in table.rows)
-    assert per_uda_sum == table.overall.n_publications + 1
-    assert sum(r.n_professors for r in table.rows) == table.overall.n_professors
+    rows, overall = _summary(corpus)
+    assert rows.n_publications.sum() == overall.n_publications[0] + 1
+    assert rows.n_professors.sum() == overall.n_professors[0]
 
 
 def test_summary_share_by_construction(tmp_path):
@@ -492,9 +491,9 @@ def test_summary_share_by_construction(tmp_path):
         authorships.append(f"q{i:02d},{rid}")
     corpus = load(tmp_path, researchers=researchers, publications=publications,
                   authorships=authorships)
-    table = _summary(corpus)
-    assert table.overall.hca_counts[5.0] == 2
-    assert 100 * table.overall.hca_counts[5.0] / table.overall.n_publications == pytest.approx(5.0)
+    _, overall = _summary(corpus)
+    assert overall.hca_count[0, 0] == 2  # at p=5, the first of the default percentiles
+    assert 100 * overall.hca_count[0, 0] / overall.n_publications[0] == pytest.approx(5.0)
 
 
 def random_tables(rng: random.Random) -> tuple[list[str], list[str], list[str], list[str]]:
@@ -557,11 +556,15 @@ def test_summary_equals_brute_force_set_counts(tmp_path, roster_only_baseline):
         trial_dir = tmp_path / str(trial)
         trial_dir.mkdir()
         corpus = load(trial_dir, *tables, config=config)
-        table = _summary(corpus)
-        got = [(r.uda, r.n_sds, r.n_professors, r.n_publications, r.hca_counts)
-               for r in (*table.rows, table.overall)]
+        rows, overall = _summary(corpus)
+        got = [(uda, n_sds, n_professors, n_publications,
+                dict(zip(config.sorted_percentiles, hca_count)))
+               for table in (rows, overall)
+               for uda, n_sds, n_professors, n_publications, hca_count in zip(
+                   table.uda, table.n_sds.tolist(), table.n_professors.tolist(),
+                   table.n_publications.tolist(), table.hca_count.tolist())]
         assert got == brute_force_summary(tables, config)
-        assert table.rows[0].n_publications > 0 and table.overall.hca_counts[25.0] > 0
+        assert rows.n_publications[0] > 0 and overall.hca_count[0, 2] > 0  # at p=25
 
 
 # Every row-level check fires, interleaved over the three row files: a row

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import mk_corpus
 from fieldstrength.errors import InputIOError
-from fieldstrength.model import CostModel
+from fieldstrength.model import RANKS, CostModel
 from fieldstrength.pipeline import run_pipeline
-from fieldstrength.reporting import K_RANK, ReportBundle, _fmt, _jr, render
+from fieldstrength.reporting import (K_RANK, ReportBundle, _discipline_columns, _field_columns,
+                                     _fmt, _jr, _summary_columns, render, write_scoreboard_csv)
 
 YEARS = {2012: "assistant", 2013: "assistant", 2014: "assistant"}
 
@@ -51,6 +52,23 @@ def test_bundle_round_trips_through_json(default_result, tmp_path):
     render_all(rebuilt, b)
     for path_a in sorted((a / "reports").iterdir()):
         assert path_a.read_bytes() == (b / "reports" / path_a.name).read_bytes()
+
+
+def test_bundle_rows_and_scoreboard_header_follow_the_column_lists(default_result, tmp_path):
+    bundle = default_result.bundle
+    summary = [name for name, _ in _summary_columns(bundle.percentiles, shares=False)]
+    disciplines = [name for name, _ in _discipline_columns(bundle.percentiles)]
+    fields = [name for name, _ in _field_columns(bundle.percentiles)]
+    for section, rows, names in (("summary_rows", bundle.summary_rows, summary),
+                                 ("summary_overall", [bundle.summary_overall], summary),
+                                 ("discipline_rows", bundle.discipline_rows, disciplines),
+                                 ("discipline_overall", [bundle.discipline_overall], disciplines),
+                                 ("field_rows", bundle.field_rows, fields)):
+        assert rows and all(list(row) == names for row in rows), section
+    write_scoreboard_csv(default_result.fields, tmp_path / "scoreboard.csv")
+    header = (tmp_path / "scoreboard.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.split(",") == [name for name in fields
+                                 if name not in [f"n_{rank}" for rank in RANKS]]
 
 
 def test_empty_corpus_renders_header_only_tables(tmp_path):

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 from conftest import mk_corpus
 from fieldstrength.cli import main
 from fieldstrength.hca import write_flags_csv
-from fieldstrength.indicators import write_scoreboard_csv
 from fieldstrength.model import AnalysisConfig, CostModel, json_text, p_label
 from fieldstrength.pipeline import run_pipeline
 from fieldstrength.reporting import (K_CORR, K_COST, K_FSS, K_INT, K_PCT, K_RANK, _fmt, _jr,
-                                     _rounded, _text)
+                                     _rounded, _text, write_scoreboard_csv)
 from fieldstrength.scoring import write_researcher_scores_csv
 
 # ---------------------------------------------------------------- JSON
